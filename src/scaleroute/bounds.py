@@ -203,9 +203,7 @@ def omega1(lam: float, alpha: float, mu: float) -> float:
         if lam <= 0.0:
             raise DomainError("omega1 limit branch is undefined at lambda = 0")
         return 1.0 / (4.0 * lam)
-    aa = alpha * (1.0 - mu)
-    d = math.sqrt(lam * mu / (aa + lam * mu))
-    return 1.0 / ((aa + lam * mu) * (1.0 + d) ** 2)
+    return 1.0 / ((alpha * (1.0 - mu) + lam * mu) * (1.0 + delta(lam, alpha, mu)) ** 2)
 
 
 def omega2(lam: float, alpha: float, mu: float) -> float:
@@ -222,9 +220,8 @@ def omega1_sup(lam: float, alpha: float, mu: float) -> float:
     the supremum is (1-lam)/(alpha(1-mu)+mu); beyond lambda_1 it is the
     interior maximum ``omega1``.
     """
-    _check_alpha_mu(alpha, mu)
+    lambda_1 = lambda_thresholds(alpha, mu).lambda_1  # also checks alpha and mu
     _check_lambda(lam)
-    lambda_1 = mu / (alpha * (1.0 - mu) + 2.0 * mu)
     if lam <= lambda_1:
         return (1.0 - lam) / (alpha * (1.0 - mu) + mu)
     return omega1(lam, alpha, mu)

@@ -230,7 +230,7 @@ def _cmd_verify(args) -> int:
         count=args.count,
         base_seed=args.seed,
         shape=ShapeConfig(mu_min=args.mu_min, alpha=args.alpha),
-        solver=SolverConfig(relative_gap_tol=args.tol, max_iterations=args.max_iter),
+        solver=_solver_config(args),
         jobs=args.jobs,
     )
     report = verify_bounds(config)

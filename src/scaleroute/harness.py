@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import Region, alpha_thresholds, omega1_sup, omega2, poa_bound, poa_bound_single_class
+from .bounds import Region, alpha_thresholds, omega1_sup, omega2, poa_bound
 from .errors import BadKind, GenerationFailed, NotConverged, UnsupportedTopology, ValidationError
 from .game import StackelbergOutcome, play
 from .model import (
@@ -37,10 +37,9 @@ from .model import (
     network_autonomy_fraction,
     social_cost_links,
 )
-from .solvers import SolverConfig
+from .solvers import _COST_FLOOR, SolverConfig
 
 _GRID_CHUNK = 200_000
-_COST_FLOOR = 1e-30
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -249,7 +248,7 @@ def oracle_nash(
         total = (lat * T).sum(axis=0)
         best = demand * lat.min(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            gap = np.where(total > _COST_FLOOR, (total - best) / total, 0.0)
+            gap = np.where(total <= _COST_FLOOR, 0.0, (total - best) / total)
         return np.maximum(gap, 0.0)
 
     best_t, best_gap = _oracle_minimize(demand, n, step, config.refine_rounds, evaluate)
@@ -625,8 +624,3 @@ def curve_tables(
     else:
         raise BadKind(f"unknown curve kind {kind!r}")
     return CurveTable(kind=kind, rows=tuple(rows))
-
-
-def single_class_reference(alpha_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Reference single-class bound curve on a grid (for figure checks)."""
-    return [(float(a), poa_bound_single_class(float(a))) for a in alpha_grid]

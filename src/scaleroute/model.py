@@ -12,6 +12,7 @@ validation and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -50,9 +51,9 @@ class Link:
         id: opaque string identifier, unique within an instance.
         tail: origin node of the link.
         head: target node of the link.
-        a: latency slope per unit autonomous flow (> 0).
-        h: latency slope per unit human flow (> 0).
-        b: free-flow latency (>= 0).
+        a: latency slope per unit autonomous flow (finite, > 0).
+        h: latency slope per unit human flow (finite, > 0).
+        b: free-flow latency (finite, >= 0).
     """
 
     id: str
@@ -65,6 +66,10 @@ class Link:
     def __post_init__(self):
         if self.tail == self.head:
             raise ValidationError(f"link {self.id!r}: self-loop at node {self.tail!r}")
+        for name in ("a", "h", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"link {self.id!r}: {name} = {value} must be finite")
         if not self.a > 0:
             raise NonPositiveSlope(f"link {self.id!r}: a = {self.a} must be > 0")
         if not self.h > 0:
@@ -89,8 +94,8 @@ class Link:
 class ODPair:
     """Origin/destination pair with total demand and autonomy fraction.
 
-    ``demand`` is the total flow (both classes) to route; ``alpha`` is the
-    fraction of that demand that is autonomous.
+    ``demand`` is the total flow (both classes) to route, finite and > 0;
+    ``alpha`` is the fraction of that demand that is autonomous.
     """
 
     origin: str
@@ -102,6 +107,11 @@ class ODPair:
         if self.origin == self.destination:
             raise ValidationError(
                 f"O/D pair ({self.origin!r}, {self.destination!r}): origin equals destination"
+            )
+        if not math.isfinite(self.demand):
+            raise ValidationError(
+                f"O/D pair ({self.origin!r}, {self.destination!r}): "
+                f"demand = {self.demand} must be finite"
             )
         if not self.demand > 0:
             raise NonPositiveDemand(
@@ -139,15 +149,11 @@ class PathSet:
 
     by_od: tuple[tuple[Path, ...], ...]
     all_paths: tuple[Path, ...]
-    od_of_path: tuple[int, ...]
     od_slices: tuple[tuple[int, int], ...]
     index_of: Mapping[Path, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.all_paths)
-
-    def paths_for(self, od_index: int) -> tuple[Path, ...]:
-        return self.by_od[od_index]
 
     def global_index(self, path: Path) -> int:
         try:
@@ -363,17 +369,14 @@ def enumerate_paths(instance_or_links, od_pairs=None, path_cap: int | None = Non
         by_od.append(tuple(paths))
 
     all_paths: list[Path] = []
-    od_of_path: list[int] = []
     od_slices: list[tuple[int, int]] = []
-    for w, paths in enumerate(by_od):
+    for paths in by_od:
         start = len(all_paths)
         all_paths.extend(paths)
-        od_of_path.extend([w] * len(paths))
         od_slices.append((start, len(all_paths)))
     return PathSet(
         by_od=tuple(by_od),
         all_paths=tuple(all_paths),
-        od_of_path=tuple(od_of_path),
         od_slices=tuple(od_slices),
         index_of={p: i for i, p in enumerate(all_paths)},
     )
@@ -561,8 +564,7 @@ def path_latency(
 
 def social_cost(instance: GameInstance, flow: ClassFlow) -> float:
     """Total travel time sum_l (fa_l + fh_l) * e_l(fa_l, fh_l)."""
-    fa, fh = flow.link_flows_a, flow.link_flows_h
-    return float(np.dot(fa + fh, instance.link_latencies(fa, fh)))
+    return social_cost_links(instance, flow.link_flows_a, flow.link_flows_h)
 
 
 def social_cost_links(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> float:

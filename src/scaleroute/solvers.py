@@ -16,6 +16,15 @@ coincides with the Wardrop relative gap. The system optimum is nonconvex in
 the joint class flows whenever a_l != h_l, but strictly convex in each class
 separately; it is solved by block-coordinate descent over the two classes
 with multistart.
+
+Every convergence test uses one relative gap. For a block with link
+gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
+load of the demands on the cheapest paths under g; the gap is
+``(g.x - g.y) / g.x``, clamped at 0 from below and defined as 0 when g.x is
+at most ``_COST_FLOOR``. A NaN gap fails every tolerance test, so a solver
+never reports convergence on NaN input. The Wardrop gap of a human flow is
+this gap at the link latencies, and ``system_optimal`` reports the larger of
+its two block gaps.
 """
 
 from __future__ import annotations
@@ -75,6 +84,44 @@ def _latency_vector(instance: GameInstance, link_latencies) -> np.ndarray:
     return lat
 
 
+def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[int]:
+    """Global index of the cheapest path of each O/D pair; ties go to the first."""
+    slices = instance.paths.od_slices
+    return [start + int(np.argmin(path_costs[start:end])) for start, end in slices]
+
+
+def _all_or_nothing(
+    instance: GameInstance, path_costs: np.ndarray, demands: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Each O/D demand loaded on its cheapest path: path flows and their cost.
+
+    The cost is summed pair by pair in O/D order; ``np.dot`` would fuse
+    multiply-adds and change its last bits on multi-pair instances.
+    """
+    y = np.zeros(instance.n_paths)
+    cost = 0.0
+    for d, j in zip(demands, _cheapest(instance, path_costs)):
+        y[j] = d
+        cost += d * path_costs[j]
+    return y, float(cost)
+
+
+def _relative_gap(total: float, aon_cost: float) -> float:
+    """Relative gap of a load costing ``total`` against its all-or-nothing cost."""
+    if total <= _COST_FLOOR:
+        return 0.0
+    gap = (total - aon_cost) / total
+    return 0.0 if gap < 0.0 else gap  # NaN passes through
+
+
+def _block_gap(
+    instance: GameInstance, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
+) -> float:
+    """Relative gap of a block with link gradient ``grad`` at link flow ``x_link``."""
+    _, aon_cost = _all_or_nothing(instance, instance.incidence.T @ grad, demands)
+    return _relative_gap(float(np.dot(grad, x_link)), aon_cost)
+
+
 def shortest_paths(
     instance: GameInstance, link_latencies
 ) -> dict[ODPair, tuple[Path, float]]:
@@ -82,25 +129,11 @@ def shortest_paths(
 
     Ties are broken by path-set order, so results are reproducible.
     """
-    lat = _latency_vector(instance, link_latencies)
-    path_lat = instance.incidence.T @ lat
-    out: dict[ODPair, tuple[Path, float]] = {}
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        j = start + int(np.argmin(path_lat[start:end]))
-        out[instance.od_pairs[w]] = (instance.paths.all_paths[j], float(path_lat[j]))
-    return out
-
-
-def _all_or_nothing(
-    instance: GameInstance, path_costs: np.ndarray, demands: np.ndarray
-) -> np.ndarray:
-    y = np.zeros(instance.n_paths)
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        if demands[w] <= 0.0:
-            continue
-        j = start + int(np.argmin(path_costs[start:end]))
-        y[j] = demands[w]
-    return y
+    path_lat = instance.incidence.T @ _latency_vector(instance, link_latencies)
+    return {
+        od: (instance.paths.all_paths[j], float(path_lat[j]))
+        for od, j in zip(instance.od_pairs, _cheapest(instance, path_lat))
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,17 +175,8 @@ def _solve_quadratic_block(
     while True:
         x_link = inc @ x
         g = quad * x_link + lin
-        path_g = inc.T @ g
-        total = float(np.dot(g, x_link))
-        aon_cost = 0.0
-        y = np.zeros_like(x)
-        for w, (start, end) in enumerate(slices):
-            if demands[w] <= 0.0:
-                continue
-            j = start + int(np.argmin(path_g[start:end]))
-            y[j] = demands[w]
-            aon_cost += demands[w] * path_g[j]
-        gap = 0.0 if total <= _COST_FLOOR else max(0.0, (total - aon_cost) / total)
+        y, aon_cost = _all_or_nothing(instance, inc.T @ g, demands)
+        gap = _relative_gap(float(np.dot(g, x_link)), aon_cost)
         trace.append(objective(x_link))
         if gap < best_gap:
             best_gap, best_x = gap, x.copy()
@@ -168,11 +192,8 @@ def _solve_quadratic_block(
         d_link = inc @ d
         denom = float(np.dot(quad, d_link * d_link))
         num = float(np.dot(g, d_link))
-        if denom > 0.0:
-            eta = min(1.0, max(0.0, -num / denom))
-        else:
-            eta = 1.0 if num < 0.0 else 0.0
-        if eta > 0.0:
+        if num < 0.0:  # descent direction
+            eta = min(1.0, -num / denom) if denom > 0.0 else 1.0
             x += eta * d
             x_link = inc @ x
 
@@ -197,17 +218,17 @@ def _solve_quadratic_block(
                 continue
             delta = min(drop / curv, float(x[jw]))
             x[jb] += delta
-            x[jw] = max(0.0, x[jw] - delta)
+            x[jw] -= delta  # delta <= x[jw], so this stays >= 0
             x_link = x_link + delta * col
             g = quad * x_link + lin
 
     return _BlockSolution(
-        x=best_x if not converged else x,
-        gap=best_gap if not converged else gap,
+        x=best_x,
+        gap=best_gap,
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
-        objective=objective(inc @ (best_x if not converged else x)),
+        objective=objective(inc @ best_x),
     )
 
 
@@ -233,7 +254,7 @@ def follower_equilibrium(
     demands = instance.human_demands
     lin = instance.a * s + instance.b
     if initial is None:
-        x0 = _all_or_nothing(instance, instance.incidence.T @ lin, demands)
+        x0, _ = _all_or_nothing(instance, instance.incidence.T @ lin, demands)
     else:
         x0 = np.asarray(initial, dtype=float)
         if x0.shape != (instance.n_paths,):
@@ -256,7 +277,8 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t) -> float:
     """Relative Wardrop gap of a human flow under a fixed leader flow.
 
     Zero iff every used path of every O/D pair has minimum latency. Defined
-    as 0 when the human demand (hence total cost) vanishes.
+    as 0 when the human demand (hence total cost) vanishes, NaN when a flow
+    is NaN.
     """
     s = np.asarray(s, dtype=float)
     if isinstance(t, ClassFlow):
@@ -266,18 +288,7 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t) -> float:
     if s.shape != (instance.n_links,) or t_path.shape != (instance.n_paths,):
         raise DimensionMismatch("leader link flows / human path flows have wrong shape")
     t_link = instance.incidence @ t_path
-    lat = instance.link_latencies(s, t_link)
-    total = float(np.dot(lat, t_link))
-    if total <= _COST_FLOOR:
-        return 0.0
-    path_lat = instance.incidence.T @ lat
-    best = 0.0
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        demand = instance.human_demands[w]
-        if demand <= 0.0:
-            continue
-        best += demand * float(np.min(path_lat[start:end]))
-    return max(0.0, (total - best) / total)
+    return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)
 
 
 def _multistart_points(
@@ -286,9 +297,7 @@ def _multistart_points(
     auto_d = instance.auto_demands
     human_d = instance.human_demands
     free_flow = instance.incidence.T @ instance.b
-    starts = [
-        (_all_or_nothing(instance, free_flow, auto_d), _all_or_nothing(instance, free_flow, human_d)),
-    ]
+    starts = [tuple(_all_or_nothing(instance, free_flow, d)[0] for d in (auto_d, human_d))]
     uniform_a = np.zeros(instance.n_paths)
     uniform_h = np.zeros(instance.n_paths)
     for w, (start, end) in enumerate(instance.paths.od_slices):
@@ -305,21 +314,6 @@ def _multistart_points(
             fh[start + int(rng.integers(end - start))] = human_d[w]
         starts.append((fa, fh))
     return starts[: config.multistart_count]
-
-
-def _block_gap(
-    instance: GameInstance, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
-) -> float:
-    total = float(np.dot(grad, x_link))
-    if total <= _COST_FLOOR:
-        return 0.0
-    path_g = instance.incidence.T @ grad
-    best = 0.0
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        if demands[w] <= 0.0:
-            continue
-        best += demands[w] * float(np.min(path_g[start:end]))
-    return max(0.0, (total - best) / total)
 
 
 def system_optimal(
@@ -349,7 +343,6 @@ def system_optimal(
         budget = config.max_iterations
         trace: list[float] = []
         converged = False
-        gap = np.inf
         while budget > 0:
             fh_link = inc @ fh
             sol_a = _solve_quadratic_block(
@@ -363,16 +356,16 @@ def system_optimal(
             )
             fh = sol_h.x
             budget -= max(sol_h.iterations, 1)
-            fa_link, fh_link = inc @ fa, inc @ fh
+            fh_link = inc @ fh
             trace.append(social_cost_links(instance, fa_link, fh_link))
+            # sol_h.gap is the human-block gap at (fa, fh) already
             gap_a = _block_gap(instance, auto_d, 2.0 * a * fa_link + ah * fh_link + b, fa_link)
-            gap_h = _block_gap(instance, human_d, 2.0 * h * fh_link + ah * fa_link + b, fh_link)
-            gap = max(gap_a, gap_h)
+            gap = max(gap_a, sol_h.gap)
             if gap <= tol:
                 converged = True
                 break
         total_iterations += config.max_iterations - budget
-        cost = trace[-1] if trace else social_cost_links(instance, inc @ fa, inc @ fh)
+        cost = trace[-1]
         if best is None or cost < best[0] - 1e-15:
             best = (cost, fa, fh, gap, converged, tuple(trace))
 

@@ -8,6 +8,7 @@ import pytest
 
 import scaleroute as sr
 from scaleroute.cli import run
+from scaleroute.harness import VerificationReport
 
 PIGOU_RAW = {
     "nodes": ["1", "2"],
@@ -47,6 +48,15 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["validate", "--instance", str(tmp_path / "none.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "play"])
+    def test_nan_coefficient_rejected(self, tmp_path, capsys, command):
+        links = [dict(PIGOU_RAW["links"][0], b=float("nan")), PIGOU_RAW["links"][1]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(PIGOU_RAW, links=links)), encoding="utf-8")
+        assert '"b": NaN' in path.read_text(encoding="utf-8")
+        assert run([command, "--instance", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestBound:
@@ -147,6 +157,19 @@ class TestVerify:
         lines = out_path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "seed,alpha,mu,poa_emp,poa_bound,region,margin,certified,status"
         assert len(lines) == 11
+
+    def test_seed_reaches_solver(self, monkeypatch, capsys):
+        captured = []
+
+        def fake_verify_bounds(config):
+            captured.append(config)
+            return VerificationReport(rows=())
+
+        monkeypatch.setattr("scaleroute.cli.verify_bounds", fake_verify_bounds)
+        assert run(["verify", "--count", "3", "--seed", "7"]) == 0
+        (config,) = captured
+        assert config.base_seed == 7
+        assert config.solver.seed == 7
 
 
 class TestUsageErrors:

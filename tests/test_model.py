@@ -60,8 +60,15 @@ class TestValidateInstance:
             ({"a": -1.0}, sr.NonPositiveSlope),
             ({"h": 0.0}, sr.NonPositiveSlope),
             ({"b": -0.1}, sr.NegativeFreeFlow),
+            ({"a": float("nan")}, sr.ValidationError),
+            ({"a": float("inf")}, sr.ValidationError),
+            ({"h": float("nan")}, sr.ValidationError),
+            ({"h": float("inf")}, sr.ValidationError),
+            ({"a": float("inf"), "h": float("inf")}, sr.ValidationError),
+            ({"b": float("nan")}, sr.ValidationError),
+            ({"b": float("inf")}, sr.ValidationError),
         ],
-        ids=["neg-a", "zero-h", "neg-b"],
+        ids=["neg-a", "zero-h", "neg-b", "nan-a", "inf-a", "nan-h", "inf-h", "inf-a-h", "nan-b", "inf-b"],
     )
     def test_link_coefficient_errors(self, patch, error):
         link = {"id": "e", "tail": "1", "head": "2", "a": 1.0, "h": 1.0, "b": 0.0}
@@ -80,6 +87,12 @@ class TestValidateInstance:
             sr.validate_instance(raw)
         raw = dict(BRAESS_RAW, od_pairs=[{"origin": "1", "destination": "4", "demand": 1.0, "alpha": 1.5}])
         with pytest.raises(sr.BadAlpha):
+            sr.validate_instance(raw)
+
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_demand_rejected(self, demand):
+        raw = dict(BRAESS_RAW, od_pairs=[{"origin": "1", "destination": "4", "demand": demand, "alpha": 0.5}])
+        with pytest.raises(sr.ValidationError, match="finite"):
             sr.validate_instance(raw)
 
     def test_no_path(self):

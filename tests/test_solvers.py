@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import scaleroute as sr
+from scaleroute.solvers import _relative_gap
 
 from conftest import make_pigou, make_two_identical
 
@@ -40,6 +43,20 @@ def optimal_grid_two_links(instance, resolution=1e-3):
     return FA[:, j], FH[:, j], float(cost[j])
 
 
+def make_two_pairs():
+    """Pair 1 -> 2 all autonomous over links p, q; pair 2 -> 3 all human over u, v."""
+    return sr.build_instance(
+        ("1", "2", "3"),
+        [
+            sr.Link("p", "1", "2", 1.0, 1.0, 0.0),
+            sr.Link("q", "1", "2", 1.0, 1.0, 1.0),
+            sr.Link("u", "2", "3", 1.0, 1.0, 1.0),
+            sr.Link("v", "2", "3", 1.0, 1.0, 0.0),
+        ],
+        [sr.ODPair("1", "2", 2.0, 1.0), sr.ODPair("2", "3", 1.0, 0.0)],
+    )
+
+
 class TestShortestPaths:
     def test_lower_latency_wins(self):
         instance = sr.build_instance(
@@ -66,6 +83,14 @@ class TestShortestPaths:
         by_id = {link.id: link.b for link in braess.links}
         path, _ = sr.shortest_paths(braess, by_id)[braess.od_pairs[0]]
         assert path.nodes == ("1", "2", "3", "4")
+
+    def test_two_pairs(self):
+        instance = make_two_pairs()
+        # latencies p, q, u, v: the second pair's cheapest path is its second one
+        best = sr.shortest_paths(instance, np.array([0.75, 1.25, 2.0, 0.5]))
+        first, second = instance.od_pairs
+        assert best[first][0].links == ("p",) and best[first][1] == 0.75
+        assert best[second][0].links == ("v",) and best[second][1] == 0.5
 
 
 class TestFollowerEquilibrium:
@@ -122,6 +147,12 @@ class TestFollowerEquilibrium:
         assert result.converged
         assert result.flow.link_flows_h == pytest.approx([0.0, 0.0])
 
+    def test_nan_leader_flow_never_converges(self, pigou):
+        result = sr.follower_equilibrium(
+            pigou, np.array([np.nan, 0.0]), sr.SolverConfig(max_iterations=3)
+        )
+        assert not result.converged
+
 
 class TestWardropGap:
     def test_converged_solution_certifies(self, braess):
@@ -144,6 +175,27 @@ class TestWardropGap:
     def test_zero_demand_gap_is_zero(self):
         instance = make_two_identical(alpha=1.0)
         assert sr.wardrop_gap(instance, np.array([0.5, 0.5]), np.zeros(2)) == 0.0
+
+    def test_nan_flow_gives_nan(self, pigou):
+        assert math.isnan(sr.wardrop_gap(pigou, np.zeros(2), np.array([np.nan, 0.5])))
+
+    def test_two_pairs_by_hand(self):
+        instance = make_two_pairs()
+        # the leader loads the autonomous pair, which has no human demand
+        s = np.array([2.0, 0.0, 0.0, 0.0])
+        t = np.array([0.0, 0.0, 0.75, 0.25])
+        # latencies u = 1.75, v = 0.25: total 0.75 * 1.75 + 0.25^2 = 1.375; the
+        # all-or-nothing load puts the unit human demand on v, the second
+        # path of the second pair, at 0.25
+        assert sr.wardrop_gap(instance, s, t) == pytest.approx(1.125 / 1.375, rel=1e-15)
+        assert sr.wardrop_gap(instance, s, np.array([0.0, 0.0, 0.0, 1.0])) == 0.0
+
+    def test_relative_gap_definition(self):
+        assert _relative_gap(0.0, 0.0) == 0.0
+        assert _relative_gap(1e-31, 5.0) == 0.0  # below the cost floor
+        assert _relative_gap(2.0, 1.5) == 0.25
+        assert _relative_gap(1.0, 1.0 + 1e-15) == 0.0  # round-off below the optimum
+        assert math.isnan(_relative_gap(math.nan, 1.0))
 
 
 class TestSystemOptimal:
