@@ -69,17 +69,12 @@ class AlphaThresholds:
     alpha2: float
     alpha_tilde: float
 
-    _NAMES = ("alpha0", "alpha1", "alpha2", "alpha_tilde")
-
     def in_range(self, name: str) -> bool:
         value = getattr(self, name)
         return 0.0 <= value <= 1.0
 
     def clamped(self, name: str) -> float:
         return min(1.0, max(0.0, getattr(self, name)))
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._NAMES}
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class PathExplosion(ValidationError):
 # --- flow / latency operations -----------------------------------------------
 
 class NegativeFlow(ScalerouteError):
-    """A flow argument is negative."""
+    """A flow argument is negative or not finite."""
 
 
 class UnknownPath(ScalerouteError):
@@ -98,7 +98,7 @@ class HeterogeneousAlpha(ScalerouteError):
 # --- closed-form bounds ---------------------------------------------------------
 
 class DomainError(ScalerouteError):
-    """A scalar argument lies outside the formula's domain."""
+    """An argument lies outside the domain of the function that takes it."""
 
 
 class InfeasibleLambda(ScalerouteError):

@@ -247,8 +247,9 @@ class ClassFlow:
                 f"path flow vectors must have shape ({instance.n_paths},)"
             )
         for name, vec in (("autonomous", fa), ("human", fh)):
-            if vec.min(initial=0.0) < -AGGREGATION_TOL:
-                raise NegativeFlow(f"negative {name} path flow: {vec.min()}")
+            bad = vec[~(np.isfinite(vec) & (vec >= -AGGREGATION_TOL))]
+            if bad.size:
+                raise NegativeFlow(f"{name} path flows must be finite and nonnegative: {bad[0]}")
         fa = np.maximum(fa, 0.0)
         fh = np.maximum(fh, 0.0)
         flow = cls(

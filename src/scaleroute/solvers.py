@@ -34,11 +34,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeFlow
+from .errors import DimensionMismatch, DomainError, NegativeFlow
 from .model import ClassFlow, GameInstance, ODPair, Path, social_cost_links
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
+_MULTISTARTS = 16  # start draws of the system optimum, before repeats are dropped
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,13 @@ class SolverConfig:
 
     relative_gap_tol: float = 1e-8
     max_iterations: int = 50_000
-    multistart_count: int = 16
     seed: int = 0
 
     def __post_init__(self):
         if not self.relative_gap_tol > 0:
             raise ValueError(f"relative_gap_tol must be > 0, got {self.relative_gap_tol}")
-        if self.max_iterations < 1 or self.multistart_count < 1:
-            raise ValueError("iteration and multistart counts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +81,8 @@ def _latency_vector(instance: GameInstance, link_latencies) -> np.ndarray:
         lat = np.asarray(link_latencies, dtype=float)
     if lat.shape != (instance.n_links,):
         raise DimensionMismatch(f"expected {instance.n_links} link latencies")
+    if not np.isfinite(lat).all():
+        raise DomainError(f"link latencies must be finite, got {lat}")
     return lat
 
 
@@ -183,6 +185,8 @@ def _solve_quadratic_block(
         if gap <= tol:
             converged = True
             break
+        if gap != gap and not np.isfinite(g).all():  # no later gap can be a number
+            break
         if iterations >= max_iterations:
             break
         iterations += 1
@@ -224,7 +228,7 @@ def _solve_quadratic_block(
 
     return _BlockSolution(
         x=best_x,
-        gap=best_gap,
+        gap=best_gap if best_gap < np.inf else np.nan,  # inf: no gap was a number
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
@@ -291,29 +295,29 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t) -> float:
     return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)
 
 
-def _multistart_points(
-    instance: GameInstance, config: SolverConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    auto_d = instance.auto_demands
-    human_d = instance.human_demands
+def _multistart_points(instance: GameInstance, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Distinct points among ``_MULTISTARTS`` draws, in first-draw order: per-class
+    all-or-nothing at free flow, the uniform path split, seeded random vertices."""
+    demands = (instance.auto_demands, instance.human_demands)
+    slices = instance.paths.od_slices
     free_flow = instance.incidence.T @ instance.b
-    starts = [tuple(_all_or_nothing(instance, free_flow, d)[0] for d in (auto_d, human_d))]
-    uniform_a = np.zeros(instance.n_paths)
-    uniform_h = np.zeros(instance.n_paths)
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        k = end - start
-        uniform_a[start:end] = auto_d[w] / k
-        uniform_h[start:end] = human_d[w] / k
-    starts.append((uniform_a, uniform_h))
-    rng = np.random.default_rng(config.seed)
-    while len(starts) < config.multistart_count:
+    sizes = [end - start for start, end in slices]
+    draws = [
+        tuple(_all_or_nothing(instance, free_flow, d)[0] for d in demands),
+        tuple(np.repeat(d / sizes, sizes) for d in demands),
+    ]
+    rng = np.random.default_rng(seed)
+    while len(draws) < _MULTISTARTS:
         fa = np.zeros(instance.n_paths)
         fh = np.zeros(instance.n_paths)
-        for w, (start, end) in enumerate(instance.paths.od_slices):
-            fa[start + int(rng.integers(end - start))] = auto_d[w]
-            fh[start + int(rng.integers(end - start))] = human_d[w]
-        starts.append((fa, fh))
-    return starts[: config.multistart_count]
+        for w, (start, end) in enumerate(slices):
+            fa[start + int(rng.integers(end - start))] = demands[0][w]
+            fh[start + int(rng.integers(end - start))] = demands[1][w]
+        draws.append((fa, fh))
+    starts = {}
+    for fa, fh in draws:
+        starts.setdefault((fa.tobytes(), fh.tobytes()), (fa, fh))
+    return list(starts.values())
 
 
 def system_optimal(
@@ -323,9 +327,10 @@ def system_optimal(
 
     Alternates conditional-gradient solves of the two per-class blocks
     (each strictly convex; class-a block gradient 2 a fa + (a+h) fh + b and
-    symmetrically for class h) from several starting points: per-class
-    all-or-nothing on free-flow latencies, the uniform path split, and
-    seeded random polytope vertices. Returns the best local optimum found;
+    symmetrically for class h) from 16 fixed start draws seeded by
+    ``config.seed`` (``_multistart_points``). A repeated draw would reach
+    the same cost, so it is dropped and ``iterations`` sums the solves of
+    the distinct starts. Returns the best local optimum found;
     ``relative_gap`` is the larger of the two block gaps at that point, so
     convergence certifies block-wise optimality only.
     """
@@ -336,13 +341,11 @@ def system_optimal(
     inc = instance.incidence
     tol = config.relative_gap_tol
 
-    best: tuple[float, np.ndarray, np.ndarray, float, bool, tuple[float, ...]] | None = None
+    best = None
     total_iterations = 0
-    for fa0, fh0 in _multistart_points(instance, config):
-        fa, fh = fa0.copy(), fh0.copy()
+    for fa, fh in _multistart_points(instance, config.seed):
         budget = config.max_iterations
         trace: list[float] = []
-        converged = False
         while budget > 0:
             fh_link = inc @ fh
             sol_a = _solve_quadratic_block(
@@ -360,22 +363,21 @@ def system_optimal(
             trace.append(social_cost_links(instance, fa_link, fh_link))
             # sol_h.gap is the human-block gap at (fa, fh) already
             gap_a = _block_gap(instance, auto_d, 2.0 * a * fa_link + ah * fh_link + b, fa_link)
-            gap = max(gap_a, sol_h.gap)
-            if gap <= tol:
-                converged = True
+            gap = float(np.maximum(gap_a, sol_h.gap))  # NaN if either gap is NaN
+            if gap <= tol or gap != gap:
                 break
         total_iterations += config.max_iterations - budget
         cost = trace[-1]
         if best is None or cost < best[0] - 1e-15:
-            best = (cost, fa, fh, gap, converged, tuple(trace))
+            best = (cost, fa, fh, gap, tuple(trace))
 
-    cost, fa, fh, gap, converged, trace = best
+    cost, fa, fh, gap, trace = best
     flow = ClassFlow.from_path_flows(instance, fa, fh)
     return EquilibriumResult(
         flow=flow,
         potential_or_cost=cost,
         relative_gap=gap,
         iterations=total_iterations,
-        converged=converged,
+        converged=gap <= tol,
         trace=trace,
     )

@@ -224,6 +224,13 @@ class TestSocialCost:
         flow = sr.ClassFlow.from_path_flows(pigou, np.zeros(2), np.zeros(2))
         assert sr.social_cost(pigou, flow) == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_path_flow_rejected(self, pigou, value):
+        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+            sr.ClassFlow.from_path_flows(pigou, np.array([value, 0.5]), np.zeros(2))
+        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+            sr.ClassFlow.from_path_flows(pigou, np.zeros(2), np.array([0.5, value]))
+
     def test_single_link_value(self):
         instance = sr.build_instance(
             ("1", "2"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scaleroute as sr
-from scaleroute.solvers import _relative_gap
+from scaleroute.solvers import _MULTISTARTS, _all_or_nothing, _multistart_points, _relative_gap
 
 from conftest import make_pigou, make_two_identical
 
@@ -92,6 +92,11 @@ class TestShortestPaths:
         assert best[first][0].links == ("p",) and best[first][1] == 0.75
         assert best[second][0].links == ("v",) and best[second][1] == 0.5
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency_rejected(self, pigou, value):
+        with pytest.raises(sr.DomainError, match="finite"):
+            sr.shortest_paths(pigou, np.array([value, 1.0]))
+
 
 class TestFollowerEquilibrium:
     def test_symmetric_split(self):
@@ -151,6 +156,33 @@ class TestFollowerEquilibrium:
         result = sr.follower_equilibrium(
             pigou, np.array([np.nan, 0.0]), sr.SolverConfig(max_iterations=3)
         )
+        assert not result.converged
+
+    def test_nan_leader_flow_stops_at_once(self, pigou):
+        # the default budget of 50,000 iterations is not spent on NaN input
+        result = sr.follower_equilibrium(pigou, np.array([np.nan, 0.0]))
+        assert result.iterations == 0
+        assert math.isnan(result.relative_gap)
+        assert not result.converged
+        # the reported flow is the finite all-or-nothing start
+        assert np.isfinite(result.flow.path_flows_h).all()
+
+    def test_overflowing_start_recovers(self):
+        # g.x overflows at the all-or-nothing start, so its gap is NaN, but the
+        # latencies are finite and the first step brings g.x back in range
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sr.follower_equilibrium(make_pigou(alpha=0.0, demand=1e155), np.zeros(2))
+        assert result.converged
+        assert result.iterations >= 1
+
+    def test_overflow_everywhere_reports_nan_gap(self):
+        # every iterate overflows: the budget is spent and no gap was a number
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sr.follower_equilibrium(
+                make_pigou(alpha=0.0, demand=1e160), np.zeros(2), sr.SolverConfig(max_iterations=10)
+            )
+        assert result.iterations == 10
+        assert math.isnan(result.relative_gap)
         assert not result.converged
 
 
@@ -224,6 +256,46 @@ class TestSystemOptimal:
         expected = r * (0.5 * alpha * r + 1.0 * (1 - alpha) * r + 2.0)
         assert result.converged
         assert result.potential_or_cost == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_overflow_stops_unconverged(self, alpha):
+        # finite demand whose cost overflows: a NaN block gap is no certificate,
+        # and it ends each start after one sweep instead of spending the budget
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sr.system_optimal(make_pigou(alpha=alpha, demand=1e160))
+        assert not result.converged
+        assert math.isnan(result.relative_gap)
+        assert len(result.trace) == 1
+        assert result.iterations < sr.SolverConfig().max_iterations
+
+
+class TestMultistartPoints:
+    def test_single_link_has_one_start(self):
+        instance = sr.build_instance(
+            ("1", "2"),
+            [sr.Link("e", "1", "2", 0.5, 1.0, 2.0)],
+            [sr.ODPair("1", "2", 2.0, 0.25)],
+        )
+        assert len(_multistart_points(instance, 0)) == 1
+
+    def test_pigou_starts_are_distinct(self, pigou):
+        starts = _multistart_points(pigou, 0)
+        # the uniform split plus at most the 2 x 2 vertex pairs
+        assert len(starts) <= 5
+        keys = {(fa.tobytes(), fh.tobytes()) for fa, fh in starts}
+        assert len(keys) == len(starts)
+        free_flow = pigou.incidence.T @ pigou.b
+        fa, fh = starts[0]
+        assert np.array_equal(fa, _all_or_nothing(pigou, free_flow, pigou.auto_demands)[0])
+        assert np.array_equal(fh, _all_or_nothing(pigou, free_flow, pigou.human_demands)[0])
+
+    def test_repeated_draws_change_no_answer(self):
+        # seed 118 draws repeated vertices; every start reaches this cost
+        instance = sr.random_instance(118, sr.ShapeConfig())
+        assert len(_multistart_points(instance, 0)) < _MULTISTARTS
+        result = sr.system_optimal(instance)
+        assert result.converged
+        assert result.potential_or_cost == pytest.approx(6.6296571191, abs=1e-9)
 
 
 class TestSolverProperties:
