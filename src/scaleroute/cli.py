@@ -66,8 +66,9 @@ class _Parser(argparse.ArgumentParser):
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=SolverConfig.relative_gap_tol,
                         help="relative gap tolerance")
-    parser.add_argument("--max-iter", dest="max_iter", type=int,
-                        default=SolverConfig.max_iterations, help="iteration budget")
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iterations,
+                        help="iteration budget; the system optimum (solve-optimal, play, verify) gets it "
+                        "per start, and its iteration is one step of each class")
     parser.add_argument("--seed", type=int, default=SolverConfig.seed,
                         help="seed for multistart and generation")
 

@@ -1,21 +1,22 @@
 """Flow solvers: shortest paths, induced human equilibrium, system optimum.
 
 Both solvers are conditional-gradient methods over the enumerated path
-polytope. The search direction is an all-or-nothing assignment to current
-shortest paths and the step size comes from an exact closed-form line search
-(every objective here is quadratic along a segment). Each iteration is
-followed by a pairwise vertex-exchange sweep, moving mass from the worst
-used path of each O/D pair to its best path, which removes the sublinear
-tail of plain conditional gradient and lets tight gap tolerances be reached
-on small networks.
+polytope, built from one step (``_block_step``): an all-or-nothing
+assignment to current shortest paths as the search direction, an exact
+closed-form line search (every objective here is quadratic along a segment),
+then a pairwise vertex-exchange sweep, moving mass from the worst used path
+of each O/D pair to its best path, which removes the sublinear tail of plain
+conditional gradient and lets tight gap tolerances be reached on small
+networks.
 
 The human equilibrium minimizes the convex potential
 ``sum_l [ h_l t_l^2 / 2 + (a_l s_l + b_l) t_l ]`` whose gradient is exactly
 the link latency under a fixed leader flow, so the conditional-gradient gap
 coincides with the Wardrop relative gap. The system optimum is nonconvex in
 the joint class flows whenever a_l != h_l, but strictly convex in each class
-separately; it is solved by block-coordinate descent over the two classes
-with multistart.
+separately; from each multistart point, one loop makes a step of the
+autonomous class and then a step of the human class per iteration, on
+shared link flows.
 
 Every convergence test uses one relative gap. For a block with link
 gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
@@ -89,7 +90,7 @@ def _latency_vector(instance: GameInstance, link_latencies) -> np.ndarray:
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[int]:
     """Global index of the cheapest path of each O/D pair; ties go to the first."""
     slices = instance.paths.od_slices
-    return [start + int(np.argmin(path_costs[start:end])) for start, end in slices]
+    return [start + int(path_costs[start:end].argmin()) for start, end in slices]
 
 
 def _all_or_nothing(
@@ -118,10 +119,11 @@ def _relative_gap(total: float, aon_cost: float) -> float:
 
 def _block_gap(
     instance: GameInstance, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
-) -> float:
-    """Relative gap of a block with link gradient ``grad`` at link flow ``x_link``."""
-    _, aon_cost = _all_or_nothing(instance, instance.incidence.T @ grad, demands)
-    return _relative_gap(float(np.dot(grad, x_link)), aon_cost)
+) -> tuple[float, np.ndarray]:
+    """Relative gap of a block with link gradient ``grad`` at link flow ``x_link``,
+    and the all-or-nothing path flows it is measured against."""
+    y, aon_cost = _all_or_nothing(instance, instance.incidence.T @ grad, demands)
+    return _relative_gap(float(np.dot(grad, x_link)), aon_cost), y
 
 
 def shortest_paths(
@@ -148,6 +150,49 @@ class _BlockSolution:
     objective: float
 
 
+def _block_step(
+    instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
+    x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray,
+) -> None:
+    """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l], in place on
+    path flows ``x`` with link flows ``x_link``, gradient ``g`` and all-or-nothing
+    load ``y`` (``_block_gap``): a conditional-gradient step with exact line search,
+    then one pairwise-exchange sweep. Neither raises the block objective."""
+    inc = instance.incidence
+    d = y - x
+    d_link = inc @ d
+    denom = float(np.dot(quad, d_link * d_link))
+    num = float(np.dot(g, d_link))
+    if num < 0.0:  # descent direction
+        eta = min(1.0, -num / denom) if denom > 0.0 else 1.0
+        x += eta * d
+        x_link = inc @ x
+
+    # pairwise exchange sweep: worst used path -> best path, per O/D pair
+    g = quad * x_link + lin
+    for w, (start, end) in enumerate(instance.paths.od_slices):
+        if demands[w] <= 0.0 or end - start < 2:
+            continue
+        used = (x[start:end] > _USED_EPS * max(demands[w], 1.0)).nonzero()[0]
+        if used.size == 0:
+            continue
+        path_g_w = inc[:, start:end].T @ g
+        jw = start + int(used[path_g_w[used].argmax()])
+        jb = start + int(path_g_w.argmin())
+        if jw == jb:
+            continue
+        col = inc[:, jb] - inc[:, jw]
+        curv = float(np.dot(quad, col * col))
+        drop = float(path_g_w[jw - start] - path_g_w[jb - start])
+        if curv <= 0.0 or drop <= 0.0:
+            continue
+        delta = min(drop / curv, float(x[jw]))
+        x[jb] += delta
+        x[jw] -= delta  # delta <= x[jw], so this stays >= 0
+        x_link = x_link + delta * col
+        g = quad * x_link + lin
+
+
 def _solve_quadratic_block(
     instance: GameInstance,
     demands: np.ndarray,
@@ -163,76 +208,35 @@ def _solve_quadratic_block(
     gradient quad*x + lin is then nonnegative whenever lin >= 0, keeping the
     shortest-path subproblems well posed.
     """
-    inc = instance.incidence
-    slices = instance.paths.od_slices
     x = np.array(x0, dtype=float)
     best_x, best_gap = x.copy(), np.inf
     trace: list[float] = []
     iterations = 0
-    converged = False
 
     def objective(x_link: np.ndarray) -> float:
         return float(0.5 * np.dot(quad, x_link * x_link) + np.dot(lin, x_link))
 
     while True:
-        x_link = inc @ x
+        x_link = instance.incidence @ x
         g = quad * x_link + lin
-        y, aon_cost = _all_or_nothing(instance, inc.T @ g, demands)
-        gap = _relative_gap(float(np.dot(g, x_link)), aon_cost)
+        gap, y = _block_gap(instance, demands, g, x_link)
         trace.append(objective(x_link))
         if gap < best_gap:
             best_gap, best_x = gap, x.copy()
-        if gap <= tol:
-            converged = True
+        if gap <= tol or iterations >= max_iterations:
             break
         if gap != gap and not np.isfinite(g).all():  # no later gap can be a number
             break
-        if iterations >= max_iterations:
-            break
         iterations += 1
-
-        # conditional-gradient step with exact line search
-        d = y - x
-        d_link = inc @ d
-        denom = float(np.dot(quad, d_link * d_link))
-        num = float(np.dot(g, d_link))
-        if num < 0.0:  # descent direction
-            eta = min(1.0, -num / denom) if denom > 0.0 else 1.0
-            x += eta * d
-            x_link = inc @ x
-
-        # pairwise exchange sweep: worst used path -> best path, per O/D pair
-        g = quad * x_link + lin
-        for w, (start, end) in enumerate(slices):
-            if demands[w] <= 0.0 or end - start < 2:
-                continue
-            seg = x[start:end]
-            used = np.nonzero(seg > _USED_EPS * max(demands[w], 1.0))[0]
-            if used.size == 0:
-                continue
-            path_g_w = inc[:, start:end].T @ g
-            jw = start + int(used[np.argmax(path_g_w[used])])
-            jb = start + int(np.argmin(path_g_w))
-            if jw == jb:
-                continue
-            col = inc[:, jb] - inc[:, jw]
-            curv = float(np.dot(quad, col * col))
-            drop = float(path_g_w[jw - start] - path_g_w[jb - start])
-            if curv <= 0.0 or drop <= 0.0:
-                continue
-            delta = min(drop / curv, float(x[jw]))
-            x[jb] += delta
-            x[jw] -= delta  # delta <= x[jw], so this stays >= 0
-            x_link = x_link + delta * col
-            g = quad * x_link + lin
+        _block_step(instance, demands, quad, lin, x, x_link, g, y)
 
     return _BlockSolution(
         x=best_x,
         gap=best_gap if best_gap < np.inf else np.nan,  # inf: no gap was a number
         iterations=iterations,
-        converged=converged,
+        converged=best_gap <= tol,
         trace=tuple(trace),
-        objective=objective(inc @ best_x),
+        objective=objective(instance.incidence @ best_x),
     )
 
 
@@ -292,7 +296,7 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t) -> float:
     if s.shape != (instance.n_links,) or t_path.shape != (instance.n_paths,):
         raise DimensionMismatch("leader link flows / human path flows have wrong shape")
     t_link = instance.incidence @ t_path
-    return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)
+    return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0]
 
 
 def _multistart_points(instance: GameInstance, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -314,10 +318,7 @@ def _multistart_points(instance: GameInstance, seed: int) -> list[tuple[np.ndarr
             fa[start + int(rng.integers(end - start))] = demands[0][w]
             fh[start + int(rng.integers(end - start))] = demands[1][w]
         draws.append((fa, fh))
-    starts = {}
-    for fa, fh in draws:
-        starts.setdefault((fa.tobytes(), fh.tobytes()), (fa, fh))
-    return list(starts.values())
+    return list({(fa.tobytes(), fh.tobytes()): (fa, fh) for fa, fh in draws}.values())
 
 
 def system_optimal(
@@ -325,56 +326,53 @@ def system_optimal(
 ) -> EquilibriumResult:
     """Two-class flow approximately minimizing the social cost.
 
-    Alternates conditional-gradient solves of the two per-class blocks
-    (each strictly convex; class-a block gradient 2 a fa + (a+h) fh + b and
-    symmetrically for class h) from 16 fixed start draws seeded by
-    ``config.seed`` (``_multistart_points``). A repeated draw would reach
-    the same cost, so it is dropped and ``iterations`` sums the solves of
-    the distinct starts. Returns the best local optimum found;
-    ``relative_gap`` is the larger of the two block gaps at that point, so
-    convergence certifies block-wise optimality only.
+    From each distinct point among 16 fixed start draws seeded by
+    ``config.seed`` (``_multistart_points``), each iteration makes one step of
+    the autonomous block at the current human flow, then one of the human block
+    at the new autonomous flow (class-a block gradient 2 a fa + (a+h) fh + b,
+    symmetrically for class h), and records the social cost. A start ends when
+    both step-entry gaps and both block gaps at the new point are within
+    tolerance, at a NaN gap, or after ``config.max_iterations`` iterations;
+    ``iterations`` sums them over the starts. Returns the best local optimum
+    found; ``relative_gap`` is the larger of the two block gaps at that point,
+    so convergence certifies block-wise optimality only.
     """
-    a, h, b = instance.a, instance.h, instance.b
-    ah = a + h
-    auto_d = instance.auto_demands
-    human_d = instance.human_demands
+    ah, b = instance.a + instance.h, instance.b
+    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
     inc = instance.incidence
     tol = config.relative_gap_tol
 
     best = None
     total_iterations = 0
-    for fa, fh in _multistart_points(instance, config.seed):
-        budget = config.max_iterations
+    for flows in _multistart_points(instance, config.seed):  # _block_step moves them in place
+        links = [inc @ f for f in flows]
         trace: list[float] = []
-        while budget > 0:
-            fh_link = inc @ fh
-            sol_a = _solve_quadratic_block(
-                instance, auto_d, 2.0 * a, ah * fh_link + b, fa, tol, min(budget, 1000)
-            )
-            fa = sol_a.x
-            budget -= max(sol_a.iterations, 1)
-            fa_link = inc @ fa
-            sol_h = _solve_quadratic_block(
-                instance, human_d, 2.0 * h, ah * fa_link + b, fh, tol, min(budget, 1000)
-            )
-            fh = sol_h.x
-            budget -= max(sol_h.iterations, 1)
-            fh_link = inc @ fh
-            trace.append(social_cost_links(instance, fa_link, fh_link))
-            # sol_h.gap is the human-block gap at (fa, fh) already
-            gap_a = _block_gap(instance, auto_d, 2.0 * a * fa_link + ah * fh_link + b, fa_link)
-            gap = float(np.maximum(gap_a, sol_h.gap))  # NaN if either gap is NaN
-            if gap <= tol or gap != gap:
-                break
-        total_iterations += config.max_iterations - budget
-        cost = trace[-1]
-        if best is None or cost < best[0] - 1e-15:
-            best = (cost, fa, fh, gap, tuple(trace))
+        while True:
+            entry_gaps = []
+            for k, (demands, quad) in enumerate(blocks):  # k = 0 autonomous, 1 human
+                lin = ah * links[1 - k] + b
+                g = quad * links[k] + lin
+                gap, y = _block_gap(instance, demands, g, links[k])
+                _block_step(instance, demands, quad, lin, flows[k], links[k], g, y)
+                links[k] = inc @ flows[k]
+                entry_gaps.append(gap)
+            trace.append(social_cost_links(instance, *links))
+            entry = np.maximum(*entry_gaps)  # NaN if either gap is NaN
+            stop = entry != entry or len(trace) >= config.max_iterations
+            if entry <= tol or stop:
+                gap = float(np.maximum(*(
+                    _block_gap(instance, demands, quad * links[k] + (ah * links[1 - k] + b), links[k])[0]
+                    for k, (demands, quad) in enumerate(blocks)
+                )))
+                if gap <= tol or gap != gap or stop:
+                    break
+        total_iterations += len(trace)
+        if best is None or trace[-1] < best[0] - 1e-15:
+            best = (trace[-1], flows, gap, tuple(trace))
 
-    cost, fa, fh, gap, trace = best
-    flow = ClassFlow.from_path_flows(instance, fa, fh)
+    cost, flows, gap, trace = best
     return EquilibriumResult(
-        flow=flow,
+        flow=ClassFlow.from_path_flows(instance, *flows),
         potential_or_cost=cost,
         relative_gap=gap,
         iterations=total_iterations,

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 import scaleroute as sr
-from scaleroute.solvers import _MULTISTARTS, _all_or_nothing, _multistart_points, _relative_gap
+from scaleroute.solvers import (
+    _MULTISTARTS,
+    _all_or_nothing,
+    _block_gap,
+    _multistart_points,
+    _relative_gap,
+)
 
-from conftest import make_pigou, make_two_identical
+from conftest import make_braess, make_pigou, make_two_identical
 
 
 def nash_grid_two_links(instance, s, demand, resolution=1e-5):
@@ -175,6 +181,23 @@ class TestFollowerEquilibrium:
         assert result.converged
         assert result.iterations >= 1
 
+    @pytest.mark.parametrize(
+        "make, iterations, gap, trace_length",
+        [
+            (make_braess, 1, 0.0, 2),
+            (lambda: sr.random_instance(55, sr.ShapeConfig()), 9, 4.2546813190380085e-09, 10),
+        ],
+        ids=["braess", "seed55"],
+    )
+    def test_pinned_runs(self, make, iterations, gap, trace_length):
+        # pinned results of the follower's step: an edit to _block_step that
+        # changes the follower fails here
+        instance = make()
+        result = sr.follower_equilibrium(instance, 0.1 * np.ones(instance.n_links))
+        assert result.iterations == iterations
+        assert result.relative_gap == gap
+        assert len(result.trace) == trace_length
+
     def test_overflow_everywhere_reports_nan_gap(self):
         # every iterate overflows: the budget is spent and no gap was a number
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,6 +290,37 @@ class TestSystemOptimal:
         assert math.isnan(result.relative_gap)
         assert len(result.trace) == 1
         assert result.iterations < sr.SolverConfig().max_iterations
+
+    @pytest.mark.parametrize(
+        "make", [make_braess, lambda: sr.random_instance(118, sr.ShapeConfig())],
+        ids=["braess", "seed118"],
+    )
+    def test_trace_nonincreasing(self, make):
+        # each iteration steps both class blocks downhill on the shared flows
+        trace = np.array(sr.system_optimal(make()).trace)
+        assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
+
+    @pytest.mark.parametrize(
+        "make", [make_braess, lambda: sr.random_instance(118, sr.ShapeConfig())],
+        ids=["braess", "seed118"],
+    )
+    def test_gap_is_block_gap_at_result(self, make):
+        instance = make()
+        result = sr.system_optimal(instance)
+        fa, fh = result.flow.link_flows_a, result.flow.link_flows_h
+        ah, b = instance.a + instance.h, instance.b
+        gap_a, _ = _block_gap(instance, instance.auto_demands, 2.0 * instance.a * fa + (ah * fh + b), fa)
+        gap_h, _ = _block_gap(instance, instance.human_demands, 2.0 * instance.h * fh + (ah * fa + b), fh)
+        assert result.relative_gap == float(np.maximum(gap_a, gap_h))
+
+    def test_budget_is_per_start(self):
+        # seed 15: 14 distinct starts, none of which reaches a zero gap in 3 iterations
+        instance = sr.random_instance(15, sr.ShapeConfig())
+        config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
+        result = sr.system_optimal(instance, config)
+        assert result.iterations == 3 * len(_multistart_points(instance, config.seed))
+        assert len(result.trace) == 3
+        assert not result.converged
 
 
 class TestMultistartPoints:
