@@ -3,8 +3,10 @@
 The oracles certify solver output on parallel-link single-O/D instances
 with at most three links, where exhaustive search over per-link totals is
 tractable: the class split inside a fixed total is a linear program over a
-box-constrained simplex and is solved exactly by a greedy fill, so the grid
-only ranges over totals (one free dimension for two links, two for three).
+box-constrained simplex, so the grid only ranges over totals (one free
+dimension for two links, two for three). The grid prices the split by LP
+duality, without sorting, and a greedy fill gives the split's flows at the
+returned point.
 A few local refinement rounds shrink the grid error well below the
 certification tolerances.
 
@@ -65,7 +67,7 @@ class OracleConfig:
     ``resolution_1d`` is the flow step for two-link instances (one free
     total), ``resolution_2d`` for three-link instances. Each refinement
     round re-grids a one-cell window around the incumbent at a tenth of the
-    step.
+    step. ``max_links`` lies in [1, 3].
     """
 
     resolution_1d: float = 1e-4
@@ -76,8 +78,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.resolution_1d <= 0 or self.resolution_2d <= 0:
             raise ValueError("grid resolutions must be positive")
-        if self.refine_rounds < 0 or self.max_links < 1:
-            raise ValueError("refine_rounds must be >= 0 and max_links >= 1")
+        if self.refine_rounds < 0:
+            raise ValueError("refine_rounds must be >= 0")
+        if not 1 <= self.max_links <= 3:  # the grids cover one to three links
+            raise ValueError(f"max_links = {self.max_links} must lie in [1, 3]")
 
 
 def _parallel_link_order(instance: GameInstance, max_links: int) -> list[int]:
@@ -147,12 +151,13 @@ def _total_grids(r: float, n: int, step: float, center=None, width=None):
         raise UnsupportedTopology(f"unsupported dimension {n}")
 
 
-def _greedy_split(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: float):
-    """Exact optimal class split for fixed totals X (links x points).
+def _greedy_split(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: float) -> np.ndarray:
+    """Optimal autonomous link flows for fixed totals X (links x points).
 
     The cost is linear in the autonomous flows once totals are fixed, with
     coefficients (a - h) * x <= 0, so filling the most negative coefficients
-    first is optimal.
+    first is optimal. The grid prices this split by LP duality
+    (``_split_cost``); the fill gives its flows at the returned point.
     """
     c = (a - h)[:, None] * X
     order = np.argsort(c, axis=0, kind="stable")
@@ -165,8 +170,27 @@ def _greedy_split(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: floa
         rem -= take
     fa = np.empty_like(fa_sorted)
     np.put_along_axis(fa, order, fa_sorted, 0)
-    split_cost = (c * fa).sum(axis=0)
-    return fa, split_cost
+    return fa
+
+
+def _split_cost(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: float) -> np.ndarray:
+    """Cost of the optimal class split for fixed totals X (links x points).
+
+    With c = (a - h) * x, the split is the LP min c.f over 0 <= f <= x,
+    sum f = d. Its dual value max over lam of lam * d + sum_i x_i min(c_i - lam, 0)
+    is concave and piecewise linear in lam, so the maximum lies at a breakpoint
+    lam = c_j: n candidates, no sort. Equal to the greedy fill's cost up to
+    rounding.
+    """
+    c = (a - h)[:, None] * X
+    vals = c * auto_demand  # row j: the dual value at lam = c_j
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            # x_i min(c_i - c_j, 0) counts at lam = c_j, x_j min(c_j - c_i, 0) at c_i
+            diff = c[i] - c[j]
+            vals[j] += X[i] * np.minimum(diff, 0.0)
+            vals[i] -= X[j] * np.maximum(diff, 0.0)
+    return vals.max(axis=0)
 
 
 def _oracle_minimize(r, n, step, refine_rounds, evaluate):
@@ -207,12 +231,10 @@ def oracle_optimal(
 
     def evaluate(X):
         base = (X * (h[:, None] * X + b[:, None])).sum(axis=0)
-        _, split_cost = _greedy_split(a, h, X, auto_demand)
-        return base + split_cost
+        return base + _split_cost(a, h, X, auto_demand)
 
     best_x, _ = _oracle_minimize(r, n, step, config.refine_rounds, evaluate)
-    fa_links, _ = _greedy_split(a, h, best_x[:, None], auto_demand)
-    fa_links = fa_links[:, 0]
+    fa_links = _greedy_split(a, h, best_x[:, None], auto_demand)[:, 0]
     fh_links = np.maximum(best_x - fa_links, 0.0)
 
     fa_paths = np.zeros(instance.n_paths)

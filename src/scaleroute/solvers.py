@@ -206,7 +206,8 @@ def _solve_quadratic_block(
 
     quad must be elementwise positive (strict convexity in link flows); the
     gradient quad*x + lin is then nonnegative whenever lin >= 0, keeping the
-    shortest-path subproblems well posed.
+    shortest-path subproblems well posed. A step that leaves the path flows
+    unchanged ends the solve, since every later iterate would repeat it.
     """
     x = np.array(x0, dtype=float)
     best_x, best_gap = x.copy(), np.inf
@@ -228,7 +229,10 @@ def _solve_quadratic_block(
         if gap != gap and not np.isfinite(g).all():  # no later gap can be a number
             break
         iterations += 1
+        x_prev = x.copy()
         _block_step(instance, demands, quad, lin, x, x_link, g, y)
+        if np.array_equal(x, x_prev):  # the state repeats, so no later gap can differ
+            break
 
     return _BlockSolution(
         x=best_x,

@@ -6,11 +6,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scaleroute as sr
-from scaleroute.harness import format_float, region_alpha_intervals, report_to_csv
+from scaleroute.harness import (
+    _greedy_split,
+    _split_cost,
+    _total_grids,
+    format_float,
+    region_alpha_intervals,
+    report_to_csv,
+)
 
 from conftest import make_pigou, make_two_identical
+
+LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
+
+
+class TestOracleConfig:
+    @pytest.mark.parametrize("max_links", [0, 4])
+    def test_max_links_out_of_range(self, max_links):
+        # the grids cover at most three links: a fourth must fail here, not inside a batch
+        with pytest.raises(ValueError, match="max_links"):
+            sr.OracleConfig(max_links=max_links)
+
+    @pytest.mark.parametrize("max_links", [1, 2, 3])
+    def test_max_links_in_range(self, max_links):
+        assert sr.OracleConfig(max_links=max_links).max_links == max_links
+
+
+@st.composite
+def split_problems(draw):
+    """Slopes a <= h, grid totals on {x >= 0, sum x = r} and an autonomous demand d <= r."""
+    n = draw(st.integers(1, 3))
+    floats = st.floats(0.5, 2.0)
+    h = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+    mu = np.array(draw(st.lists(st.just(1.0) | st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # identical links: slopes tie, and totals wherever the grid ties
+        h[:], mu[:] = h[0], mu[0]
+    r = draw(floats)
+    d = draw(st.sampled_from(["zero", "alpha", "full"]))
+    d = {"zero": 0.0, "alpha": draw(st.floats(0.0, 1.0)) * r, "full": r}[d]
+    X = np.concatenate(list(_total_grids(r, n, r / 20)), axis=1)
+    return mu * h, h, X, d
+
+
+class TestSplitCost:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=split_problems())
+    def test_equals_greedy_fill_cost(self, problem):
+        # d = r puts autonomous flow on every link that carries any
+        a, h, X, d = problem
+        greedy = ((a - h)[:, None] * X * _greedy_split(a, h, X, d)).sum(axis=0)
+        np.testing.assert_allclose(_split_cost(a, h, X, d), greedy, rtol=1e-12, atol=1e-14)
 
 
 class TestOracleOptimal:
@@ -46,6 +95,22 @@ class TestOracleOptimal:
         )
         with pytest.raises(sr.UnsupportedTopology):
             sr.oracle_optimal(instance)
+
+    @pytest.mark.parametrize(
+        "seed, totals, cost",
+        [
+            (1000, [0.7623674443839842, 0.4501884907779434, 0.7634374376763304], 2.3173589196731257),
+            (1002, [0.22206756176716785, 0.6846347739212162, 0.01791250500814856], 0.9888659497765132),
+        ],
+    )
+    def test_pinned_three_link_optima(self, seed, totals, cost):
+        # computed when the grid priced the split by the sorting greedy fill;
+        # pricing by duality must pick the same grid points
+        instance = sr.random_instance(seed, LOWMU_SHAPE)
+        assert instance.n_links == 3
+        flow, got = sr.oracle_optimal(instance)
+        assert flow.total_link_flows.tolist() == totals
+        assert got == cost
 
 
 class TestOracleNash:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,3 +368,81 @@ def test_social_cost_monotone_under_uniform_scaling(flows, k):
     base = sr.social_cost(braess, sr.ClassFlow.from_path_flows(braess, fa, fh))
     scaled = sr.social_cost(braess, sr.ClassFlow.from_path_flows(braess, k * fa, k * fh))
     assert scaled >= base - 1e-12 * max(1.0, base)
+
+
+_LINK_KEYS = ("id", "tail", "head", "a", "h", "b")
+_OD_KEYS = ("origin", "destination", "demand", "alpha")
+
+
+@st.composite
+def raw_instances(draw):
+    """Valid raw descriptions: a chain through every node, so each O/D pair
+    (i, j), i < j, has a path, plus a few more links."""
+    ident = st.text(min_size=1, max_size=4)
+    nodes = draw(st.lists(ident, min_size=2, max_size=5, unique=True))
+    n = len(nodes)
+    ends = [(i, i + 1) for i in range(n - 1)]
+    index = st.integers(0, n - 1)
+    ends += draw(st.lists(st.tuples(index, index).filter(lambda e: e[0] != e[1]), max_size=4))
+    ids = draw(st.lists(ident, min_size=len(ends), max_size=len(ends), unique=True))
+    links = []
+    for lid, (i, j) in zip(ids, ends):
+        h = draw(st.floats(1e-3, 1e3))
+        a = draw(st.floats(1e-3, 1.0)) * h  # a <= h
+        b = draw(st.just(0.0) | st.floats(0.0, 1e3))
+        links.append(dict(zip(_LINK_KEYS, (lid, nodes[i], nodes[j], a, h, b))))
+    forward = st.tuples(index, index).filter(lambda e: e[0] < e[1])
+    pairs = draw(st.lists(forward, min_size=1, max_size=2, unique=True))
+    od_pairs = []
+    for i, j in pairs:
+        demand, alpha = draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 1.0))
+        od_pairs.append(dict(zip(_OD_KEYS, (nodes[i], nodes[j], demand, alpha))))
+    return {"nodes": nodes, "links": links, "od_pairs": od_pairs}
+
+
+def _through_json(raw):
+    # the file format is JSON, whose parser accepts NaN and Infinity
+    return json.loads(json.dumps(raw))
+
+
+class TestLoaderProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(raw=raw_instances())
+    def test_valid_descriptions_round_trip(self, raw):
+        instance = sr.validate_instance(_through_json(raw))
+        assert instance.nodes == tuple(raw["nodes"])
+        assert [tuple(getattr(l, k) for k in _LINK_KEYS) for l in instance.links] == [
+            tuple(rec[k] for k in _LINK_KEYS) for rec in raw["links"]
+        ]
+        assert [tuple(getattr(od, k) for k in _OD_KEYS) for od in instance.od_pairs] == [
+            tuple(rec[k] for k in _OD_KEYS) for rec in raw["od_pairs"]
+        ]
+        assert instance.a.tolist() == [rec["a"] for rec in raw["links"]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=raw_instances(), data=st.data())
+    def test_mutations_rejected(self, raw, data):
+        kind = data.draw(st.sampled_from(["coefficient", "missing", "identifier"]))
+        if kind == "coefficient":
+            section, keys = data.draw(
+                st.sampled_from([("links", ("a", "h", "b")), ("od_pairs", ("demand", "alpha"))])
+            )
+            rec = data.draw(st.sampled_from(raw[section]))
+            bad = st.sampled_from([float("nan"), float("inf"), float("-inf")]) | st.floats(
+                max_value=0.0, exclude_max=True, allow_infinity=False
+            )
+            rec[data.draw(st.sampled_from(keys))] = data.draw(bad)
+        elif kind == "missing":
+            where = data.draw(st.sampled_from([raw, *raw["links"], *raw["od_pairs"]]))
+            del where[data.draw(st.sampled_from(sorted(where)))]
+        else:
+            bad = data.draw(st.sampled_from(["", 0, None, 1.5, True, ["n"]]))
+            site = data.draw(st.sampled_from(["nodes", "links", "od_pairs"]))
+            if site == "nodes":
+                raw["nodes"][data.draw(st.integers(0, len(raw["nodes"]) - 1))] = bad
+            else:
+                rec = data.draw(st.sampled_from(raw[site]))
+                keys = ("id", "tail", "head") if site == "links" else ("origin", "destination")
+                rec[data.draw(st.sampled_from(keys))] = bad
+        with pytest.raises(sr.ValidationError):
+            sr.validate_instance(_through_json(raw))
