@@ -73,8 +73,16 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for multistart and generation")
 
 
+def _checked(make, **fields):
+    """Build a configuration object; a field out of range is a usage error."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(relative_gap_tol=args.tol, max_iterations=args.max_iter, seed=args.seed)
+    return _checked(SolverConfig, relative_gap_tol=args.tol, max_iterations=args.max_iter, seed=args.seed)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -227,10 +235,11 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = BatchConfig(
+    config = _checked(
+        BatchConfig,
         count=args.count,
         base_seed=args.seed,
-        shape=ShapeConfig(mu_min=args.mu_min, alpha=args.alpha),
+        shape=_checked(ShapeConfig, mu_min=args.mu_min, alpha=args.alpha),
         solver=_solver_config(args),
         jobs=args.jobs,
     )
@@ -303,7 +312,8 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError:
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValidationError, DomainError, AlphaOutOfRange, HeterogeneousAlpha) as exc:
         print(f"error: {exc}", file=sys.stderr)

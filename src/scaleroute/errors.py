@@ -108,7 +108,7 @@ class InfeasibleLambda(ScalerouteError):
 # --- validation harness ----------------------------------------------------------
 
 class UnsupportedTopology(ScalerouteError):
-    """Brute-force oracles only support parallel-link single-O/D instances."""
+    """The exact oracles support only single-O/D instances of at most three parallel links."""
 
 
 class GenerationFailed(ScalerouteError):

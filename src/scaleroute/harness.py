@@ -1,14 +1,12 @@
-"""Brute-force oracles, random instances, batch verification and figure data.
+"""Exact oracles, random instances, batch verification and figure data.
 
 The oracles certify solver output on parallel-link single-O/D instances
-with at most three links, where exhaustive search over per-link totals is
-tractable: the class split inside a fixed total is a linear program over a
-box-constrained simplex, so the grid only ranges over totals (one free
-dimension for two links, two for three). The grid prices the split by LP
-duality, without sorting, and a greedy fill gives the split's flows at the
-returned point.
-A few local refinement rounds shrink the grid error well below the
-certification tolerances.
+with at most three links. There the social cost and the follower's
+Beckmann potential are quadratics over a product of simplices (one per
+class), and both are minimised exactly by enumerating the faces of that
+product: each face fixes a support per class, and one small KKT solve per
+face gives its stationary point. The global minimum is the lowest feasible
+stationary point, even where the cost is not convex.
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -20,6 +18,7 @@ boundaries, bound curves) as labeled CSV series.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,11 +40,14 @@ from .model import (
 )
 from .solvers import _COST_FLOOR, SolverConfig
 
-_GRID_CHUNK = 200_000
-
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
 ORACLE_FLOW_TOL = 1e-3
+
+#: a face's KKT solution is stationary up to this residual relative to the right-hand side
+_KKT_RTOL = 1e-9
+#: and feasible down to this negative flow, which is then clipped to zero
+_FEASIBLE_ATOL = 1e-12
 
 
 def format_float(x: float) -> str:
@@ -57,30 +59,21 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-# --- oracle configuration -------------------------------------------------------
+# --- oracles -----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid parameters for the exhaustive parallel-link oracles.
+    """Scope of the exact parallel-link oracles.
 
-    ``resolution_1d`` is the flow step for two-link instances (one free
-    total), ``resolution_2d`` for three-link instances. Each refinement
-    round re-grids a one-cell window around the incumbent at a tenth of the
-    step. ``max_links`` lies in [1, 3].
+    ``max_links`` in [1, 3] is the largest number of parallel links an
+    instance may have to be certified; the face count grows as 4^n.
     """
 
-    resolution_1d: float = 1e-4
-    resolution_2d: float = 1e-3
-    refine_rounds: int = 2
     max_links: int = 3
 
     def __post_init__(self):
-        if self.resolution_1d <= 0 or self.resolution_2d <= 0:
-            raise ValueError("grid resolutions must be positive")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
-        if not 1 <= self.max_links <= 3:  # the grids cover one to three links
+        if not 1 <= self.max_links <= 3:
             raise ValueError(f"max_links = {self.max_links} must lie in [1, 3]")
 
 
@@ -102,7 +95,7 @@ def _parallel_link_order(instance: GameInstance, max_links: int) -> list[int]:
 
 
 def is_parallel_link(instance: GameInstance, max_links: int = 3) -> bool:
-    """True iff the exhaustive oracles support this instance."""
+    """True iff the exact oracles support this instance."""
     try:
         _parallel_link_order(instance, max_links)
     except UnsupportedTopology:
@@ -110,171 +103,93 @@ def is_parallel_link(instance: GameInstance, max_links: int = 3) -> bool:
     return True
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    n = max(1, int(round((hi - lo) / step))) + 1
-    return np.linspace(lo, hi, n)
+def _face_minimum(
+    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
+) -> tuple[np.ndarray, float]:
+    """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group.
 
-
-def _total_grids(r: float, n: int, step: float, center=None, width=None):
-    """Yield chunks of candidate per-link totals on {x >= 0, sum x = r}."""
-    if n == 1:
-        yield np.array([[r]])
-        return
-    if center is None:
-        lo = np.zeros(n)
-        hi = np.full(n, r)
-    else:
-        lo = np.maximum(np.asarray(center) - width, 0.0)
-        hi = np.minimum(np.asarray(center) + width, r)
-    if n == 2:
-        x1 = _axis(lo[0], hi[0], step)
-        for start in range(0, x1.size, _GRID_CHUNK):
-            seg = x1[start : start + _GRID_CHUNK]
-            yield np.stack([seg, r - seg])
-    elif n == 3:
-        x1 = _axis(lo[0], hi[0], step)
-        x2 = _axis(lo[1], hi[1], step)
-        rows_per_chunk = max(1, _GRID_CHUNK // max(x2.size, 1))
-        for start in range(0, x1.size, rows_per_chunk):
-            seg = x1[start : start + rows_per_chunk]
-            g1, g2 = np.meshgrid(seg, x2, indexing="ij")
-            g1 = g1.ravel()
-            g2 = g2.ravel()
-            g3 = r - g1 - g2
-            mask = g3 >= -1e-12
-            if not mask.any():
-                continue
-            yield np.stack([g1[mask], g2[mask], np.maximum(g3[mask], 0.0)])
-    else:  # pragma: no cover - shapes are pre-checked
-        raise UnsupportedTopology(f"unsupported dimension {n}")
-
-
-def _greedy_split(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: float) -> np.ndarray:
-    """Optimal autonomous link flows for fixed totals X (links x points).
-
-    The cost is linear in the autonomous flows once totals are fixed, with
-    coefficients (a - h) * x <= 0, so filling the most negative coefficients
-    first is optimal. The grid prices this split by LP duality
-    (``_split_cost``); the fill gives its flows at the returned point.
+    The feasible set is a product of simplices. Each face fixes a nonempty
+    support per group, and the minimum is a stationary point in the relative
+    interior of some face: its KKT system is solved by least squares and
+    kept if the residual is small and the point feasible. A face whose
+    restricted Hessian is singular needs no special case: the cost is
+    constant along the null direction, which reaches a smaller face. Among
+    the surviving faces the lowest value wins, the first face on ties.
+    Returns the minimiser and its value.
     """
-    c = (a - h)[:, None] * X
-    order = np.argsort(c, axis=0, kind="stable")
-    x_sorted = np.take_along_axis(X, order, 0)
-    fa_sorted = np.empty_like(x_sorted)
-    rem = np.full(X.shape[1], float(auto_demand))
-    for i in range(X.shape[0]):
-        take = np.minimum(x_sorted[i], rem)
-        fa_sorted[i] = take
-        rem -= take
-    fa = np.empty_like(fa_sorted)
-    np.put_along_axis(fa, order, fa_sorted, 0)
-    return fa
-
-
-def _split_cost(a: np.ndarray, h: np.ndarray, X: np.ndarray, auto_demand: float) -> np.ndarray:
-    """Cost of the optimal class split for fixed totals X (links x points).
-
-    With c = (a - h) * x, the split is the LP min c.f over 0 <= f <= x,
-    sum f = d. Its dual value max over lam of lam * d + sum_i x_i min(c_i - lam, 0)
-    is concave and piecewise linear in lam, so the maximum lies at a breakpoint
-    lam = c_j: n candidates, no sort. Equal to the greedy fill's cost up to
-    rounding.
-    """
-    c = (a - h)[:, None] * X
-    vals = c * auto_demand  # row j: the dual value at lam = c_j
-    for i in range(len(c)):
-        for j in range(i + 1, len(c)):
-            # x_i min(c_i - c_j, 0) counts at lam = c_j, x_j min(c_j - c_i, 0) at c_i
-            diff = c[i] - c[j]
-            vals[j] += X[i] * np.minimum(diff, 0.0)
-            vals[i] -= X[j] * np.maximum(diff, 0.0)
-    return vals.max(axis=0)
-
-
-def _oracle_minimize(r, n, step, refine_rounds, evaluate):
-    """Exhaustive grid argmin with local refinement; evaluate(X) -> values."""
-    best_val = np.inf
-    best_x = None
-    for X in _total_grids(r, n, step):
-        vals = evaluate(X)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_x = X[:, j].copy()
-    for _ in range(refine_rounds):
-        # window of two old cells per coordinate: covers the diagonal
-        # neighborhood where the true minimizer of a smooth objective can
-        # hide relative to the incumbent grid point
-        width, step = 2.0 * step, step / 10.0
-        for X in _total_grids(r, n, step, center=best_x, width=width):
-            vals = evaluate(X)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val = float(vals[j])
-                best_x = X[:, j].copy()
-    return best_x, best_val
+    k = len(groups)
+    supports = [
+        [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
+        for g in groups
+    ]
+    d = np.asarray(demands, dtype=float)
+    best_z, best_val = None, math.inf
+    for face in itertools.product(*supports):
+        idx = np.concatenate(face)
+        n = idx.size
+        K = np.zeros((n + k, n + k))
+        K[:n, :n] = P[np.ix_(idx, idx)]
+        K[n:, :n] = np.repeat(np.eye(k), [len(s) for s in face], axis=1)  # one sum per group
+        K[:n, n:] = K[n:, :n].T
+        rhs = np.concatenate([-q[idx], d])
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        # one refinement step: a single solve can miss the demands by ~1e-14,
+        # which puts the cost above that of nearby feasible points
+        sol += np.linalg.lstsq(K, rhs - K @ sol, rcond=None)[0]
+        if np.linalg.norm(K @ sol - rhs) > _KKT_RTOL * np.linalg.norm(rhs):
+            continue
+        if sol[:n].min() < -_FEASIBLE_ATOL:
+            continue
+        z = np.zeros(q.size)
+        z[idx] = np.maximum(sol[:n], 0.0)
+        val = float(z @ (0.5 * (P @ z) + q))
+        if val < best_val:
+            best_z, best_val = z, val
+    return best_z, best_val
 
 
 def oracle_optimal(
     instance: GameInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[ClassFlow, float]:
-    """Exhaustive-search system optimum for a parallel-link instance."""
+    """Exact system optimum for a parallel-link instance.
+
+    Minimises the social cost over z = (autonomous, human) link flows; on a
+    link it is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh), one simplex per
+    class. Returns the flow and its social cost.
+    """
     order = _parallel_link_order(instance, config.max_links)
     od = instance.od_pairs[0]
-    r = od.demand
-    auto_demand = od.alpha * r
     a, h, b = instance.a, instance.h, instance.b
     n = instance.n_links
-    step = config.resolution_1d if n <= 2 else config.resolution_2d
-
-    def evaluate(X):
-        base = (X * (h[:, None] * X + b[:, None])).sum(axis=0)
-        return base + _split_cost(a, h, X, auto_demand)
-
-    best_x, _ = _oracle_minimize(r, n, step, config.refine_rounds, evaluate)
-    fa_links = _greedy_split(a, h, best_x[:, None], auto_demand)[:, 0]
-    fh_links = np.maximum(best_x - fa_links, 0.0)
-
-    fa_paths = np.zeros(instance.n_paths)
-    fh_paths = np.zeros(instance.n_paths)
-    for j, link_idx in enumerate(order):
-        fa_paths[j] = fa_links[link_idx]
-        fh_paths[j] = fh_links[link_idx]
-    flow = ClassFlow.from_path_flows(instance, fa_paths, fh_paths)
+    P = np.block([[np.diag(2.0 * a), np.diag(a + h)], [np.diag(a + h), np.diag(2.0 * h)]])
+    groups = [range(n), range(n, 2 * n)]
+    z, _ = _face_minimum(
+        P, np.concatenate([b, b]), groups, [od.alpha * od.demand, (1.0 - od.alpha) * od.demand]
+    )
+    flow = ClassFlow.from_path_flows(instance, z[:n][order], z[n:][order])
     return flow, social_cost_links(instance, flow.link_flows_a, flow.link_flows_h)
 
 
 def oracle_nash(
     instance: GameInstance, s: np.ndarray, config: OracleConfig = OracleConfig()
 ) -> tuple[np.ndarray, float]:
-    """Grid search for the induced human equilibrium on parallel links.
+    """Exact induced human equilibrium on parallel links, given leader link flows s.
 
-    Returns per-link human flows minimizing the relative Wardrop gap, and
-    the gap achieved at that point.
+    Minimises the Beckmann potential of the human flow with the leader fixed.
+    Returns the per-link human flows and their relative Wardrop gap.
     """
     _parallel_link_order(instance, config.max_links)
     od = instance.od_pairs[0]
     demand = (1.0 - od.alpha) * od.demand
-    s = np.asarray(s, dtype=float)
-    if demand <= 0.0:
+    if demand <= 0.0:  # rounding leaves ~1e-31 of flow, which the gap formula reads as 1
         return np.zeros(instance.n_links), 0.0
-    a, h, b = instance.a, instance.h, instance.b
-    fixed = a * s + b
-    n = instance.n_links
-    step = config.resolution_1d if n <= 2 else config.resolution_2d
-
-    def evaluate(T):
-        lat = fixed[:, None] + h[:, None] * T
-        total = (lat * T).sum(axis=0)
-        best = demand * lat.min(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gap = np.where(total <= _COST_FLOOR, 0.0, (total - best) / total)
-        return np.maximum(gap, 0.0)
-
-    best_t, best_gap = _oracle_minimize(demand, n, step, config.refine_rounds, evaluate)
-    return best_t, float(best_gap)
+    fixed = instance.a * np.asarray(s, dtype=float) + instance.b
+    h = instance.h
+    t, _ = _face_minimum(np.diag(h), fixed, [range(instance.n_links)], [demand])
+    lat = fixed + h * t
+    total = float(lat @ t)
+    gap = 0.0 if total <= _COST_FLOOR else (total - demand * float(lat.min())) / total
+    return t, max(gap, 0.0)
 
 
 # --- random instance generation ----------------------------------------------------
@@ -391,8 +306,14 @@ class BatchConfig:
     base_seed: int = 0
     shape: ShapeConfig = ShapeConfig()
     solver: SolverConfig = SolverConfig()
-    oracle: OracleConfig = OracleConfig(resolution_2d=5e-3, refine_rounds=3)
+    oracle: OracleConfig = OracleConfig()
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count = {self.count} must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs = {self.jobs} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -439,11 +360,11 @@ class VerificationReport:
 def certify_outcome(
     instance: GameInstance, outcome: StackelbergOutcome, oracle_config: OracleConfig
 ) -> StackelbergOutcome:
-    """Mark the outcome oracle-certified if the exhaustive optimum agrees.
+    """Mark the outcome oracle-certified if the exact optimum agrees.
 
-    Certification compares total link flows (the class split is not unique
-    when a link has equal slopes) and requires the solver cost not to exceed
-    the oracle cost beyond the grid tolerance.
+    Certification requires total link flows within ``ORACLE_FLOW_TOL`` of the
+    oracle's (the class split is not unique when a link has equal slopes)
+    and a solver cost at most 1e-3 * (1 + |oracle cost|) above the oracle's.
     """
     oracle_flow, oracle_cost = oracle_optimal(instance, oracle_config)
     flows_close = bool(

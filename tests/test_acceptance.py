@@ -215,7 +215,7 @@ def test_criterion_10_oracle_equivalence(parallel_batch):
     assert abs(outcome.empirical_poa - 1.083) <= 2e-2
     elapsed = time.time() - start
     assert elapsed < 120.0
-    _passed(10, f"solver matches grid oracles on 50 parallel instances ({elapsed:.2f}s)")
+    _passed(10, f"solver matches exact oracles on 50 parallel instances ({elapsed:.2f}s)")
 
 
 def test_criterion_11_wardrop_certificates(batch_outcomes, parallel_batch):

@@ -182,5 +182,27 @@ class TestUsageErrors:
     def test_bad_grid(self, capsys):
         assert run(["curves", "--kind", "poa-bounds", "--grid", "oops"]) == 64
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "--count", "-5"], "count"),
+            (["verify", "--jobs", "-3"], "jobs"),
+            (["verify", "--count", "2", "--tol", "nan"], "relative_gap_tol"),
+            (["play", "--tol", "-1"], "relative_gap_tol"),
+            (["solve-optimal", "--max-iter", "0"], "max_iterations"),
+            (["verify", "--alpha", "1.5"], "alpha"),
+            (["verify", "--mu-min", "0"], "mu_min"),
+        ],
+        ids=["count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "mu-min"],
+    )
+    def test_config_out_of_range(self, argv, field, pigou_file, capsys):
+        if argv[0] != "verify":
+            argv = [*argv, "--instance", pigou_file]
+        assert run(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and field in line
+
     def test_bad_kind(self, capsys):
         assert run(["curves", "--kind", "nope"]) == 64

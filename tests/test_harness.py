@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
-from scaleroute.harness import (
-    _greedy_split,
-    _split_cost,
-    _total_grids,
-    format_float,
-    region_alpha_intervals,
-    report_to_csv,
-)
+from scaleroute.harness import _face_minimum, format_float, region_alpha_intervals, report_to_csv
 
 from conftest import make_pigou, make_two_identical
+from test_solvers import optimal_grid_two_links
 
 LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
+
+#: oracle_optimal's total link flows and cost on LOWMU_SHAPE seeds
+EXACT_THREE_LINK_OPTIMA = {
+    1000: ([0.7623661549856844, 0.45018494975183265, 0.7634422681007413], 2.3173589196197018),
+    1002: ([0.22206373219439066, 0.6846379265077469, 0.0179131819943952], 0.9888659497441061),
+}
 
 
 class TestOracleConfig:
@@ -36,30 +36,90 @@ class TestOracleConfig:
         assert sr.OracleConfig(max_links=max_links).max_links == max_links
 
 
+class TestBatchConfig:
+    @pytest.mark.parametrize("field", ["count", "jobs"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sr.BatchConfig(**{field: value})
+
+
+class TestFaceMinimum:
+    @pytest.mark.parametrize(
+        "P, q, groups, demands, z, value",
+        [
+            # -z1^2: the stationary point inside the segment is its maximum
+            ([[-2, 0], [0, 0]], [0, 0], [range(2)], [1], [1, 0], -1),
+            # -|z|^2: the three vertices tie and the first face wins
+            ([[-2, 0, 0], [0, -2, 0], [0, 0, -2]], [0, 0, 0], [range(3)], [1], [1, 0, 0], -1),
+            # the segment's stationary point (5.5, -4.5) is infeasible
+            ([[1, 0], [0, 1]], [-10, 0], [range(2)], [1], [1, 0], -9.5),
+            # singular faces whose KKT systems have no solution: their least-squares
+            # points miss the second group's zero demand and cost less
+            ([[4, -2, -4], [-2, 1, 2], [-4, 2, 3]], [1, 2, 0], [range(1), range(1, 3)], [2, 0], [2, 0, 0], 10),
+        ],
+        ids=["concave", "tie", "infeasible-stationary-point", "inconsistent-face"],
+    )
+    def test_known_minima(self, P, q, groups, demands, z, value):
+        got_z, got_value = _face_minimum(np.array(P, dtype=float), np.array(q, dtype=float), groups, demands)
+        assert got_z.tolist() == z
+        assert got_value == value
+
+    def test_groups_are_separate_simplices(self):
+        # (z1 - z3)^2 with z1 + z2 = 1 and z3 + z4 = 1: zero where z1 = z3
+        P = 2.0 * np.array([[1, 0, -1, 0], [0, 0, 0, 0], [-1, 0, 1, 0], [0, 0, 0, 0]], dtype=float)
+        z, val = _face_minimum(P, np.zeros(4), [range(2), range(2, 4)], [1.0, 1.0])
+        assert z[0] + z[1] == pytest.approx(1.0, abs=1e-15)
+        assert z[2] + z[3] == pytest.approx(1.0, abs=1e-15)
+        assert z[0] == pytest.approx(z[2], abs=1e-15)
+        assert val == pytest.approx(0.0, abs=1e-15)
+
+
 @st.composite
-def split_problems(draw):
-    """Slopes a <= h, grid totals on {x >= 0, sum x = r} and an autonomous demand d <= r."""
+def parallel_instances(draw):
+    """One to three parallel links with a <= h (a = h allowed), possibly identical."""
     n = draw(st.integers(1, 3))
     floats = st.floats(0.5, 2.0)
-    h = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
-    mu = np.array(draw(st.lists(st.just(1.0) | st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    if draw(st.booleans()):  # identical links: slopes tie, and totals wherever the grid ties
-        h[:], mu[:] = h[0], mu[0]
-    r = draw(floats)
-    d = draw(st.sampled_from(["zero", "alpha", "full"]))
-    d = {"zero": 0.0, "alpha": draw(st.floats(0.0, 1.0)) * r, "full": r}[d]
-    X = np.concatenate(list(_total_grids(r, n, r / 20)), axis=1)
-    return mu * h, h, X, d
+    h = draw(st.lists(floats, min_size=n, max_size=n))
+    mu = draw(st.lists(st.just(1.0) | st.floats(0.05, 1.0), min_size=n, max_size=n))
+    b = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.5), min_size=n, max_size=n))
+    if draw(st.booleans()):  # identical links: every split has mirror images
+        h, mu, b = [h[0]] * n, [mu[0]] * n, [b[0]] * n
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    links = [sr.Link(f"e{i}", "1", "2", m * hi, hi, bi) for i, (m, hi, bi) in enumerate(zip(mu, h, b))]
+    return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", draw(floats), alpha)])
 
 
-class TestSplitCost:
-    @settings(max_examples=150, deadline=None)
-    @given(problem=split_problems())
-    def test_equals_greedy_fill_cost(self, problem):
-        # d = r puts autonomous flow on every link that carries any
-        a, h, X, d = problem
-        greedy = ((a - h)[:, None] * X * _greedy_split(a, h, X, d)).sum(axis=0)
-        np.testing.assert_allclose(_split_cost(a, h, X, d), greedy, rtol=1e-12, atol=1e-14)
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=parallel_instances())
+    def test_optimal_is_feasible_and_lowest(self, instance):
+        flow, cost = sr.oracle_optimal(instance)
+        report = sr.check_feasibility(instance, flow)
+        assert report.feasible, (report.residuals_a, report.residuals_h)
+        assert np.abs(report.residuals_a).max() <= 1e-14
+        assert np.abs(report.residuals_h).max() <= 1e-14
+        assert flow.path_flows_a.min() >= 0.0 and flow.path_flows_h.min() >= 0.0
+        solved = sr.system_optimal(instance).potential_or_cost
+        assert cost <= solved * (1.0 + 1e-12)
+        if instance.n_links == 2:
+            assert cost <= optimal_grid_two_links(instance, resolution=1e-2)[2] + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=parallel_instances())
+    def test_nash_is_an_equilibrium(self, instance):
+        od = instance.od_pairs[0]
+        flow, _ = sr.oracle_optimal(instance)
+        s = od.alpha * flow.total_link_flows  # the SCALE leader's link flows
+        t, gap = sr.oracle_nash(instance, s)
+        human = (1.0 - od.alpha) * od.demand
+        assert t.min() >= 0.0
+        assert t.sum() == pytest.approx(human, rel=1e-14, abs=1e-15)
+        assert gap <= 1e-12
+        lat = instance.a * s + instance.b + instance.h * t
+        used = t > 0.0
+        if used.any():  # no link is cheaper than a used one
+            assert lat[used].max() <= lat.min() * (1.0 + 1e-12)
 
 
 class TestOracleOptimal:
@@ -104,13 +164,16 @@ class TestOracleOptimal:
         ],
     )
     def test_pinned_three_link_optima(self, seed, totals, cost):
-        # computed when the grid priced the split by the sorting greedy fill;
-        # pricing by duality must pick the same grid points
+        # totals and cost are the refined grid search's answer: a feasible
+        # point, so the exact optimum costs no more and lies within its flow error
         instance = sr.random_instance(seed, LOWMU_SHAPE)
         assert instance.n_links == 3
         flow, got = sr.oracle_optimal(instance)
-        assert flow.total_link_flows.tolist() == totals
-        assert got == cost
+        assert got <= cost
+        assert np.abs(flow.total_link_flows - totals).max() <= 1e-5
+        exact_totals, exact_cost = EXACT_THREE_LINK_OPTIMA[seed]
+        assert flow.total_link_flows.tolist() == exact_totals
+        assert got == exact_cost
 
 
 class TestOracleNash:
@@ -118,12 +181,12 @@ class TestOracleNash:
         instance = make_pigou(alpha=0.0)
         t, gap = sr.oracle_nash(instance, np.zeros(2))
         assert t == pytest.approx([1.0, 0.0], abs=1e-3)
-        assert gap <= 1e-3
+        assert gap <= 1e-12
 
     def test_pigou_with_scale_leader(self, pigou):
         t, gap = sr.oracle_nash(pigou, np.array([0.25, 0.25]))
         assert t == pytest.approx([0.5, 0.0], abs=1e-3)
-        assert gap <= 1e-3
+        assert gap <= 1e-12
 
     def test_zero_human_demand(self):
         instance = make_two_identical(alpha=1.0)
