@@ -8,7 +8,6 @@ outcomes.
 
 from .bounds import (
     AlphaThresholds,
-    BoundParams,
     BoundResult,
     LambdaThresholds,
     Region,

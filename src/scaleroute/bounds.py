@@ -44,17 +44,6 @@ class Region(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Scalar inputs of the closed-form bound."""
-
-    alpha: float
-    mu: float
-
-    def __post_init__(self):
-        _check_alpha_mu(self.alpha, self.mu)
-
-
-@dataclass(frozen=True)
 class AlphaThresholds:
     """Region boundaries in alpha, as functions of mu only.
 
@@ -95,7 +84,6 @@ class LambdaThresholds:
 class BoundResult:
     """Price-of-anarchy upper bound with its region and provenance."""
 
-    params: BoundParams
     region: Region
     thresholds: AlphaThresholds
     bound: float
@@ -344,13 +332,7 @@ def poa_bound(alpha: float, mu: float) -> BoundResult:
         bound, expr = _poa_w1_at_star(alpha, mu), "PoA_omega1(lambda_star)"
     else:
         bound, expr = _poa_w1_at_plus(alpha, mu), "PoA_omega1(lambda_plus)"
-    return BoundResult(
-        params=BoundParams(alpha=alpha, mu=mu),
-        region=region,
-        thresholds=thresholds,
-        bound=bound,
-        expression_used=expr,
-    )
+    return BoundResult(region=region, thresholds=thresholds, bound=bound, expression_used=expr)
 
 
 def poa_from_lambda(lam: float, alpha: float, mu: float) -> float:

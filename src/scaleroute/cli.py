@@ -10,20 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import poa_bound
-from .errors import (
-    AlphaOutOfRange,
-    DomainError,
-    HeterogeneousAlpha,
-    NotConverged,
-    ScalerouteError,
-    ValidationError,
-)
+from .errors import NotConverged, ScalerouteError
 from .harness import (
     BatchConfig,
     ShapeConfig,
@@ -113,8 +107,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise _UsageError(f"--grid expects lo:hi:step, got {text!r}") from None
-    if step <= 0 or hi < lo:
-        raise _UsageError(f"--grid expects step > 0 and hi >= lo, got {text!r}")
+    if not (step > 0 and lo <= hi and math.isfinite(hi - lo + step)):
+        raise _UsageError(f"--grid expects finite lo <= hi and step > 0, got {text!r}")
     n = int(round((hi - lo) / step)) + 1
     return np.linspace(lo, hi, n)
 
@@ -125,11 +119,10 @@ def _cmd_validate(args) -> int:
         f"instance ok: {len(instance.nodes)} nodes, {instance.n_links} links, "
         f"{len(instance.od_pairs)} O/D pairs, {instance.n_paths} paths"
     )
-    for w, od in enumerate(instance.od_pairs):
-        k = len(instance.paths.by_od[w])
+    for od, (start, end) in zip(instance.od_pairs, instance.paths.od_slices):
         print(
             f"  {od.origin} -> {od.destination}: demand {format_float(od.demand)}, "
-            f"alpha {format_float(od.alpha)}, {k} paths"
+            f"alpha {format_float(od.alpha)}, {end - start} paths"
         )
     return EXIT_OK
 
@@ -216,19 +209,18 @@ def _cmd_bound(args) -> int:
 
 def _cmd_curves(args) -> int:
     mus = None
-    mu_single = 0.5
     if args.mu is not None:
-        parts = [float(p) for p in args.mu.split(",")]
-        mus = parts
-        mu_single = parts[0]
-    grid = _parse_grid(args.grid) if args.grid else None
+        try:
+            mus = [float(p) for p in args.mu.split(",")]
+        except ValueError:
+            raise _UsageError(f"--mu expects comma-separated numbers, got {args.mu!r}") from None
     table = curve_tables(
         args.kind,
-        alpha=args.alpha if args.alpha is not None else 0.5,
-        mu=mu_single,
+        alpha=args.alpha,
+        mu=0.5 if mus is None else mus[0],
         lam=args.lam,
         mus=mus,
-        grid=grid,
+        grid=_parse_grid(args.grid) if args.grid else None,
     )
     _write(table.to_csv(), args.out)
     return EXIT_OK
@@ -286,7 +278,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("curves", help="figure data as series,x,y CSV")
     p.add_argument("--kind", required=True, choices=_CURVE_KINDS)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--mu", help="single value, or comma-separated list for poa-bounds")
     p.add_argument("--lam", type=float, default=0.75, help="lambda for omega-vs-gamma")
     p.add_argument("--grid", help="x-grid as lo:hi:step")
@@ -315,9 +307,6 @@ def run(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, DomainError, AlphaOutOfRange, HeterogeneousAlpha) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

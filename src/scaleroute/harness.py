@@ -25,7 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import Region, alpha_thresholds, omega1_sup, omega2, poa_bound
+from .bounds import (
+    Region, _check_alpha_mu, _check_lambda, alpha_thresholds, omega1_sup, omega2, poa_bound,
+)
 from .errors import BadKind, GenerationFailed, NotConverged, UnsupportedTopology, ValidationError
 from .game import StackelbergOutcome, play
 from .model import (
@@ -38,7 +40,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost_links,
 )
-from .solvers import _COST_FLOOR, SolverConfig
+from .solvers import SolverConfig, check_leader_flows, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -176,32 +178,43 @@ def oracle_nash(
     """Exact induced human equilibrium on parallel links, given leader link flows s.
 
     Minimises the Beckmann potential of the human flow with the leader fixed.
-    Returns the per-link human flows and their relative Wardrop gap.
+    ``s`` is checked as ``follower_equilibrium`` checks it. Returns the
+    per-link human flows and their relative Wardrop gap (``wardrop_gap``).
     """
-    _parallel_link_order(instance, config.max_links)
+    order = _parallel_link_order(instance, config.max_links)
+    s = check_leader_flows(instance, s)
     od = instance.od_pairs[0]
     demand = (1.0 - od.alpha) * od.demand
-    if demand <= 0.0:  # rounding leaves ~1e-31 of flow, which the gap formula reads as 1
+    if demand <= 0.0:  # all-autonomous demand: no human flow to place
         return np.zeros(instance.n_links), 0.0
-    fixed = instance.a * np.asarray(s, dtype=float) + instance.b
-    h = instance.h
-    t, _ = _face_minimum(np.diag(h), fixed, [range(instance.n_links)], [demand])
-    lat = fixed + h * t
-    total = float(lat @ t)
-    gap = 0.0 if total <= _COST_FLOOR else (total - demand * float(lat.min())) / total
-    return t, max(gap, 0.0)
+    t, _ = _face_minimum(
+        np.diag(instance.h), instance.a * s + instance.b, [range(instance.n_links)], [demand]
+    )
+    return t, wardrop_gap(instance, s, t[order])
 
 
 # --- random instance generation ----------------------------------------------------
 
 
+#: size bounds of random instances, and the draws allowed per seed
+MAX_NODES = 6
+MAX_LINKS = 10
+MAX_OD_PAIRS = 2
+RETRY_BUDGET = 50
+
+
 @dataclass(frozen=True)
 class ShapeConfig:
-    """Bounds and coefficient ranges for seeded random instances."""
+    """Coefficient and demand distributions of seeded random instances.
 
-    max_nodes: int = 6
-    max_links: int = 10
-    max_od_pairs: int = 2
+    An instance is parallel-link (two or three links between two nodes) with
+    ``parallel_probability``, else a network of at most ``MAX_NODES`` nodes,
+    ``MAX_LINKS`` links and ``MAX_OD_PAIRS`` O/D pairs. Per link, h is uniform
+    on ``h_range``, a = mu h with mu uniform on [``mu_min``, 1], and b is zero
+    with ``b_zero_probability``, else uniform on ``b_range``. Demands are
+    uniform on ``demand_range``, and every pair has autonomy fraction ``alpha``.
+    """
+
     mu_min: float = 0.3
     alpha: float = 0.5
     parallel_probability: float = 0.25
@@ -209,15 +222,12 @@ class ShapeConfig:
     h_range: tuple[float, float] = (0.5, 2.0)
     b_range: tuple[float, float] = (0.0, 1.5)
     b_zero_probability: float = 0.25
-    retry_budget: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.mu_min <= 1.0:
             raise ValueError(f"mu_min = {self.mu_min} must lie in (0, 1]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha = {self.alpha} must lie in [0, 1]")
-        if self.max_nodes < 2 or self.max_links < 1 or self.max_od_pairs < 1:
-            raise ValueError("shape bounds must allow at least a single-link network")
 
 
 def _draw_link(rng: np.random.Generator, lid: str, tail: str, head: str, shape: ShapeConfig) -> Link:
@@ -231,9 +241,9 @@ def _draw_link(rng: np.random.Generator, lid: str, tail: str, head: str, shape: 
 
 
 def _generate_once(rng: np.random.Generator, shape: ShapeConfig) -> GameInstance:
-    if shape.max_links >= 2 and rng.random() < shape.parallel_probability:
+    if rng.random() < shape.parallel_probability:
         nodes = ("n1", "n2")
-        n_links = int(rng.integers(2, min(shape.max_links, 3) + 1))
+        n_links = int(rng.integers(2, 4))  # within reach of the exact oracles
         links = [
             _draw_link(rng, f"e{i + 1}", "n1", "n2", shape) for i in range(n_links)
         ]
@@ -242,9 +252,9 @@ def _generate_once(rng: np.random.Generator, shape: ShapeConfig) -> GameInstance
         ]
         return build_instance(nodes, links, od_pairs)
 
-    n_nodes = int(rng.integers(3, shape.max_nodes + 1))
+    n_nodes = int(rng.integers(3, MAX_NODES + 1))
     nodes = tuple(f"n{i + 1}" for i in range(n_nodes))
-    n_od = int(rng.integers(1, shape.max_od_pairs + 1))
+    n_od = int(rng.integers(1, MAX_OD_PAIRS + 1))
     od_ends: list[tuple[str, str]] = []
     while len(od_ends) < n_od:
         o, d = rng.choice(n_nodes, size=2, replace=False)
@@ -262,9 +272,9 @@ def _generate_once(rng: np.random.Generator, shape: ShapeConfig) -> GameInstance
         for tail, head in zip(chain, chain[1:]):
             link_specs.setdefault((tail, head), None)
 
-    target = int(rng.integers(len(link_specs), shape.max_links + 1))
+    target = int(rng.integers(len(link_specs), MAX_LINKS + 1))
     attempts = 0
-    while len(link_specs) < target and attempts < 20 * shape.max_links:
+    while len(link_specs) < target and attempts < 20 * MAX_LINKS:
         attempts += 1
         u, v = rng.choice(n_nodes, size=2, replace=False)
         link_specs.setdefault((nodes[int(u)], nodes[int(v)]), None)
@@ -281,16 +291,16 @@ def _generate_once(rng: np.random.Generator, shape: ShapeConfig) -> GameInstance
 
 
 def random_instance(seed: int, shape: ShapeConfig = ShapeConfig()) -> GameInstance:
-    """Seeded random instance within the shape bounds; reproducible."""
+    """Seeded random instance within the size bounds; reproducible."""
     rng = np.random.default_rng(seed)
     last_error: Exception | None = None
-    for _ in range(shape.retry_budget):
+    for _ in range(RETRY_BUDGET):
         try:
             return _generate_once(rng, shape)
         except ValidationError as exc:  # unreachable O/D, path explosion, ...
             last_error = exc
     raise GenerationFailed(
-        f"seed {seed}: no valid instance within {shape.retry_budget} attempts "
+        f"seed {seed}: no valid instance within {RETRY_BUDGET} attempts "
         f"(last error: {last_error})"
     )
 
@@ -524,10 +534,13 @@ def curve_tables(
 
     kind selects the table; ``grid`` is the x-grid and means gamma, lambda,
     mu or alpha respectively for omega-vs-gamma, omega-vs-lambda,
-    constraint-sets and poa-bounds.
+    constraint-sets and poa-bounds. ``alpha``, ``mu`` and ``lam`` are
+    checked against the domains of ``bounds`` wherever the table reads them.
     """
     rows: list[tuple[str, float, float]] = []
     if kind == "omega-vs-gamma":
+        _check_alpha_mu(alpha, mu)
+        _check_lambda(lam)
         gamma_plus = 1.0 / (alpha * (1.0 - mu) + mu)
         xs = np.linspace(0.0, 1.0 / alpha, 401) if grid is None else np.asarray(grid, dtype=float)
         for g in xs:

@@ -133,21 +133,18 @@ class Path:
     nodes: tuple[str, ...]
     links: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.links)
-
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
-    """All simple paths of an instance, per O/D pair and globally indexed.
+    """All simple paths of an instance, globally indexed.
 
     Paths of each O/D pair are sorted lexicographically by node sequence
     (link ids break ties between parallel links), and the global order
-    concatenates the per-pair blocks in O/D declaration order. Two
+    concatenates the per-pair blocks in O/D declaration order; pair w owns
+    ``all_paths[start:end]`` for ``(start, end) = od_slices[w]``. Two
     enumerations of the same instance always produce identical orderings.
     """
 
-    by_od: tuple[tuple[Path, ...], ...]
     all_paths: tuple[Path, ...]
     od_slices: tuple[tuple[int, int], ...]
     index_of: Mapping[Path, int] = field(repr=False)
@@ -274,7 +271,6 @@ class FeasibilityReport:
     feasible: bool
     residuals_a: np.ndarray
     residuals_h: np.ndarray
-    tolerance: float = FEASIBILITY_TOL
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -343,40 +339,26 @@ def _simple_paths(
     return found
 
 
-def enumerate_paths(instance_or_links, od_pairs=None, path_cap: int | None = None) -> PathSet:
+def enumerate_paths(
+    links: Sequence[Link], od_pairs: Sequence[ODPair], path_cap: int = DEFAULT_PATH_CAP
+) -> PathSet:
     """Enumerate every simple path of every O/D pair, deterministically ordered.
 
-    Accepts either a GameInstance or an explicit (links, od_pairs) pair.
-    Raises PathExplosion once the total path count exceeds the cap, and
-    NoPath if some O/D pair is unreachable.
+    Raises PathExplosion once the total path count over all pairs exceeds
+    ``path_cap``, and NoPath if some O/D pair is unreachable.
     """
-    if isinstance(instance_or_links, GameInstance):
-        links = instance_or_links.links
-        od_pairs = instance_or_links.od_pairs
-        cap = instance_or_links.path_cap if path_cap is None else path_cap
-    else:
-        links = tuple(instance_or_links)
-        od_pairs = tuple(od_pairs or ())
-        cap = DEFAULT_PATH_CAP if path_cap is None else path_cap
-
     adj = _adjacency(links)
     counter = [0]
-    by_od: list[tuple[Path, ...]] = []
+    all_paths: list[Path] = []
+    od_slices: list[tuple[int, int]] = []
     for od in od_pairs:
-        paths = _simple_paths(adj, od.origin, od.destination, counter, cap)
+        paths = _simple_paths(adj, od.origin, od.destination, counter, path_cap)
         if not paths:
             raise NoPath(f"no path from {od.origin!r} to {od.destination!r}")
         paths.sort(key=lambda p: (p.nodes, p.links))
-        by_od.append(tuple(paths))
-
-    all_paths: list[Path] = []
-    od_slices: list[tuple[int, int]] = []
-    for paths in by_od:
-        start = len(all_paths)
+        od_slices.append((len(all_paths), len(all_paths) + len(paths)))
         all_paths.extend(paths)
-        od_slices.append((start, len(all_paths)))
     return PathSet(
-        by_od=tuple(by_od),
         all_paths=tuple(all_paths),
         od_slices=tuple(od_slices),
         index_of={p: i for i, p in enumerate(all_paths)},
@@ -604,14 +586,13 @@ def network_autonomy_fraction(instance: GameInstance) -> float:
     return float(np.dot(instance.alphas, demands) / demands.sum())
 
 
-def is_stackelberg_feasible(
-    instance: GameInstance, s: np.ndarray, tol: float = FEASIBILITY_TOL
-) -> StackelbergFeasibility:
+def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> StackelbergFeasibility:
     """Check a leader path-flow vector against the network autonomy fraction.
 
     The global check compares the total leader flow with alpha times the
     total demand; the weak-strategy flag additionally requires every O/D
-    pair's leader flow to meet an alpha fraction of that pair's demand.
+    pair's leader flow to meet an alpha fraction of that pair's demand. Both
+    hold up to ``FEASIBILITY_TOL``.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (instance.n_paths,):
@@ -625,18 +606,17 @@ def is_stackelberg_feasible(
         per_pair[w] = s[start:end].sum() - alpha * demands[w]
     total_residual = float(s.sum() - alpha * demands.sum())
     return StackelbergFeasibility(
-        feasible=bool(abs(total_residual) <= tol),
-        weak=bool(np.all(np.abs(per_pair) <= tol)),
+        feasible=bool(abs(total_residual) <= FEASIBILITY_TOL),
+        weak=bool(np.all(np.abs(per_pair) <= FEASIBILITY_TOL)),
         total_residual=total_residual,
         per_pair_residuals=per_pair,
     )
 
 
-def is_opt_restricted(
-    instance: GameInstance, s_links: np.ndarray, fstar: ClassFlow, tol: float = FEASIBILITY_TOL
-) -> bool:
-    """True iff the leader link flow never exceeds the optimal total link flow."""
+def is_opt_restricted(instance: GameInstance, s_links: np.ndarray, fstar: ClassFlow) -> bool:
+    """True iff the leader link flow never exceeds the optimal total link flow
+    (up to ``FEASIBILITY_TOL``)."""
     s_links = np.asarray(s_links, dtype=float)
     if s_links.shape != (instance.n_links,):
         raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
-    return bool(np.all(s_links <= fstar.total_link_flows + tol))
+    return bool(np.all(s_links <= fstar.total_link_flows + FEASIBILITY_TOL))

@@ -31,7 +31,6 @@ its two block gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -75,16 +74,16 @@ class EquilibriumResult:
     trace: tuple[float, ...] = ()
 
 
-def _latency_vector(instance: GameInstance, link_latencies) -> np.ndarray:
-    if isinstance(link_latencies, Mapping):
-        lat = np.array([link_latencies[l.id] for l in instance.links], dtype=float)
-    else:
-        lat = np.asarray(link_latencies, dtype=float)
-    if lat.shape != (instance.n_links,):
-        raise DimensionMismatch(f"expected {instance.n_links} link latencies")
-    if not np.isfinite(lat).all():
-        raise DomainError(f"link latencies must be finite, got {lat}")
-    return lat
+def check_leader_flows(instance: GameInstance, s: np.ndarray) -> np.ndarray:
+    """``s`` as a vector of leader link flows, checked: DimensionMismatch on a
+    wrong shape, NegativeFlow on a NaN, infinite or negative entry."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (instance.n_links,):
+        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
+    bad = s[~(np.isfinite(s) & (s >= 0.0))]
+    if bad.size:
+        raise NegativeFlow(f"leader link flows must be finite and nonnegative: {bad[0]}")
+    return s
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[int]:
@@ -127,13 +126,19 @@ def _block_gap(
 
 
 def shortest_paths(
-    instance: GameInstance, link_latencies
+    instance: GameInstance, link_latencies: np.ndarray
 ) -> dict[ODPair, tuple[Path, float]]:
-    """Minimum-latency path per O/D pair at the given link latencies.
+    """Minimum-latency path per O/D pair at the given vector of link latencies.
 
+    The latencies are indexed like ``instance.links`` and must be finite.
     Ties are broken by path-set order, so results are reproducible.
     """
-    path_lat = instance.incidence.T @ _latency_vector(instance, link_latencies)
+    lat = np.asarray(link_latencies, dtype=float)
+    if lat.shape != (instance.n_links,):
+        raise DimensionMismatch(f"expected {instance.n_links} link latencies")
+    if not np.isfinite(lat).all():
+        raise DomainError(f"link latencies must be finite, got {lat}")
+    path_lat = instance.incidence.T @ lat
     return {
         od: (instance.paths.all_paths[j], float(path_lat[j]))
         for od, j in zip(instance.od_pairs, _cheapest(instance, path_lat))
@@ -255,14 +260,11 @@ def follower_equilibrium(
     Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l] over
     the human feasibility polytope. Link flows at the optimum are unique
     (h_l > 0); the returned path decomposition is the solver's incumbent.
-    Never raises on non-convergence: the result carries the best iterate
-    with ``converged=False``.
+    Raises on a leader flow that is not a finite nonnegative link vector
+    (``check_leader_flows``), but never on non-convergence: the result
+    carries the best iterate with ``converged=False``.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (instance.n_links,):
-        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
-    if s.min(initial=0.0) < 0.0:
-        raise NegativeFlow(f"negative leader link flow: {s.min()}")
+    s = check_leader_flows(instance, s)
     demands = instance.human_demands
     lin = instance.a * s + instance.b
     if initial is None:
@@ -285,21 +287,18 @@ def follower_equilibrium(
     )
 
 
-def wardrop_gap(instance: GameInstance, s: np.ndarray, t) -> float:
-    """Relative Wardrop gap of a human flow under a fixed leader flow.
+def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
+    """Relative Wardrop gap of human path flows ``t`` under leader link flows ``s``.
 
     Zero iff every used path of every O/D pair has minimum latency. Defined
-    as 0 when the human demand (hence total cost) vanishes, NaN when a flow
-    is NaN.
+    as 0 when the human demand (hence total cost) vanishes, NaN when a human
+    flow is NaN; ``s`` is checked by ``check_leader_flows``.
     """
-    s = np.asarray(s, dtype=float)
-    if isinstance(t, ClassFlow):
-        t_path = t.path_flows_h
-    else:
-        t_path = np.asarray(t, dtype=float)
-    if s.shape != (instance.n_links,) or t_path.shape != (instance.n_paths,):
-        raise DimensionMismatch("leader link flows / human path flows have wrong shape")
-    t_link = instance.incidence @ t_path
+    s = check_leader_flows(instance, s)
+    t = np.asarray(t, dtype=float)
+    if t.shape != (instance.n_paths,):
+        raise DimensionMismatch(f"human path flows must have shape ({instance.n_paths},)")
+    t_link = instance.incidence @ t
     return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0]
 
 

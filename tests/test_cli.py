@@ -206,3 +206,22 @@ class TestUsageErrors:
 
     def test_bad_kind(self, capsys):
         assert run(["curves", "--kind", "nope"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--kind", "poa-bounds", "--mu", "abc"], 64),
+            (["--kind", "poa-bounds", "--mu", "0.5,,0.7"], 64),
+            (["--kind", "omega-vs-gamma", "--alpha", "0"], 1),
+            (["--kind", "omega-vs-gamma", "--lam", "nan"], 1),
+            (["--kind", "poa-bounds", "--grid", "nan:1:0.1"], 64),
+            (["--kind", "poa-bounds", "--grid", "0:inf:0.1"], 64),
+        ],
+        ids=["mu-not-a-number", "mu-empty-entry", "alpha-zero", "lam-nan", "grid-nan", "grid-inf"],
+    )
+    def test_bad_curve_input(self, argv, code, capsys):
+        assert run(["curves", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
-from scaleroute.harness import _face_minimum, format_float, region_alpha_intervals, report_to_csv
+from scaleroute.harness import (
+    MAX_LINKS,
+    MAX_NODES,
+    MAX_OD_PAIRS,
+    _face_minimum,
+    format_float,
+    region_alpha_intervals,
+    report_to_csv,
+)
 
 from conftest import make_pigou, make_two_identical
 from test_solvers import optimal_grid_two_links
@@ -218,9 +226,9 @@ class TestRandomInstance:
             # re-validating the same description must succeed
             rebuilt = sr.build_instance(instance.nodes, instance.links, instance.od_pairs, instance.path_cap)
             assert rebuilt.n_paths == instance.n_paths
-            assert len(instance.links) <= shape.max_links
-            assert len(instance.od_pairs) <= shape.max_od_pairs
-            assert len(instance.nodes) <= shape.max_nodes
+            assert len(instance.links) <= MAX_LINKS
+            assert len(instance.od_pairs) <= MAX_OD_PAIRS
+            assert len(instance.nodes) <= MAX_NODES
 
     def test_parallel_shape(self):
         shape = sr.ShapeConfig(parallel_probability=1.0)

@@ -154,8 +154,8 @@ class TestEnumeratePaths:
             sr.build_instance(nodes, links, [sr.ODPair("n0", "n7", 1.0, 0.5)], path_cap=100)
 
     def test_enumeration_is_deterministic(self, braess):
-        first = sr.enumerate_paths(braess)
-        second = sr.enumerate_paths(braess)
+        first = sr.enumerate_paths(braess.links, braess.od_pairs, braess.path_cap)
+        second = sr.enumerate_paths(braess.links, braess.od_pairs, braess.path_cap)
         assert first.all_paths == second.all_paths
         assert first.od_slices == second.od_slices
 

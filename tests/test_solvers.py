@@ -14,6 +14,7 @@ from scaleroute.solvers import (
     _block_gap,
     _multistart_points,
     _relative_gap,
+    _solve_quadratic_block,
 )
 
 from conftest import make_braess, make_pigou, make_two_identical
@@ -85,11 +86,6 @@ class TestShortestPaths:
         assert path.nodes == ("1", "2", "3", "4")
         assert latency == pytest.approx(2.0)
 
-    def test_accepts_mapping(self, braess):
-        by_id = {link.id: link.b for link in braess.links}
-        path, _ = sr.shortest_paths(braess, by_id)[braess.od_pairs[0]]
-        assert path.nodes == ("1", "2", "3", "4")
-
     def test_two_pairs(self):
         instance = make_two_pairs()
         # latencies p, q, u, v: the second pair's cheapest path is its second one
@@ -159,19 +155,25 @@ class TestFollowerEquilibrium:
         assert result.flow.link_flows_h == pytest.approx([0.0, 0.0])
 
     def test_nan_leader_flow_never_converges(self, pigou):
-        result = sr.follower_equilibrium(
-            pigou, np.array([np.nan, 0.0]), sr.SolverConfig(max_iterations=3)
-        )
-        assert not result.converged
+        with pytest.raises(sr.NegativeFlow):
+            sr.follower_equilibrium(pigou, np.array([np.nan, 0.0]), sr.SolverConfig(max_iterations=3))
 
     def test_nan_leader_flow_stops_at_once(self, pigou):
-        # the default budget of 50,000 iterations is not spent on NaN input
-        result = sr.follower_equilibrium(pigou, np.array([np.nan, 0.0]))
-        assert result.iterations == 0
-        assert math.isnan(result.relative_gap)
-        assert not result.converged
+        # rejected before the default budget of 50,000 iterations is touched
+        with pytest.raises(sr.NegativeFlow):
+            sr.follower_equilibrium(pigou, np.array([np.nan, 0.0]))
+
+    def test_nan_gradient_stops_at_once(self, pigou):
+        # the solver's own guard: a NaN gradient ends the solve before any step
+        demands = pigou.human_demands
+        x0, _ = _all_or_nothing(pigou, pigou.b, demands)
+        lin = np.array([np.nan, 1.0])
+        sol = _solve_quadratic_block(pigou, demands, pigou.h, lin, x0, 1e-8, 50_000)
+        assert sol.iterations == 0
+        assert math.isnan(sol.gap)
+        assert not sol.converged
         # the reported flow is the finite all-or-nothing start
-        assert np.isfinite(result.flow.path_flows_h).all()
+        assert np.array_equal(sol.x, x0)
 
     def test_overflowing_start_recovers(self):
         # g.x overflows at the all-or-nothing start, so its gap is NaN, but the
@@ -206,6 +208,31 @@ class TestFollowerEquilibrium:
         assert result.iterations == 2
         assert math.isnan(result.relative_gap)
         assert not result.converged
+
+
+class TestLeaderFlowCheck:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            sr.follower_equilibrium,
+            sr.oracle_nash,
+            lambda instance, s: sr.wardrop_gap(instance, s, np.array([0.5, 0.0])),
+        ],
+        ids=["follower", "oracle", "gap"],
+    )
+    @pytest.mark.parametrize(
+        "s, error",
+        [
+            ([np.nan, 0.25], sr.NegativeFlow),
+            ([np.inf, 0.25], sr.NegativeFlow),
+            ([-1.0, 0.1], sr.NegativeFlow),
+            ([0.25, 0.25, 0.0], sr.DimensionMismatch),
+        ],
+        ids=["nan", "inf", "negative", "wrong-length"],
+    )
+    def test_rejected(self, pigou, solve, s, error):
+        with pytest.raises(error):
+            solve(pigou, np.array(s))
 
 
 class TestWardropGap:
