@@ -44,6 +44,7 @@ EXIT_VERIFY_FAILED = 3
 EXIT_USAGE = 64
 
 _CURVE_KINDS = ("omega-vs-gamma", "omega-vs-lambda", "constraint-sets", "poa-bounds")
+_MAX_GRID_POINTS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -62,7 +63,8 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative gap tolerance")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iterations,
                         help="iteration budget; the system optimum (solve-optimal, play, verify) gets it "
-                        "per start, and its iteration is one step of each class")
+                        "per start; an iteration is a round in which each class not yet within "
+                        "tolerance steps once")
     parser.add_argument("--seed", type=int, default=SolverConfig.seed,
                         help="seed for multistart and generation")
 
@@ -109,8 +111,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"--grid expects lo:hi:step, got {text!r}") from None
     if not (step > 0 and lo <= hi and math.isfinite(hi - lo + step)):
         raise _UsageError(f"--grid expects finite lo <= hi and step > 0, got {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    steps = (hi - lo) / step  # inf when the ratio overflows
+    if not steps < _MAX_GRID_POINTS - 0.5:  # checked before the grid is allocated
+        raise _UsageError(f"--grid allows at most {_MAX_GRID_POINTS} points, got {text!r}")
+    return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def _cmd_validate(args) -> int:

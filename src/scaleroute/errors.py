@@ -73,7 +73,7 @@ class EmptyDemand(ScalerouteError):
 class NotConverged(ScalerouteError):
     """A solver failed to reach its gap tolerance within the iteration budget.
 
-    Carries the best iterate so callers can inspect or reuse it.
+    Carries the unconverged result so callers can inspect or reuse it.
     """
 
     def __init__(self, message: str, result=None):

@@ -36,11 +36,12 @@ from .model import (
     Link,
     ODPair,
     build_instance,
+    check_leader_flows,
     min_asymmetry,
     network_autonomy_fraction,
     social_cost_links,
 )
-from .solvers import SolverConfig, check_leader_flows, wardrop_gap
+from .solvers import SolverConfig, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6

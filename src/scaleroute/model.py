@@ -43,6 +43,14 @@ FEASIBILITY_TOL = 1e-9
 AGGREGATION_TOL = 1e-12
 
 
+def check_flows(values: np.ndarray, what: str) -> None:
+    """Raise NegativeFlow unless every entry of the flow vector ``values`` is
+    finite and at least ``-AGGREGATION_TOL``; ``what`` names it in the message."""
+    bad = values[~(np.isfinite(values) & (values >= -AGGREGATION_TOL))]
+    if bad.size:
+        raise NegativeFlow(f"{what} must be finite and nonnegative: {bad[0]}")
+
+
 @dataclass(frozen=True)
 class Link:
     """Directed link with affine two-class latency a*fa + h*fh + b.
@@ -243,10 +251,8 @@ class ClassFlow:
             raise DimensionMismatch(
                 f"path flow vectors must have shape ({instance.n_paths},)"
             )
-        for name, vec in (("autonomous", fa), ("human", fh)):
-            bad = vec[~(np.isfinite(vec) & (vec >= -AGGREGATION_TOL))]
-            if bad.size:
-                raise NegativeFlow(f"{name} path flows must be finite and nonnegative: {bad[0]}")
+        check_flows(fa, "autonomous path flows")
+        check_flows(fh, "human path flows")
         fa = np.maximum(fa, 0.0)
         fh = np.maximum(fh, 0.0)
         flow = cls(
@@ -592,13 +598,13 @@ def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> Stackelber
     The global check compares the total leader flow with alpha times the
     total demand; the weak-strategy flag additionally requires every O/D
     pair's leader flow to meet an alpha fraction of that pair's demand. Both
-    hold up to ``FEASIBILITY_TOL``.
+    hold up to ``FEASIBILITY_TOL``. Raises NegativeFlow on a NaN, infinite or
+    negative entry (``check_flows``).
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (instance.n_paths,):
         raise DimensionMismatch(f"leader path flows must have shape ({instance.n_paths},)")
-    if s.min(initial=0.0) < -AGGREGATION_TOL:
-        raise NegativeFlow(f"negative leader path flow: {s.min()}")
+    check_flows(s, "leader path flows")
     alpha = network_autonomy_fraction(instance)
     demands = instance.demands
     per_pair = np.empty(len(instance.od_pairs))
@@ -613,10 +619,19 @@ def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> Stackelber
     )
 
 
+def check_leader_flows(instance: GameInstance, s: np.ndarray) -> np.ndarray:
+    """``s`` as a vector of leader link flows, checked: DimensionMismatch on a
+    wrong shape, NegativeFlow on a NaN, infinite or negative entry
+    (``check_flows``)."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (instance.n_links,):
+        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
+    check_flows(s, "leader link flows")
+    return s
+
+
 def is_opt_restricted(instance: GameInstance, s_links: np.ndarray, fstar: ClassFlow) -> bool:
     """True iff the leader link flow never exceeds the optimal total link flow
-    (up to ``FEASIBILITY_TOL``)."""
-    s_links = np.asarray(s_links, dtype=float)
-    if s_links.shape != (instance.n_links,):
-        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
+    (up to ``FEASIBILITY_TOL``). The flow is checked by ``check_leader_flows``."""
+    s_links = check_leader_flows(instance, s_links)
     return bool(np.all(s_links <= fstar.total_link_flows + FEASIBILITY_TOL))

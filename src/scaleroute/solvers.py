@@ -1,22 +1,27 @@
 """Flow solvers: shortest paths, induced human equilibrium, system optimum.
 
-Both solvers are conditional-gradient methods over the enumerated path
-polytope, built from one step (``_block_step``): an all-or-nothing
-assignment to current shortest paths as the search direction, an exact
-closed-form line search (every objective here is quadratic along a segment),
-then a pairwise vertex-exchange sweep, moving mass from the worst used path
-of each O/D pair to its best path, which removes the sublinear tail of plain
-conditional gradient and lets tight gap tolerances be reached on small
-networks.
+Both solvers run one loop (``_descend``): block-coordinate descent over the
+enumerated path polytope of each class block, where block k minimizes
+``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by the other
+blocks. A round gives each block in turn one step (``_block_step``) unless its
+gap is already within tolerance: an all-or-nothing assignment to current
+shortest paths as the search direction, an exact closed-form line search
+(every objective here is quadratic along a segment), then a pairwise
+vertex-exchange sweep, moving mass from the worst used path of each O/D pair
+to its best path, which removes the sublinear tail of plain conditional
+gradient and lets tight gap tolerances be reached on small networks. The
+loop ends after a round that moves no path flow. In both solvers an
+iteration is a round that tried a step, and the trace holds the objective at
+the start of each round, so its last entry is the returned point.
 
-The human equilibrium minimizes the convex potential
-``sum_l [ h_l t_l^2 / 2 + (a_l s_l + b_l) t_l ]`` whose gradient is exactly
-the link latency under a fixed leader flow, so the conditional-gradient gap
-coincides with the Wardrop relative gap. The system optimum is nonconvex in
-the joint class flows whenever a_l != h_l, but strictly convex in each class
-separately; from each multistart point, one loop makes a step of the
-autonomous class and then a step of the human class per iteration, on
-shared link flows.
+The human equilibrium is the loop with one block: it minimizes the convex
+potential ``sum_l [ h_l t_l^2 / 2 + (a_l s_l + b_l) t_l ]`` whose gradient is
+exactly the link latency under a fixed leader flow, so the
+conditional-gradient gap coincides with the Wardrop relative gap. The system
+optimum is nonconvex in the joint class flows whenever a_l != h_l, but
+strictly convex in each class separately; it runs the loop with the
+autonomous and the human block from each multistart point, on shared link
+flows.
 
 Every convergence test uses one relative gap. For a block with link
 gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
@@ -31,11 +36,12 @@ its two block gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NegativeFlow
-from .model import ClassFlow, GameInstance, ODPair, Path, social_cost_links
+from .errors import DimensionMismatch, DomainError
+from .model import ClassFlow, GameInstance, ODPair, Path, check_leader_flows, social_cost_links
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
@@ -62,8 +68,11 @@ class EquilibriumResult:
     """Solver output: flow, objective value, certificate and iteration trace.
 
     ``potential_or_cost`` is the final potential (human equilibrium) or the
-    social cost (system optimum). ``trace`` records the objective once per
-    outer iteration and is nonincreasing by construction.
+    social cost (system optimum). ``iterations`` counts the rounds of
+    ``_descend`` that tried a step (summed over the starts of the system
+    optimum). ``trace`` records the objective at the start of each round of
+    the returned run, so its last entry is the returned point; it is
+    nonincreasing by construction.
     """
 
     flow: ClassFlow
@@ -72,18 +81,6 @@ class EquilibriumResult:
     iterations: int
     converged: bool
     trace: tuple[float, ...] = ()
-
-
-def check_leader_flows(instance: GameInstance, s: np.ndarray) -> np.ndarray:
-    """``s`` as a vector of leader link flows, checked: DimensionMismatch on a
-    wrong shape, NegativeFlow on a NaN, infinite or negative entry."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (instance.n_links,):
-        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
-    bad = s[~(np.isfinite(s) & (s >= 0.0))]
-    if bad.size:
-        raise NegativeFlow(f"leader link flows must be finite and nonnegative: {bad[0]}")
-    return s
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[int]:
@@ -145,25 +142,17 @@ def shortest_paths(
     }
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockSolution:
-    x: np.ndarray
-    gap: float
-    iterations: int
-    converged: bool
-    trace: tuple[float, ...]
-    objective: float
-
-
 def _block_step(
     instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
     x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray,
-) -> None:
+) -> bool:
     """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l], in place on
     path flows ``x`` with link flows ``x_link``, gradient ``g`` and all-or-nothing
     load ``y`` (``_block_gap``): a conditional-gradient step with exact line search,
-    then one pairwise-exchange sweep. Neither raises the block objective."""
+    then one pairwise-exchange sweep. Neither raises the block objective. Returns
+    whether any path flow changed, bit for bit."""
     inc = instance.incidence
+    x_entry = x.tobytes()
     d = y - x
     d_link = inc @ d
     denom = float(np.dot(quad, d_link * d_link))
@@ -196,94 +185,87 @@ def _block_step(
         x[jw] -= delta  # delta <= x[jw], so this stays >= 0
         x_link = x_link + delta * col
         g = quad * x_link + lin
+    return x.tobytes() != x_entry
 
 
-def _solve_quadratic_block(
+def _descend(
     instance: GameInstance,
-    demands: np.ndarray,
-    quad: np.ndarray,
-    lin: np.ndarray,
-    x0: np.ndarray,
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
+    flows: tuple[np.ndarray, ...],
+    lin: Callable[[int, list[np.ndarray]], np.ndarray],
+    objective: Callable[[list[np.ndarray]], float],
     tol: float,
     max_iterations: int,
-) -> _BlockSolution:
-    """Minimize sum_l [quad_l x_l^2 / 2 + lin_l x_l] over the path polytope.
+) -> tuple[float, int, tuple[float, ...]]:
+    """Block-coordinate descent, in place on the path flows ``flows[k]`` of each
+    block ``blocks[k] = (demands, quad)``.
 
-    quad must be elementwise positive (strict convexity in link flows); the
-    gradient quad*x + lin is then nonnegative whenever lin >= 0, keeping the
-    shortest-path subproblems well posed. A step that leaves the path flows
-    unchanged ends the solve, since every later iterate would repeat it.
+    Block k minimizes sum_l [quad_l x_l^2 / 2 + lin(k, links)_l x_l] over its
+    path polytope, where ``links`` holds the link flows of all blocks. In each
+    round, each block in turn measures its gap (``_block_gap``) and takes one
+    ``_block_step`` unless the gap is within ``tol``, ``max_iterations`` rounds
+    have already tried a step, or the gap is NaN at a non-finite gradient. The
+    descent ends after a round that changes no path flow, since every later
+    round would repeat it; the gaps of that round are therefore measured at
+    the returned point.
+
+    Returns the largest block gap (NaN if any is NaN), the number of rounds
+    that tried a step, and ``objective(links)`` at the start of each round.
     """
-    x = np.array(x0, dtype=float)
-    best_x, best_gap = x.copy(), np.inf
+    inc = instance.incidence
+    links = [inc @ f for f in flows]
+    gaps = [0.0] * len(blocks)
     trace: list[float] = []
     iterations = 0
-
-    def objective(x_link: np.ndarray) -> float:
-        return float(0.5 * np.dot(quad, x_link * x_link) + np.dot(lin, x_link))
-
     while True:
-        x_link = instance.incidence @ x
-        g = quad * x_link + lin
-        gap, y = _block_gap(instance, demands, g, x_link)
-        trace.append(objective(x_link))
-        if gap < best_gap:
-            best_gap, best_x = gap, x.copy()
-        if gap <= tol or iterations >= max_iterations:
-            break
-        if gap != gap and not np.isfinite(g).all():  # no later gap can be a number
-            break
-        iterations += 1
-        x_prev = x.copy()
-        _block_step(instance, demands, quad, lin, x, x_link, g, y)
-        if np.array_equal(x, x_prev):  # the state repeats, so no later gap can differ
-            break
-
-    return _BlockSolution(
-        x=best_x,
-        gap=best_gap if best_gap < np.inf else np.nan,  # inf: no gap was a number
-        iterations=iterations,
-        converged=best_gap <= tol,
-        trace=tuple(trace),
-        objective=objective(instance.incidence @ best_x),
-    )
+        trace.append(objective(links))
+        budget_left = iterations < max_iterations
+        tried = moved = False
+        for k, (demands, quad) in enumerate(blocks):
+            lin_k = lin(k, links)
+            g = quad * links[k] + lin_k
+            gaps[k], y = _block_gap(instance, demands, g, links[k])
+            stuck = gaps[k] != gaps[k] and not np.isfinite(g).all()  # no later gap can be a number
+            if gaps[k] <= tol or not budget_left or stuck:
+                continue
+            tried = True
+            if _block_step(instance, demands, quad, lin_k, flows[k], links[k], g, y):
+                moved = True
+                links[k] = inc @ flows[k]
+        iterations += tried
+        if not moved:
+            return float(np.max(gaps)), iterations, tuple(trace)
 
 
 def follower_equilibrium(
-    instance: GameInstance,
-    s: np.ndarray,
-    config: SolverConfig = SolverConfig(),
-    initial: np.ndarray | None = None,
+    instance: GameInstance, s: np.ndarray, config: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
     """Wardrop equilibrium of the human class under a fixed leader link flow.
 
     Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l] over
-    the human feasibility polytope. Link flows at the optimum are unique
-    (h_l > 0); the returned path decomposition is the solver's incumbent.
-    Raises on a leader flow that is not a finite nonnegative link vector
-    (``check_leader_flows``), but never on non-convergence: the result
-    carries the best iterate with ``converged=False``.
+    the human feasibility polytope by ``_descend`` with one block, from the
+    all-or-nothing load at the latencies of zero human flow.
+    Link flows at the optimum are unique (h_l > 0); the path decomposition is
+    the solver's. Raises on a leader flow that is not a finite nonnegative
+    link vector (``check_leader_flows``), but never on non-convergence: the
+    result then carries the last iterate with ``converged=False``.
     """
     s = check_leader_flows(instance, s)
-    demands = instance.human_demands
+    demands, h = instance.human_demands, instance.h
     lin = instance.a * s + instance.b
-    if initial is None:
-        x0, _ = _all_or_nothing(instance, instance.incidence.T @ lin, demands)
-    else:
-        x0 = np.asarray(initial, dtype=float)
-        if x0.shape != (instance.n_paths,):
-            raise DimensionMismatch(f"initial path flows must have shape ({instance.n_paths},)")
-    sol = _solve_quadratic_block(
-        instance, demands, instance.h, lin, x0, config.relative_gap_tol, config.max_iterations
+    t, _ = _all_or_nothing(instance, instance.incidence.T @ lin, demands)
+    gap, iterations, trace = _descend(
+        instance, ((demands, h),), (t,), lambda k, links: lin,
+        lambda links: float(0.5 * np.dot(h, links[0] * links[0]) + np.dot(lin, links[0])),
+        config.relative_gap_tol, config.max_iterations,
     )
-    flow = ClassFlow.from_path_flows(instance, np.zeros(instance.n_paths), sol.x)
     return EquilibriumResult(
-        flow=flow,
-        potential_or_cost=sol.objective,
-        relative_gap=sol.gap,
-        iterations=sol.iterations,
-        converged=sol.converged,
-        trace=sol.trace,
+        flow=ClassFlow.from_path_flows(instance, np.zeros(instance.n_paths), t),
+        potential_or_cost=trace[-1],
+        relative_gap=gap,
+        iterations=iterations,
+        converged=gap <= config.relative_gap_tol,
+        trace=trace,
     )
 
 
@@ -330,48 +312,30 @@ def system_optimal(
     """Two-class flow approximately minimizing the social cost.
 
     From each distinct point among 16 fixed start draws seeded by
-    ``config.seed`` (``_multistart_points``), each iteration makes one step of
-    the autonomous block at the current human flow, then one of the human block
-    at the new autonomous flow (class-a block gradient 2 a fa + (a+h) fh + b,
-    symmetrically for class h), and records the social cost. A start ends when
-    both step-entry gaps and both block gaps at the new point are within
-    tolerance, at a NaN gap, or after ``config.max_iterations`` iterations;
-    ``iterations`` sums them over the starts. Returns the best local optimum
-    found; ``relative_gap`` is the larger of the two block gaps at that point,
-    so convergence certifies block-wise optimality only.
+    ``config.seed`` (``_multistart_points``), ``_descend`` runs with two
+    blocks: each round steps the autonomous block at the current human flow,
+    then the human block at the new autonomous flow (class-a block gradient
+    2 a fa + (a+h) fh + b, symmetrically for class h), skipping a block whose
+    gap is within tolerance. ``config.max_iterations`` bounds the rounds of
+    each start that try a step, and ``iterations`` sums them over the starts. Returns the
+    lowest-cost end point, the first on near-ties; ``relative_gap`` is the
+    larger of the two block gaps at that point, so convergence certifies
+    block-wise optimality only.
     """
     ah, b = instance.a + instance.h, instance.b
     blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
-    inc = instance.incidence
     tol = config.relative_gap_tol
 
     best = None
     total_iterations = 0
-    for flows in _multistart_points(instance, config.seed):  # _block_step moves them in place
-        links = [inc @ f for f in flows]
-        trace: list[float] = []
-        while True:
-            entry_gaps = []
-            for k, (demands, quad) in enumerate(blocks):  # k = 0 autonomous, 1 human
-                lin = ah * links[1 - k] + b
-                g = quad * links[k] + lin
-                gap, y = _block_gap(instance, demands, g, links[k])
-                _block_step(instance, demands, quad, lin, flows[k], links[k], g, y)
-                links[k] = inc @ flows[k]
-                entry_gaps.append(gap)
-            trace.append(social_cost_links(instance, *links))
-            entry = np.maximum(*entry_gaps)  # NaN if either gap is NaN
-            stop = entry != entry or len(trace) >= config.max_iterations
-            if entry <= tol or stop:
-                gap = float(np.maximum(*(
-                    _block_gap(instance, demands, quad * links[k] + (ah * links[1 - k] + b), links[k])[0]
-                    for k, (demands, quad) in enumerate(blocks)
-                )))
-                if gap <= tol or gap != gap or stop:
-                    break
-        total_iterations += len(trace)
+    for flows in _multistart_points(instance, config.seed):  # _descend moves them in place
+        gap, iterations, trace = _descend(
+            instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
+            lambda links: social_cost_links(instance, *links), tol, config.max_iterations,
+        )
+        total_iterations += iterations
         if best is None or trace[-1] < best[0] - 1e-15:
-            best = (trace[-1], flows, gap, tuple(trace))
+            best = (trace[-1], flows, gap, trace)
 
     cost, flows, gap, trace = best
     return EquilibriumResult(

@@ -216,8 +216,11 @@ class TestUsageErrors:
             (["--kind", "omega-vs-gamma", "--lam", "nan"], 1),
             (["--kind", "poa-bounds", "--grid", "nan:1:0.1"], 64),
             (["--kind", "poa-bounds", "--grid", "0:inf:0.1"], 64),
+            # rejected before any allocation: 1e36 points
+            (["--kind", "poa-bounds", "--grid", "0:1e30:1e-6"], 64),
         ],
-        ids=["mu-not-a-number", "mu-empty-entry", "alpha-zero", "lam-nan", "grid-nan", "grid-inf"],
+        ids=["mu-not-a-number", "mu-empty-entry", "alpha-zero", "lam-nan", "grid-nan", "grid-inf",
+             "grid-too-large"],
     )
     def test_bad_curve_input(self, argv, code, capsys):
         assert run(["curves", *argv]) == code

@@ -335,6 +335,14 @@ class TestStackelbergChecks:
         assert not sr.is_opt_restricted(pigou, doubled, opt.flow)
         assert sr.is_opt_restricted(pigou, np.zeros(2), opt.flow)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_leader_flow_rejected(self, pigou, value):
+        s = np.array([value, 0.5])
+        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+            sr.is_stackelberg_feasible(pigou, s)
+        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+            sr.is_opt_restricted(pigou, s, sr.system_optimal(pigou).flow)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

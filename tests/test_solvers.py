@@ -12,9 +12,9 @@ from scaleroute.solvers import (
     _MULTISTARTS,
     _all_or_nothing,
     _block_gap,
+    _descend,
     _multistart_points,
     _relative_gap,
-    _solve_quadratic_block,
 )
 
 from conftest import make_braess, make_pigou, make_two_identical
@@ -61,6 +61,16 @@ def make_two_pairs():
             sr.Link("v", "2", "3", 1.0, 1.0, 0.0),
         ],
         [sr.ODPair("1", "2", 2.0, 1.0), sr.ODPair("2", "3", 1.0, 0.0)],
+    )
+
+
+def descend_block(instance, demands, quad, lin, x, config=sr.SolverConfig()):
+    """``_descend`` on one block with the constant linear term ``lin``, in place on
+    path flows ``x``: its gap, iterations and trace."""
+    return _descend(
+        instance, ((demands, quad),), (x,), lambda k, links: lin,
+        lambda links: float(0.5 * np.dot(quad, links[0] * links[0]) + np.dot(lin, links[0])),
+        config.relative_gap_tol, config.max_iterations,
     )
 
 
@@ -167,13 +177,13 @@ class TestFollowerEquilibrium:
         # the solver's own guard: a NaN gradient ends the solve before any step
         demands = pigou.human_demands
         x0, _ = _all_or_nothing(pigou, pigou.b, demands)
-        lin = np.array([np.nan, 1.0])
-        sol = _solve_quadratic_block(pigou, demands, pigou.h, lin, x0, 1e-8, 50_000)
-        assert sol.iterations == 0
-        assert math.isnan(sol.gap)
-        assert not sol.converged
+        x = x0.copy()
+        gap, iterations, _ = descend_block(pigou, demands, pigou.h, np.array([np.nan, 1.0]), x)
+        assert iterations == 0
+        assert math.isnan(gap)
+        assert not gap <= sr.SolverConfig().relative_gap_tol
         # the reported flow is the finite all-or-nothing start
-        assert np.array_equal(sol.x, x0)
+        assert np.array_equal(x, x0)
 
     def test_overflowing_start_recovers(self):
         # g.x overflows at the all-or-nothing start, so its gap is NaN, but the
@@ -309,12 +319,13 @@ class TestSystemOptimal:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_overflow_stops_unconverged(self, alpha):
         # finite demand whose cost overflows: a NaN block gap is no certificate,
-        # and it ends each start after one sweep instead of spending the budget
+        # and each start ends after its second round, which moves no flow,
+        # instead of spending the budget
         with np.errstate(over="ignore", invalid="ignore"):
             result = sr.system_optimal(make_pigou(alpha=alpha, demand=1e160))
         assert not result.converged
         assert math.isnan(result.relative_gap)
-        assert len(result.trace) == 1
+        assert len(result.trace) == 2
         assert result.iterations < sr.SolverConfig().max_iterations
 
     @pytest.mark.parametrize(
@@ -327,12 +338,31 @@ class TestSystemOptimal:
         assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
     @pytest.mark.parametrize(
-        "make", [make_braess, lambda: sr.random_instance(118, sr.ShapeConfig())],
+        "make, iterations, trace_length",
+        [(make_braess, 16, 3), (lambda: sr.random_instance(118, sr.ShapeConfig()), 773, 2)],
         ids=["braess", "seed118"],
     )
-    def test_gap_is_block_gap_at_result(self, make):
+    def test_pinned_runs(self, make, iterations, trace_length):
+        # pinned rounds of the shared descent: an edit to its round rule fails here
+        result = sr.system_optimal(make())
+        assert result.converged
+        assert result.iterations == iterations
+        assert len(result.trace) == trace_length
+
+    @pytest.mark.parametrize(
+        "make, config",
+        [
+            (make_braess, sr.SolverConfig()),
+            (lambda: sr.random_instance(118, sr.ShapeConfig()), sr.SolverConfig()),
+            # the budget, not convergence, ends every start
+            (lambda: sr.random_instance(15, sr.ShapeConfig()),
+             sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)),
+        ],
+        ids=["braess", "seed118", "seed15-budget"],
+    )
+    def test_gap_is_block_gap_at_result(self, make, config):
         instance = make()
-        result = sr.system_optimal(instance)
+        result = sr.system_optimal(instance, config)
         fa, fh = result.flow.link_flows_a, result.flow.link_flows_h
         ah, b = instance.a + instance.h, instance.b
         gap_a, _ = _block_gap(instance, instance.auto_demands, 2.0 * instance.a * fa + (ah * fh + b), fa)
@@ -345,7 +375,8 @@ class TestSystemOptimal:
         config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
         result = sr.system_optimal(instance, config)
         assert result.iterations == 3 * len(_multistart_points(instance, config.seed))
-        assert len(result.trace) == 3
+        # the start's cost, three stepping rounds, and the round that finds the budget spent
+        assert len(result.trace) == 4
         assert not result.converged
 
 
@@ -385,15 +416,15 @@ class TestSolverProperties:
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
     def test_link_flow_uniqueness_across_starts(self, braess):
+        # the follower's descent from two other starts: the uniform split and a vertex
         uniform = np.full(braess.n_paths, 1.0 / braess.n_paths) * braess.human_demands[0]
         r1 = sr.follower_equilibrium(braess, np.zeros(5))
-        r2 = sr.follower_equilibrium(braess, np.zeros(5), initial=uniform)
         vertex = np.zeros(braess.n_paths)
         vertex[2] = braess.human_demands[0]
-        r3 = sr.follower_equilibrium(braess, np.zeros(5), initial=vertex)
-        for other in (r2, r3):
-            assert other.converged
-            assert np.max(np.abs(r1.flow.link_flows_h - other.flow.link_flows_h)) <= 1e-6
+        for t in (uniform, vertex):
+            gap, _, _ = descend_block(braess, braess.human_demands, braess.h, braess.b, t)
+            assert gap <= sr.SolverConfig().relative_gap_tol
+            assert np.max(np.abs(r1.flow.link_flows_h - braess.incidence @ t)) <= 1e-6
 
     def test_block_optimality_at_system_result(self, pigou):
         config = sr.SolverConfig()
@@ -401,22 +432,20 @@ class TestSolverProperties:
         fa, fh = result.flow.path_flows_a, result.flow.path_flows_h
         base = result.potential_or_cost
         # re-solving either class block must not improve the cost materially
-        from scaleroute.solvers import _solve_quadratic_block
-
         fh_link = pigou.incidence @ fh
-        sol_a = _solve_quadratic_block(
-            pigou, pigou.auto_demands, 2.0 * pigou.a, (pigou.a + pigou.h) * fh_link + pigou.b,
-            fa, config.relative_gap_tol, config.max_iterations,
+        xa = fa.copy()
+        descend_block(
+            pigou, pigou.auto_demands, 2.0 * pigou.a, (pigou.a + pigou.h) * fh_link + pigou.b, xa, config
         )
-        flow_a = sr.ClassFlow.from_path_flows(pigou, sol_a.x, fh)
+        flow_a = sr.ClassFlow.from_path_flows(pigou, xa, fh)
         assert sr.social_cost(pigou, flow_a) >= base - config.relative_gap_tol * base
 
         fa_link = pigou.incidence @ fa
-        sol_h = _solve_quadratic_block(
-            pigou, pigou.human_demands, 2.0 * pigou.h, (pigou.a + pigou.h) * fa_link + pigou.b,
-            fh, config.relative_gap_tol, config.max_iterations,
+        xh = fh.copy()
+        descend_block(
+            pigou, pigou.human_demands, 2.0 * pigou.h, (pigou.a + pigou.h) * fa_link + pigou.b, xh, config
         )
-        flow_h = sr.ClassFlow.from_path_flows(pigou, fa, sol_h.x)
+        flow_h = sr.ClassFlow.from_path_flows(pigou, fa, xh)
         assert sr.social_cost(pigou, flow_h) >= base - config.relative_gap_tol * base
 
     def test_demand_scaling_covariance_without_intercepts(self):
