@@ -22,6 +22,7 @@ from .harness import (
     BatchConfig,
     ShapeConfig,
     curve_tables,
+    format_csv,
     format_float,
     report_to_csv,
     verify_bounds,
@@ -45,6 +46,8 @@ EXIT_USAGE = 64
 
 _CURVE_KINDS = ("omega-vs-gamma", "omega-vs-lambda", "constraint-sets", "poa-bounds")
 _MAX_GRID_POINTS = 1_000_000
+#: relative slack on (hi - lo) / step: a last grid point that reaches hi only through rounding counts
+_GRID_RTOL = 1e-9
 
 
 class _UsageError(Exception):
@@ -90,13 +93,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _link_flow_csv(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> str:
-    lines = ["link,flow_a,flow_h,latency"]
-    lat = instance.link_latencies(fa, fh)
-    for i, link in enumerate(instance.links):
-        lines.append(
-            f"{link.id},{format_float(fa[i])},{format_float(fh[i])},{format_float(lat[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    ids = (link.id for link in instance.links)
+    return format_csv("link,flow_a,flow_h,latency", zip(ids, fa, fh, instance.link_latencies(fa, fh)))
 
 
 def _with_uniform_alpha(instance: GameInstance, alpha: float) -> GameInstance:
@@ -111,10 +109,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"--grid expects lo:hi:step, got {text!r}") from None
     if not (step > 0 and lo <= hi and math.isfinite(hi - lo + step)):
         raise _UsageError(f"--grid expects finite lo <= hi and step > 0, got {text!r}")
-    steps = (hi - lo) / step  # inf when the ratio overflows
-    if not steps < _MAX_GRID_POINTS - 0.5:  # checked before the grid is allocated
+    steps = (hi - lo) / step * (1.0 + _GRID_RTOL)  # inf when the ratio overflows
+    if not steps < _MAX_GRID_POINTS:  # checked before the grid is allocated
         raise _UsageError(f"--grid allows at most {_MAX_GRID_POINTS} points, got {text!r}")
-    return np.linspace(lo, hi, int(round(steps)) + 1)
+    return np.minimum(lo + step * np.arange(math.floor(steps) + 1), hi)
 
 
 def _cmd_validate(args) -> int:
@@ -171,21 +169,10 @@ def _cmd_play(args) -> int:
     print(f"wardrop gap: {format_float(outcome.wardrop_gap)}")
     print(f"poa bound: {format_float(bres.bound)} (region {bres.region})")
     if args.out:
-        lines = ["link,opt_flow_a,opt_flow_h,leader_flow,follower_flow"]
-        opt = outcome.optimal_flow
-        for i, link in enumerate(instance.links):
-            lines.append(
-                ",".join(
-                    (
-                        link.id,
-                        format_float(opt.link_flows_a[i]),
-                        format_float(opt.link_flows_h[i]),
-                        format_float(outcome.leader_link_flows[i]),
-                        format_float(outcome.follower_flow.link_flows_h[i]),
-                    )
-                )
-            )
-        _write("\n".join(lines) + "\n", args.out)
+        opt, follower = outcome.optimal_flow, outcome.follower_flow
+        ids = (link.id for link in instance.links)
+        rows = zip(ids, opt.link_flows_a, opt.link_flows_h, outcome.leader_link_flows, follower.link_flows_h)
+        _write(format_csv("link,opt_flow_a,opt_flow_h,leader_flow,follower_flow", rows), args.out)
     return EXIT_OK
 
 
@@ -202,12 +189,8 @@ def _cmd_bound(args) -> int:
         f"alpha2={format_float(t.alpha2)} alpha_tilde={format_float(t.alpha_tilde)}"
     )
     if args.out:
-        _write(
-            "alpha,mu,region,bound,expression\n"
-            f"{format_float(args.alpha)},{format_float(args.mu)},{result.region},"
-            f"{format_float(result.bound)},{result.expression_used}\n",
-            args.out,
-        )
+        row = (args.alpha, args.mu, result.region, result.bound, result.expression_used)
+        _write(format_csv("alpha,mu,region,bound,expression", [row]), args.out)
     return EXIT_OK
 
 

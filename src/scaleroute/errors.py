@@ -50,6 +50,10 @@ class PathExplosion(ValidationError):
     """Simple-path enumeration exceeded the configured cap."""
 
 
+class EmptyDemand(ValidationError):
+    """An instance has no O/D pair."""
+
+
 # --- flow / latency operations -----------------------------------------------
 
 class NegativeFlow(ScalerouteError):
@@ -58,14 +62,6 @@ class NegativeFlow(ScalerouteError):
 
 class UnknownPath(ScalerouteError):
     """A path does not belong to the instance's enumerated path set."""
-
-
-class EmptyNetwork(ScalerouteError):
-    """Operation requires at least one link."""
-
-
-class EmptyDemand(ScalerouteError):
-    """Operation requires at least one O/D pair."""
 
 
 # --- solvers -------------------------------------------------------------------
@@ -108,7 +104,8 @@ class InfeasibleLambda(ScalerouteError):
 # --- validation harness ----------------------------------------------------------
 
 class UnsupportedTopology(ScalerouteError):
-    """The exact oracles support only single-O/D instances of at most three parallel links."""
+    """The instance lies outside the exact oracles' scope: one O/D pair joined by at most
+    ``OracleConfig.max_links`` parallel links (``is_parallel_link``)."""
 
 
 class GenerationFailed(ScalerouteError):

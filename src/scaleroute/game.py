@@ -75,8 +75,6 @@ def scale_strategy(optimal_flow: ClassFlow, alpha: float) -> np.ndarray:
 
 def _uniform_alpha(instance: GameInstance) -> float:
     alphas = instance.alphas
-    if alphas.size == 0:
-        raise HeterogeneousAlpha("instance has no O/D pairs")
     if alphas.max() - alphas.min() > _ALPHA_UNIFORM_TOL:
         raise HeterogeneousAlpha(
             f"O/D autonomy fractions must be uniform, got range "

@@ -1,12 +1,13 @@
-"""Exact oracles, random instances, batch verification and figure data.
+"""Exact oracles, random instances, batch verification, figure data and CSV.
 
-The oracles certify solver output on parallel-link single-O/D instances
-with at most three links. There the social cost and the follower's
-Beckmann potential are quadratics over a product of simplices (one per
-class), and both are minimised exactly by enumerating the faces of that
-product: each face fixes a support per class, and one small KKT solve per
-face gives its stationary point. The global minimum is the lowest feasible
-stationary point, even where the cost is not convex.
+The oracles work on path flows, as the solvers do: the social cost and the
+follower's Beckmann potential are quadratics over a product of simplices,
+one per class and O/D pair, and both are minimised exactly by enumerating
+the faces of that product. Each face fixes a support per simplex, and one
+small KKT solve per face gives its stationary point. The global minimum is
+the lowest feasible stationary point, even where the cost is not convex.
+The face count grows exponentially with the path count, so the oracles are
+scoped to one O/D pair of at most three parallel links (``is_parallel_link``).
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -21,7 +22,7 @@ import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,15 +63,31 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def format_csv(header: str, rows: Iterable[Iterable]) -> str:
+    """CSV text with LF line endings under a comma-separated ``header``: floats
+    through ``format_float``, booleans as true/false, the rest through ``str``."""
+    lines = [header, *(",".join(map(_csv_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 # --- oracles -----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Scope of the exact parallel-link oracles.
+    """Scope of the exact oracles.
 
     ``max_links`` in [1, 3] is the largest number of parallel links an
-    instance may have to be certified; the face count grows as 4^n.
+    instance may have to be certified; it keeps the face count, (2^n - 1)^2
+    for n paths, small.
     """
 
     max_links: int = 3
@@ -80,30 +97,17 @@ class OracleConfig:
             raise ValueError(f"max_links = {self.max_links} must lie in [1, 3]")
 
 
-def _parallel_link_order(instance: GameInstance, max_links: int) -> list[int]:
-    """Link indices aligned with the path order; rejects non-parallel shapes."""
-    if len(instance.od_pairs) != 1:
-        raise UnsupportedTopology("oracle requires a single O/D pair")
-    if instance.n_links > max_links:
-        raise UnsupportedTopology(
-            f"oracle supports at most {max_links} links, got {instance.n_links}"
-        )
-    od = instance.od_pairs[0]
-    for link in instance.links:
-        if link.tail != od.origin or link.head != od.destination:
-            raise UnsupportedTopology(
-                f"link {link.id!r} is not parallel between the O/D pair"
-            )
-    return [instance.link_index[p.links[0]] for p in instance.paths.all_paths]
-
-
 def is_parallel_link(instance: GameInstance, max_links: int = 3) -> bool:
-    """True iff the exact oracles support this instance."""
-    try:
-        _parallel_link_order(instance, max_links)
-    except UnsupportedTopology:
-        return False
-    return True
+    """True iff the path-flow oracles support the instance (their scope): one O/D
+    pair and at most ``max_links`` links, each from its origin to its destination."""
+    od = instance.od_pairs[0]
+    parallel = all(l.tail == od.origin and l.head == od.destination for l in instance.links)
+    return len(instance.od_pairs) == 1 and instance.n_links <= max_links and parallel
+
+
+def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
+    if not is_parallel_link(instance, config.max_links):
+        raise UnsupportedTopology(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
 
 
 def _face_minimum(
@@ -151,47 +155,53 @@ def _face_minimum(
     return best_z, best_val
 
 
+def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A' diag(v) A: the link weights v as a quadratic form in the path flows."""
+    return A.T @ (v[:, None] * A)
+
+
 def oracle_optimal(
     instance: GameInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[ClassFlow, float]:
-    """Exact system optimum for a parallel-link instance.
+    """Exact system optimum, over the path flows z = (autonomous, human).
 
-    Minimises the social cost over z = (autonomous, human) link flows; on a
-    link it is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh), one simplex per
-    class. Returns the flow and its social cost.
+    On a link the social cost is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh)
+    with (fa, fh) = (A za, A zh) for the incidence A; each class has one
+    simplex per O/D pair. Raises UnsupportedTopology outside the oracle scope
+    (``is_parallel_link``). Returns the flow and its social cost.
     """
-    order = _parallel_link_order(instance, config.max_links)
-    od = instance.od_pairs[0]
-    a, h, b = instance.a, instance.h, instance.b
-    n = instance.n_links
-    P = np.block([[np.diag(2.0 * a), np.diag(a + h)], [np.diag(a + h), np.diag(2.0 * h)]])
-    groups = [range(n), range(n, 2 * n)]
-    z, _ = _face_minimum(
-        P, np.concatenate([b, b]), groups, [od.alpha * od.demand, (1.0 - od.alpha) * od.demand]
-    )
-    flow = ClassFlow.from_path_flows(instance, z[:n][order], z[n:][order])
+    _check_scope(instance, config)
+    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
+    cross = _path_form(A, a + h)
+    P = np.block([[_path_form(A, 2.0 * a), cross], [cross, _path_form(A, 2.0 * h)]])
+    q = A.T @ instance.b
+    slices = instance.paths.od_slices
+    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
+    z, _ = _face_minimum(P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands])
+    flow = ClassFlow.from_path_flows(instance, z[:n], z[n:])
     return flow, social_cost_links(instance, flow.link_flows_a, flow.link_flows_h)
 
 
 def oracle_nash(
     instance: GameInstance, s: np.ndarray, config: OracleConfig = OracleConfig()
 ) -> tuple[np.ndarray, float]:
-    """Exact induced human equilibrium on parallel links, given leader link flows s.
+    """Exact induced human equilibrium given leader link flows s.
 
-    Minimises the Beckmann potential of the human flow with the leader fixed.
-    ``s`` is checked as ``follower_equilibrium`` checks it. Returns the
-    per-link human flows and their relative Wardrop gap (``wardrop_gap``).
+    Minimises the Beckmann potential of the human path flows t with the
+    leader fixed: h (A t)^2 / 2 + (a s + b) A t per link. ``s`` is checked as
+    ``follower_equilibrium`` checks it, and the scope as in ``oracle_optimal``.
+    Returns the human link flows A t and their relative Wardrop gap
+    (``wardrop_gap``).
     """
-    order = _parallel_link_order(instance, config.max_links)
+    _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    od = instance.od_pairs[0]
-    demand = (1.0 - od.alpha) * od.demand
-    if demand <= 0.0:  # all-autonomous demand: no human flow to place
+    if not instance.human_demands.any():  # all-autonomous demand: no human flow to place
         return np.zeros(instance.n_links), 0.0
-    t, _ = _face_minimum(
-        np.diag(instance.h), instance.a * s + instance.b, [range(instance.n_links)], [demand]
-    )
-    return t, wardrop_gap(instance, s, t[order])
+    A = instance.incidence
+    groups = [range(start, end) for start, end in instance.paths.od_slices]
+    q = A.T @ (instance.a * s + instance.b)
+    t, _ = _face_minimum(_path_form(A, instance.h), q, groups, instance.human_demands)
+    return A @ t, wardrop_gap(instance, s, t)
 
 
 # --- random instance generation ----------------------------------------------------
@@ -438,46 +448,25 @@ def verify_bounds(config: BatchConfig = BatchConfig()) -> VerificationReport:
     but never counted as failures. Rows are ordered by seed regardless of
     scheduling.
     """
-    seeds = [config.base_seed + i for i in range(config.count)]
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(
-                pool.map(
-                    _verify_one,
-                    seeds,
-                    [config.shape] * len(seeds),
-                    [config.solver] * len(seeds),
-                    [config.oracle] * len(seeds),
-                )
-            )
-    else:
-        rows = [_verify_one(seed, config.shape, config.solver, config.oracle) for seed in seeds]
-    rows.sort(key=lambda row: row.seed)
-    return VerificationReport(rows=tuple(rows))
+    args = (
+        range(config.base_seed, config.base_seed + config.count),
+        itertools.repeat(config.shape),
+        itertools.repeat(config.solver),
+        itertools.repeat(config.oracle),
+    )
+    if config.jobs == 1:
+        return VerificationReport(rows=tuple(map(_verify_one, *args)))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        return VerificationReport(rows=tuple(pool.map(_verify_one, *args)))
 
 
+#: the verify CSV columns, each a VerificationRow field
 REPORT_HEADER = "seed,alpha,mu,poa_emp,poa_bound,region,margin,certified,status"
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    lines = [REPORT_HEADER]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.seed),
-                    format_float(row.alpha),
-                    format_float(row.mu),
-                    format_float(row.poa_emp),
-                    format_float(row.poa_bound),
-                    row.region,
-                    format_float(row.margin),
-                    "true" if row.certified else "false",
-                    row.status,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    fields = REPORT_HEADER.split(",")
+    return format_csv(REPORT_HEADER, ([getattr(row, f) for f in fields] for row in report.rows))
 
 
 # --- curve tables -----------------------------------------------------------------------
@@ -500,10 +489,7 @@ class CurveTable:
         return list(seen)
 
     def to_csv(self) -> str:
-        lines = ["series,x,y"]
-        for s, x, y in self.rows:
-            lines.append(f"{s},{format_float(x)},{format_float(y)}")
-        return "\n".join(lines) + "\n"
+        return format_csv("series,x,y", self.rows)
 
 
 def region_alpha_intervals(mu: float) -> dict[Region, tuple[float, float] | None]:

@@ -23,7 +23,6 @@ from .errors import (
     BadAlpha,
     DimensionMismatch,
     EmptyDemand,
-    EmptyNetwork,
     InstanceFormatError,
     NegativeFlow,
     NegativeFreeFlow,
@@ -380,10 +379,16 @@ def build_instance(
     od_pairs: Sequence[ODPair],
     path_cap: int = DEFAULT_PATH_CAP,
 ) -> GameInstance:
-    """Assemble and validate a GameInstance from already-typed parts."""
+    """Assemble and validate a GameInstance from already-typed parts.
+
+    Raises EmptyDemand without an O/D pair, so every instance has a path and
+    a link.
+    """
     nodes = tuple(nodes)
     links = tuple(links)
     od_pairs = tuple(od_pairs)
+    if not od_pairs:
+        raise EmptyDemand("instance has no O/D pairs")
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise InstanceFormatError("duplicate node identifiers")
@@ -404,7 +409,7 @@ def build_instance(
                     f"O/D pair ({od.origin!r}, {od.destination!r}): "
                     f"{endpoint!r} is not a declared node"
                 )
-    if not isinstance(path_cap, int) or path_cap < 1:
+    if isinstance(path_cap, bool) or not isinstance(path_cap, int) or path_cap < 1:
         raise InstanceFormatError(f"path_cap must be a positive integer, got {path_cap!r}")
 
     paths = enumerate_paths(links, od_pairs, path_cap)
@@ -478,10 +483,10 @@ def validate_instance(raw: Mapping) -> GameInstance:
         if required not in raw:
             raise InstanceFormatError(f"missing top-level field {required!r}")
 
-    raw_nodes = raw["nodes"]
-    if not isinstance(raw_nodes, Sequence) or isinstance(raw_nodes, (str, bytes)):
-        raise InstanceFormatError("'nodes' must be a list of strings")
-    nodes = tuple(_as_identifier(n, "nodes") for n in raw_nodes)
+    for name in ("nodes", "links", "od_pairs"):
+        if not isinstance(raw[name], Sequence) or isinstance(raw[name], (str, bytes)):
+            raise InstanceFormatError(f"{name!r} must be a list, got {raw[name]!r}")
+    nodes = tuple(_as_identifier(n, "nodes") for n in raw["nodes"])
     if not nodes:
         raise InstanceFormatError("'nodes' must be non-empty")
 
@@ -513,10 +518,7 @@ def validate_instance(raw: Mapping) -> GameInstance:
             )
         )
 
-    path_cap = raw.get("path_cap", DEFAULT_PATH_CAP)
-    if isinstance(path_cap, bool) or not isinstance(path_cap, int):
-        raise InstanceFormatError(f"path_cap must be an integer, got {path_cap!r}")
-    return build_instance(nodes, links, od_pairs, path_cap)
+    return build_instance(nodes, links, od_pairs, raw.get("path_cap", DEFAULT_PATH_CAP))
 
 
 def load_instance(path) -> GameInstance:
@@ -579,15 +581,11 @@ def check_feasibility(instance: GameInstance, flow: ClassFlow) -> FeasibilityRep
 
 def min_asymmetry(instance: GameInstance) -> float:
     """Minimum degree of asymmetry min_l a_l/h_l over the network."""
-    if not instance.links:
-        raise EmptyNetwork("instance has no links")
     return float(np.min(instance.a / instance.h))
 
 
 def network_autonomy_fraction(instance: GameInstance) -> float:
     """Demand-weighted autonomy fraction sum_w alpha_w r_w / sum_w r_w."""
-    if not instance.od_pairs:
-        raise EmptyDemand("instance has no O/D pairs")
     demands = instance.demands
     return float(np.dot(instance.alphas, demands) / demands.sum())
 

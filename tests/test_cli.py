@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 import scaleroute as sr
 from scaleroute.cli import run
 from scaleroute.harness import VerificationReport
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 PIGOU_RAW = {
     "nodes": ["1", "2"],
@@ -48,6 +51,15 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["validate", "--instance", str(tmp_path / "none.json")]) == 1
+
+    def test_empty_demand(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(PIGOU_RAW, od_pairs=[])), encoding="utf-8")
+        assert run(["validate", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "O/D" in line
 
     @pytest.mark.parametrize("command", ["validate", "play"])
     def test_nan_coefficient_rejected(self, tmp_path, capsys, command):
@@ -147,6 +159,12 @@ class TestCurves:
         assert lines[0] == "series,x,y"
         assert len(lines) == 1 + 3  # grid 0.1, 0.5, 0.9
 
+    def test_grid_keeps_its_step(self, capsys):
+        # lo + i * step up to hi: the step is not stretched to end on hi
+        assert run(["curves", "--kind", "omega-vs-lambda", "--grid", "0:1:0.3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [x for series, x, _ in rows if series == "omega2"] == ["0", "0.3", "0.6", "0.9"]
+
 
 class TestVerify:
     def test_small_batch(self, tmp_path, capsys):
@@ -170,6 +188,18 @@ class TestVerify:
         (config,) = captured
         assert config.base_seed == 7
         assert config.solver.seed == 7
+
+
+@pytest.mark.parametrize("name", ["pigou", "braess"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["solve-optimal", "--out"], ["solve-nash"], ["play", "--alpha", "0.5"]],
+    ids=["validate", "solve-optimal", "solve-nash", "play"],
+)
+def test_readme_examples_on_committed_instances(name, argv, tmp_path, capsys):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "flows.csv")]
+    assert run([*argv, "--instance", str(INSTANCES / f"{name}.json")]) == 0
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scaleroute.harness import (
     report_to_csv,
 )
 
-from conftest import make_pigou, make_two_identical
+from conftest import make_braess, make_pigou, make_two_identical
 from test_solvers import optimal_grid_two_links
 
 LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
@@ -81,6 +82,53 @@ class TestFaceMinimum:
         assert z[2] + z[3] == pytest.approx(1.0, abs=1e-15)
         assert z[0] == pytest.approx(z[2], abs=1e-15)
         assert val == pytest.approx(0.0, abs=1e-15)
+
+
+def social_cost_quadratic(instance):
+    """The social cost as 1/2 z'Pz + q'z over z = (autonomous, human) path
+    flows, with its simplices (one per class and O/D pair) and their demands."""
+    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
+
+    def gram(v):
+        return A.T @ (v[:, None] * A)
+
+    P = np.block([[gram(2.0 * a), gram(a + h)], [gram(a + h), gram(2.0 * h)]])
+    q = np.concatenate([A.T @ instance.b] * 2)
+    slices = instance.paths.od_slices
+    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
+    return P, q, groups, [*instance.auto_demands, *instance.human_demands]
+
+
+def face_count(instance) -> int:
+    return math.prod((2 ** (end - start) - 1) ** 2 for start, end in instance.paths.od_slices)
+
+
+class TestSystemOptimumIsExact:
+    """``system_optimal`` against the exact minimum on general networks."""
+
+    MAX_FACES = 225
+
+    @pytest.mark.parametrize("source", ["conftest", "file"])
+    def test_braess(self, source):
+        if source == "file":
+            instance = sr.load_instance(Path(__file__).resolve().parent.parent / "instances" / "braess.json")
+        else:
+            instance = make_braess()
+        assert not sr.is_parallel_link(instance)
+        _, exact = _face_minimum(*social_cost_quadratic(instance))
+        solved = sr.social_cost(instance, sr.system_optimal(instance).flow)
+        assert abs(solved - exact) <= 1e-12 * abs(exact)
+
+    def test_verify_default_seeds(self, batch_outcomes):
+        checked = general = 0
+        for seed, instance, outcome in batch_outcomes:
+            if face_count(instance) > self.MAX_FACES:
+                continue
+            _, exact = _face_minimum(*social_cost_quadratic(instance))
+            assert abs(outcome.optimal_cost - exact) <= 1e-12 * abs(exact), seed
+            checked += 1
+            general += not sr.is_parallel_link(instance)
+        assert (checked, general) == (167, 124)
 
 
 @st.composite

@@ -111,6 +111,21 @@ class TestValidateInstance:
         with pytest.raises(sr.InstanceFormatError):
             sr.validate_instance(bad_link)
 
+    def test_empty_demand_rejected(self):
+        # without an O/D pair an instance has no path to route on
+        assert issubclass(sr.EmptyDemand, sr.ValidationError)
+        with pytest.raises(sr.EmptyDemand):
+            sr.validate_instance(dict(BRAESS_RAW, od_pairs=[]))
+        with pytest.raises(sr.EmptyDemand):
+            sr.build_instance(("1", "2"), [sr.Link("e", "1", "2", 1.0, 1.0)], [])
+
+    @pytest.mark.parametrize("path_cap", [True, 0, 2.0])
+    def test_bad_path_cap_rejected(self, path_cap):
+        with pytest.raises(sr.InstanceFormatError, match="path_cap"):
+            sr.build_instance(
+                ("1", "2"), [sr.Link("e", "1", "2", 1.0, 1.0)], [sr.ODPair("1", "2", 1.0, 0.5)], path_cap
+            )
+
     def test_self_loop_rejected(self):
         raw = {
             "nodes": ["1", "2"],
@@ -430,7 +445,7 @@ class TestLoaderProperties:
     @settings(max_examples=150, deadline=None)
     @given(raw=raw_instances(), data=st.data())
     def test_mutations_rejected(self, raw, data):
-        kind = data.draw(st.sampled_from(["coefficient", "missing", "identifier"]))
+        kind = data.draw(st.sampled_from(["coefficient", "missing", "identifier", "container"]))
         if kind == "coefficient":
             section, keys = data.draw(
                 st.sampled_from([("links", ("a", "h", "b")), ("od_pairs", ("demand", "alpha"))])
@@ -443,6 +458,9 @@ class TestLoaderProperties:
         elif kind == "missing":
             where = data.draw(st.sampled_from([raw, *raw["links"], *raw["od_pairs"]]))
             del where[data.draw(st.sampled_from(sorted(where)))]
+        elif kind == "container":  # a top-level list replaced by a non-list
+            site = data.draw(st.sampled_from(["nodes", "links", "od_pairs"]))
+            raw[site] = data.draw(st.sampled_from([5, None, "n1", 1.5, True, {"id": "e"}]))
         else:
             bad = data.draw(st.sampled_from(["", 0, None, 1.5, True, ["n"]]))
             site = data.draw(st.sampled_from(["nodes", "links", "od_pairs"]))
