@@ -201,6 +201,8 @@ def _cmd_curves(args) -> int:
             mus = [float(p) for p in args.mu.split(",")]
         except ValueError:
             raise _UsageError(f"--mu expects comma-separated numbers, got {args.mu!r}") from None
+        if len(mus) > 1 and args.kind != "poa-bounds":
+            raise _UsageError(f"--mu takes one value for --kind {args.kind}; only poa-bounds reads a list")
     table = curve_tables(
         args.kind,
         alpha=args.alpha,

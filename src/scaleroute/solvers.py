@@ -3,25 +3,29 @@
 Both solvers run one loop (``_descend``): block-coordinate descent over the
 enumerated path polytope of each class block, where block k minimizes
 ``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by the other
-blocks. A round gives each block in turn one step (``_block_step``) unless its
-gap is already within tolerance: an all-or-nothing assignment to current
-shortest paths as the search direction, an exact closed-form line search
-(every objective here is quadratic along a segment), then a pairwise
-vertex-exchange sweep, moving mass from the worst used path of each O/D pair
-to its best path, which removes the sublinear tail of plain conditional
-gradient and lets tight gap tolerances be reached on small networks. The
-loop ends after a round that moves no path flow. In both solvers an
-iteration is a round that tried a step, and the trace holds the objective at
-the start of each round, so its last entry is the returned point.
+blocks. The loop runs a batch of starts at once: the path flows of a block
+are a (starts × paths) array, and every numpy call of a round serves all live
+starts, so a batch takes as many rounds as its longest start, not the sum of
+their rounds. A round gives each block of each start in turn one step
+(``_block_step``) unless its gap is already within tolerance: an
+all-or-nothing assignment to current shortest paths as the search direction,
+an exact closed-form line search (every objective here is quadratic along a
+segment), then a pairwise vertex-exchange sweep, moving mass from the worst
+used path of each O/D pair to its best path, which removes the sublinear tail
+of plain conditional gradient and lets tight gap tolerances be reached on
+small networks (the path-based block descent with pairwise exchange of
+Jayakrishnan et al., 1994). A start leaves the batch after a round that moves
+none of its path flows. Each start keeps its own round budget, and an
+iteration is a round in which it tried a step; its trace holds the objective
+at the start of each of its rounds, so the last entry is its returned point.
 
 The human equilibrium is the loop with one block: it minimizes the convex
 potential ``sum_l [ h_l t_l^2 / 2 + (a_l s_l + b_l) t_l ]`` whose gradient is
 exactly the link latency under a fixed leader flow, so the
 conditional-gradient gap coincides with the Wardrop relative gap. The system
 optimum is nonconvex in the joint class flows whenever a_l != h_l, but
-strictly convex in each class separately; it runs the loop with the
-autonomous and the human block from each multistart point, on shared link
-flows.
+strictly convex in each class separately; it runs the loop once, with the
+autonomous and the human block, from all its distinct multistart points.
 
 Every convergence test uses one relative gap. For a block with link
 gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
@@ -36,12 +40,13 @@ its two block gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .model import ClassFlow, GameInstance, ODPair, Path, check_leader_flows, social_cost_links
+from .model import ClassFlow, GameInstance, ODPair, Path, check_leader_flows
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
@@ -69,10 +74,10 @@ class EquilibriumResult:
 
     ``potential_or_cost`` is the final potential (human equilibrium) or the
     social cost (system optimum). ``iterations`` counts the rounds of
-    ``_descend`` that tried a step (summed over the starts of the system
-    optimum). ``trace`` records the objective at the start of each round of
-    the returned run, so its last entry is the returned point; it is
-    nonincreasing by construction.
+    ``_descend`` that tried a step, per start, summed over the starts of the
+    system optimum (which run together, as one batch). ``trace`` records the
+    objective at the start of each round of the returned start, so its last
+    entry is the returned point; it is nonincreasing by construction.
     """
 
     flow: ClassFlow
@@ -83,26 +88,31 @@ class EquilibriumResult:
     trace: tuple[float, ...] = ()
 
 
-def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[int]:
-    """Global index of the cheapest path of each O/D pair; ties go to the first."""
-    slices = instance.paths.od_slices
-    return [start + int(path_costs[start:end].argmin()) for start, end in slices]
+def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
+    """Per O/D pair, the global index of its cheapest path in each row of the
+    (starts × paths) ``path_costs``; ties go to the first."""
+    return [start + path_costs[:, start:end].argmin(1) for start, end in instance.paths.od_slices]
 
 
 def _all_or_nothing(
     instance: GameInstance, path_costs: np.ndarray, demands: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Each O/D demand loaded on its cheapest path: path flows and their cost.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each O/D demand loaded on its cheapest path, row by row of the
+    (starts × paths) ``path_costs``: path flows and their cost per row.
 
-    The cost is summed pair by pair in O/D order; ``np.dot`` would fuse
+    The cost is summed pair by pair in O/D order; a dot product would fuse
     multiply-adds and change its last bits on multi-pair instances.
     """
-    y = np.zeros(instance.n_paths)
+    n_rows, n_paths = path_costs.shape
+    row_start = np.arange(0, n_rows * n_paths, n_paths)  # flat index of each row's first path
+    flat_costs = path_costs.reshape(-1)
+    y = np.zeros(n_rows * n_paths)
     cost = 0.0
-    for d, j in zip(demands, _cheapest(instance, path_costs)):
+    for d, j in zip(demands.tolist(), _cheapest(instance, path_costs)):
+        j += row_start
         y[j] = d
-        cost += d * path_costs[j]
-    return y, float(cost)
+        cost = cost + d * flat_costs[j]
+    return y.reshape(n_rows, n_paths), cost
 
 
 def _relative_gap(total: float, aon_cost: float) -> float:
@@ -115,11 +125,13 @@ def _relative_gap(total: float, aon_cost: float) -> float:
 
 def _block_gap(
     instance: GameInstance, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Relative gap of a block with link gradient ``grad`` at link flow ``x_link``,
-    and the all-or-nothing path flows it is measured against."""
-    y, aon_cost = _all_or_nothing(instance, instance.incidence.T @ grad, demands)
-    return _relative_gap(float(np.dot(grad, x_link)), aon_cost), y
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative gap of each row of a block with link gradients ``grad`` at link
+    flows ``x_link`` (both starts × links), and the all-or-nothing path flows it
+    is measured against."""
+    y, aon_cost = _all_or_nothing(instance, grad @ instance.incidence, demands)
+    totals = np.vecdot(grad, x_link).tolist()
+    return np.array([_relative_gap(t, c) for t, c in zip(totals, aon_cost.tolist())]), y
 
 
 def shortest_paths(
@@ -138,54 +150,69 @@ def shortest_paths(
     path_lat = instance.incidence.T @ lat
     return {
         od: (instance.paths.all_paths[j], float(path_lat[j]))
-        for od, j in zip(instance.od_pairs, _cheapest(instance, path_lat))
+        for od, (j,) in zip(instance.od_pairs, _cheapest(instance, path_lat[None]))
     }
 
 
 def _block_step(
     instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
-    x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray,
-) -> bool:
-    """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l], in place on
-    path flows ``x`` with link flows ``x_link``, gradient ``g`` and all-or-nothing
-    load ``y`` (``_block_gap``): a conditional-gradient step with exact line search,
-    then one pairwise-exchange sweep. Neither raises the block objective. Returns
-    whether any path flow changed, bit for bit."""
+    x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray, step: np.ndarray,
+) -> np.ndarray:
+    """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l] in each row
+    of the (starts × paths) path flows ``x`` where ``step`` holds, in place, with link
+    flows ``x_link``, gradients ``g`` and all-or-nothing loads ``y`` (``_block_gap``):
+    a conditional-gradient step with exact line search, then one pairwise-exchange
+    sweep. Neither raises the block objective, and a row outside ``step`` keeps its
+    flows. Returns, per row, whether any path flow changed, bit for bit."""
     inc = instance.incidence
-    x_entry = x.tobytes()
+    n_rows, n_paths = x.shape
+    x_entry = x.copy()
     d = y - x
-    d_link = inc @ d
-    denom = float(np.dot(quad, d_link * d_link))
-    num = float(np.dot(g, d_link))
-    if num < 0.0:  # descent direction
-        eta = min(1.0, -num / denom) if denom > 0.0 else 1.0
-        x += eta * d
-        x_link = inc @ x
+    d_link = d @ inc.T
+    num = np.vecdot(g, d_link)
+    descent = step & (num < 0.0)
+    if any(descent):
+        # eta = min(1, -num / denom), which is 1 wherever -num >= denom
+        denom = np.vecdot(quad, d_link * d_link)
+        num = -num
+        eta = descent.astype(float)
+        np.divide(num, denom, out=eta, where=descent & (num < denom))
+        x += eta[:, None] * d
+        x_link = x @ inc.T
 
     # pairwise exchange sweep: worst used path -> best path, per O/D pair
+    flat = x.reshape(-1)
+    rows = np.arange(n_rows)
+    row_start = rows * n_paths  # flat index of each row's first path
+    slices = instance.paths.od_slices
     g = quad * x_link + lin
-    for w, (start, end) in enumerate(instance.paths.od_slices):
+    for w, (start, end) in enumerate(slices):
         if demands[w] <= 0.0 or end - start < 2:
             continue
-        used = (x[start:end] > _USED_EPS * max(demands[w], 1.0)).nonzero()[0]
-        if used.size == 0:
+        used = x[:, start:end] > _USED_EPS * max(demands[w], 1.0)
+        path_g_w = g @ inc[:, start:end]
+        worst_used = np.where(used, path_g_w, -np.inf)  # -inf on a row with no used path
+        jw = worst_used.argmax(1)
+        jb = path_g_w.argmin(1)
+        drop = worst_used[rows, jw] - path_g_w[rows, jb]
+        exchange = step & (drop > 0.0)  # jw == jb gives drop == 0
+        if not any(exchange):
             continue
-        path_g_w = inc[:, start:end].T @ g
-        jw = start + int(used[path_g_w[used].argmax()])
-        jb = start + int(path_g_w.argmin())
-        if jw == jb:
-            continue
-        col = inc[:, jb] - inc[:, jw]
-        curv = float(np.dot(quad, col * col))
-        drop = float(path_g_w[jw - start] - path_g_w[jb - start])
-        if curv <= 0.0 or drop <= 0.0:
-            continue
-        delta = min(drop / curv, float(x[jw]))
-        x[jb] += delta
-        x[jw] -= delta  # delta <= x[jw], so this stays >= 0
-        x_link = x_link + delta * col
-        g = quad * x_link + lin
-    return x.tobytes() != x_entry
+        jw += start
+        jb += start
+        col = (inc.take(jb, 1) - inc.take(jw, 1)).T
+        curv = np.vecdot(quad, col * col)
+        exchange &= curv > 0.0
+        ratio = np.divide(drop, curv, out=np.zeros(n_rows), where=exchange)
+        jw += row_start
+        jb += row_start
+        delta = np.minimum(ratio, flat[jw])
+        flat[jb] += delta
+        flat[jw] -= delta  # delta <= x[jw], so this stays >= 0
+        if w + 1 < len(slices):  # the next pairs are priced at the new link flows
+            x_link = x_link + delta[:, None] * col
+            g = quad * x_link + lin
+    return np.logical_or.reduce(x != x_entry, axis=1)
 
 
 def _descend(
@@ -193,48 +220,91 @@ def _descend(
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
     flows: tuple[np.ndarray, ...],
     lin: Callable[[int, list[np.ndarray]], np.ndarray],
-    objective: Callable[[list[np.ndarray]], float],
+    objective: Callable[[list[np.ndarray]], np.ndarray],
     tol: float,
     max_iterations: int,
-) -> tuple[float, int, tuple[float, ...]]:
-    """Block-coordinate descent, in place on the path flows ``flows[k]`` of each
-    block ``blocks[k] = (demands, quad)``.
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
+    """Block-coordinate descent from a batch of starts, in place on the
+    (starts × paths) path flows ``flows[k]`` of each block ``blocks[k] =
+    (demands, quad)``.
 
     Block k minimizes sum_l [quad_l x_l^2 / 2 + lin(k, links)_l x_l] over its
-    path polytope, where ``links`` holds the link flows of all blocks. In each
-    round, each block in turn measures its gap (``_block_gap``) and takes one
-    ``_block_step`` unless the gap is within ``tol``, ``max_iterations`` rounds
-    have already tried a step, or the gap is NaN at a non-finite gradient. The
-    descent ends after a round that changes no path flow, since every later
-    round would repeat it; the gaps of that round are therefore measured at
-    the returned point.
+    path polytope, where ``links`` holds the (starts × links) link flows of all
+    blocks and ``lin`` and ``objective`` work row by row. Every round runs all
+    live starts at once. In a round, each block in turn measures the gap of
+    each start (``_block_gap``) and steps the starts (``_block_step``) whose
+    gap is not within ``tol``, that have not yet spent ``max_iterations``
+    rounds that tried a step, and whose gap is not NaN at a non-finite
+    gradient. A start leaves the batch after a round that changes none of its
+    path flows, since every later round would repeat it; the gaps of that
+    round are therefore measured at its returned point. So each start runs as
+    it would alone, up to the last bits of the batched products.
 
-    Returns the largest block gap (NaN if any is NaN), the number of rounds
-    that tried a step, and ``objective(links)`` at the start of each round.
+    Returns per start the largest block gap (NaN if any is NaN), the number
+    of rounds that tried a step, and the trace of ``objective`` at the start
+    of each of its rounds.
     """
     inc = instance.incidence
-    links = [inc @ f for f in flows]
-    gaps = [0.0] * len(blocks)
-    trace: list[float] = []
-    iterations = 0
+    n_starts = len(flows[0])
+    live = np.arange(n_starts)
+    # C-contiguous, since _block_step updates them through flat views; compacted
+    # to the live starts once one finishes
+    xs = [np.ascontiguousarray(f) for f in flows]
+    links = [x @ inc.T for x in xs]
+    # one row per start: numpy multiplies arrays of equal shape faster than it
+    # broadcasts a vector over rows
+    quads = [quad[None].repeat(n_starts, 0) for _, quad in blocks]
+    iterations = np.zeros(n_starts, dtype=int)
+    gap_out = np.empty(n_starts)
+    iterations_out = np.empty(n_starts, dtype=int)
+    segments: list[tuple[np.ndarray, list[np.ndarray]]] = []  # a live set and its rounds' objectives
+    rounds: list[np.ndarray] = []
     while True:
-        trace.append(objective(links))
+        rounds.append(objective(links))
         budget_left = iterations < max_iterations
-        tried = moved = False
-        for k, (demands, quad) in enumerate(blocks):
+        tried = moved = np.zeros(len(live), dtype=bool)
+        gaps = []
+        for k, ((demands, _), quad) in enumerate(zip(blocks, quads)):
             lin_k = lin(k, links)
             g = quad * links[k] + lin_k
-            gaps[k], y = _block_gap(instance, demands, g, links[k])
-            stuck = gaps[k] != gaps[k] and not np.isfinite(g).all()  # no later gap can be a number
-            if gaps[k] <= tol or not budget_left or stuck:
+            gap, y = _block_gap(instance, demands, g, links[k])
+            gaps.append(gap)
+            step = budget_left & ~(gap <= tol)
+            if not any(step):
                 continue
-            tried = True
-            if _block_step(instance, demands, quad, lin_k, flows[k], links[k], g, y):
-                moved = True
-                links[k] = inc @ flows[k]
-        iterations += tried
-        if not moved:
-            return float(np.max(gaps)), iterations, tuple(trace)
+            nan = gap != gap
+            if any(nan):  # no later gap can be a number at a non-finite gradient
+                step &= ~(nan & ~np.logical_and.reduce(np.isfinite(g), axis=1))
+            tried = tried | step
+            moved_k = _block_step(instance, demands, quad, lin_k, xs[k], links[k], g, y, step)
+            if any(moved_k):
+                moved = moved | moved_k
+                links[k] = xs[k] @ inc.T
+        iterations = iterations + tried
+        if all(moved):
+            continue
+        done = ~moved
+        finished = live[done]
+        segments.append((live, rounds))
+        rounds = []
+        gap_out[finished] = reduce(np.maximum, gaps)[done]
+        iterations_out[finished] = iterations[done]
+        for f, x in zip(flows, xs):
+            if x is not f:
+                f[finished] = x[done]
+        if not any(moved):
+            break
+        live = live[moved]
+        xs = [x[moved] for x in xs]
+        links = [link[moved] for link in links]
+        quads = [quad[: len(live)] for quad in quads]
+        iterations = iterations[moved]
+
+    traces: list[list[float]] = [[] for _ in range(n_starts)]
+    for starts, objectives in segments:
+        for i, column in zip(starts.tolist(), np.array(objectives).T.tolist()):
+            traces[i].extend(column)
+    return gap_out, iterations_out, [tuple(t) for t in traces]
 
 
 def follower_equilibrium(
@@ -243,8 +313,8 @@ def follower_equilibrium(
     """Wardrop equilibrium of the human class under a fixed leader link flow.
 
     Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l] over
-    the human feasibility polytope by ``_descend`` with one block, from the
-    all-or-nothing load at the latencies of zero human flow.
+    the human feasibility polytope by ``_descend`` with one block and one
+    start, the all-or-nothing load at the latencies of zero human flow.
     Link flows at the optimum are unique (h_l > 0); the path decomposition is
     the solver's. Raises on a leader flow that is not a finite nonnegative
     link vector (``check_leader_flows``), but never on non-convergence: the
@@ -253,19 +323,20 @@ def follower_equilibrium(
     s = check_leader_flows(instance, s)
     demands, h = instance.human_demands, instance.h
     lin = instance.a * s + instance.b
-    t, _ = _all_or_nothing(instance, instance.incidence.T @ lin, demands)
-    gap, iterations, trace = _descend(
-        instance, ((demands, h),), (t,), lambda k, links: lin,
-        lambda links: float(0.5 * np.dot(h, links[0] * links[0]) + np.dot(lin, links[0])),
+    t, _ = _all_or_nothing(instance, (instance.incidence.T @ lin)[None], demands)
+    h_row, lin_row = h[None], lin[None]  # the shape of the one start's link flows, as in _descend
+    gap, iterations, traces = _descend(
+        instance, ((demands, h),), (t,), lambda k, links: lin_row,
+        lambda links: 0.5 * np.vecdot(h_row, links[0] * links[0]) + np.vecdot(lin_row, links[0]),
         config.relative_gap_tol, config.max_iterations,
     )
     return EquilibriumResult(
-        flow=ClassFlow.from_path_flows(instance, np.zeros(instance.n_paths), t),
-        potential_or_cost=trace[-1],
-        relative_gap=gap,
-        iterations=iterations,
-        converged=gap <= config.relative_gap_tol,
-        trace=trace,
+        flow=ClassFlow.from_path_flows(instance, np.zeros(instance.n_paths), t[0]),
+        potential_or_cost=traces[0][-1],
+        relative_gap=float(gap[0]),
+        iterations=int(iterations[0]),
+        converged=bool(gap[0] <= config.relative_gap_tol),
+        trace=traces[0],
     )
 
 
@@ -280,30 +351,34 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
     t = np.asarray(t, dtype=float)
     if t.shape != (instance.n_paths,):
         raise DimensionMismatch(f"human path flows must have shape ({instance.n_paths},)")
-    t_link = instance.incidence @ t
-    return _block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0]
+    t_link = (instance.incidence @ t)[None]
+    return float(_block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0][0])
 
 
-def _multistart_points(instance: GameInstance, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Distinct points among ``_MULTISTARTS`` draws, in first-draw order: per-class
+def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows among ``_MULTISTARTS`` start draws, in first-draw order, as
+    (starts × paths) arrays of autonomous and human path flows: per-class
     all-or-nothing at free flow, the uniform path split, seeded random vertices."""
-    demands = (instance.auto_demands, instance.human_demands)
     slices = instance.paths.od_slices
-    free_flow = instance.incidence.T @ instance.b
-    sizes = [end - start for start, end in slices]
-    draws = [
-        tuple(_all_or_nothing(instance, free_flow, d)[0] for d in demands),
-        tuple(np.repeat(d / sizes, sizes) for d in demands),
-    ]
-    rng = np.random.default_rng(seed)
-    while len(draws) < _MULTISTARTS:
-        fa = np.zeros(instance.n_paths)
-        fh = np.zeros(instance.n_paths)
-        for w, (start, end) in enumerate(slices):
-            fa[start + int(rng.integers(end - start))] = demands[0][w]
-            fh[start + int(rng.integers(end - start))] = demands[1][w]
-        draws.append((fa, fh))
-    return list({(fa.tobytes(), fh.tobytes()): (fa, fh) for fa, fh in draws}.values())
+    offsets = np.array([start for start, _ in slices])
+    sizes = np.array([end - start for start, end in slices])
+    free_flow = (instance.incidence.T @ instance.b)[None]
+    n_random = _MULTISTARTS - 2
+    # one vertex per O/D pair and class, drawn in the order draw, pair, class
+    vertices = np.random.default_rng(seed).integers(np.tile(np.repeat(sizes, 2), n_random))
+    vertices = vertices.reshape(n_random, len(sizes), 2)
+    draws = []
+    for c, demands in enumerate((instance.auto_demands, instance.human_demands)):
+        f = np.zeros((_MULTISTARTS, instance.n_paths))
+        f[0] = _all_or_nothing(instance, free_flow, demands)[0][0]
+        f[1] = np.repeat(demands / sizes, sizes)
+        f[np.arange(2, _MULTISTARTS)[:, None], offsets + vertices[:, :, c]] = demands
+        draws.append(f)
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(np.hstack(draws)):
+        first.setdefault(row.tobytes(), i)
+    keep = list(first.values())
+    return draws[0][keep], draws[1][keep]
 
 
 def system_optimal(
@@ -311,38 +386,35 @@ def system_optimal(
 ) -> EquilibriumResult:
     """Two-class flow approximately minimizing the social cost.
 
-    From each distinct point among 16 fixed start draws seeded by
-    ``config.seed`` (``_multistart_points``), ``_descend`` runs with two
-    blocks: each round steps the autonomous block at the current human flow,
-    then the human block at the new autonomous flow (class-a block gradient
-    2 a fa + (a+h) fh + b, symmetrically for class h), skipping a block whose
-    gap is within tolerance. ``config.max_iterations`` bounds the rounds of
-    each start that try a step, and ``iterations`` sums them over the starts. Returns the
-    lowest-cost end point, the first on near-ties; ``relative_gap`` is the
-    larger of the two block gaps at that point, so convergence certifies
-    block-wise optimality only.
+    One ``_descend`` call with two blocks runs from all distinct points among
+    16 fixed start draws seeded by ``config.seed`` (``_multistart_points``)
+    at once: each round steps the autonomous block of every live start at its
+    current human flow, then the human block at the new autonomous flow
+    (class-a block gradient 2 a fa + (a+h) fh + b, symmetrically for class h),
+    skipping a block whose gap is within tolerance. ``config.max_iterations``
+    bounds the rounds of each start that try a step, and ``iterations`` sums
+    them over the starts. Returns the lowest-cost end point, the first start
+    on near-ties; ``relative_gap`` is the larger of the two block gaps at that
+    point, so convergence certifies block-wise optimality only.
     """
-    ah, b = instance.a + instance.h, instance.b
+    ah, b = (instance.a + instance.h)[None], instance.b[None]  # rows, as in _descend
     blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
     tol = config.relative_gap_tol
-
-    best = None
-    total_iterations = 0
-    for flows in _multistart_points(instance, config.seed):  # _descend moves them in place
-        gap, iterations, trace = _descend(
-            instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
-            lambda links: social_cost_links(instance, *links), tol, config.max_iterations,
-        )
-        total_iterations += iterations
-        if best is None or trace[-1] < best[0] - 1e-15:
-            best = (trace[-1], flows, gap, trace)
-
-    cost, flows, gap, trace = best
+    flows = _multistart_points(instance, config.seed)  # _descend moves them in place
+    gaps, iterations, traces = _descend(
+        instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
+        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
+        tol, config.max_iterations,
+    )
+    best = 0
+    for i, trace in enumerate(traces):
+        if trace[-1] < traces[best][-1] - 1e-15:
+            best = i
     return EquilibriumResult(
-        flow=ClassFlow.from_path_flows(instance, *flows),
-        potential_or_cost=cost,
-        relative_gap=gap,
-        iterations=total_iterations,
-        converged=gap <= tol,
-        trace=trace,
+        flow=ClassFlow.from_path_flows(instance, flows[0][best], flows[1][best]),
+        potential_or_cost=traces[best][-1],
+        relative_gap=float(gaps[best]),
+        iterations=int(iterations.sum()),
+        converged=bool(gaps[best] <= tol),
+        trace=traces[best],
     )

@@ -237,6 +237,15 @@ class TestUsageErrors:
     def test_bad_kind(self, capsys):
         assert run(["curves", "--kind", "nope"]) == 64
 
+    @pytest.mark.parametrize("kind", ["omega-vs-gamma", "omega-vs-lambda", "constraint-sets"])
+    def test_mu_list_only_for_poa_bounds(self, kind, capsys):
+        # a list was silently cut to its first value for every other kind
+        assert run(["curves", "--kind", kind, "--mu", "0.6,0.9"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "--mu" in line and kind in line
+
     @pytest.mark.parametrize(
         "argv, code",
         [

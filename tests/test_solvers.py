@@ -65,11 +65,25 @@ def make_two_pairs():
 
 
 def descend_block(instance, demands, quad, lin, x, config=sr.SolverConfig()):
-    """``_descend`` on one block with the constant linear term ``lin``, in place on
-    path flows ``x``: its gap, iterations and trace."""
+    """``_descend`` on one block with the constant linear term ``lin`` from the one
+    start ``x``, in place: its gap, iterations and trace."""
+    gaps, iterations, traces = _descend(
+        instance, ((demands, quad),), (x[None],), lambda k, links: lin,
+        lambda links: 0.5 * np.vecdot(quad, links[0] * links[0]) + np.vecdot(lin, links[0]),
+        config.relative_gap_tol, config.max_iterations,
+    )
+    return float(gaps[0]), int(iterations[0]), traces[0]
+
+
+def descend_optimum(instance, fa, fh, config=sr.SolverConfig()):
+    """``_descend`` on the social cost with the autonomous and the human block, as
+    ``system_optimal`` runs it, in place on the (starts × paths) flows ``fa``, ``fh``:
+    per start its gap, iterations and trace."""
+    ah, b = instance.a + instance.h, instance.b
+    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
     return _descend(
-        instance, ((demands, quad),), (x,), lambda k, links: lin,
-        lambda links: float(0.5 * np.dot(quad, links[0] * links[0]) + np.dot(lin, links[0])),
+        instance, blocks, (fa, fh), lambda k, links: ah * links[1 - k] + b,
+        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
         config.relative_gap_tol, config.max_iterations,
     )
 
@@ -176,7 +190,7 @@ class TestFollowerEquilibrium:
     def test_nan_gradient_stops_at_once(self, pigou):
         # the solver's own guard: a NaN gradient ends the solve before any step
         demands = pigou.human_demands
-        x0, _ = _all_or_nothing(pigou, pigou.b, demands)
+        x0 = _all_or_nothing(pigou, pigou.b[None], demands)[0][0]
         x = x0.copy()
         gap, iterations, _ = descend_block(pigou, demands, pigou.h, np.array([np.nan, 1.0]), x)
         assert iterations == 0
@@ -365,8 +379,9 @@ class TestSystemOptimal:
         result = sr.system_optimal(instance, config)
         fa, fh = result.flow.link_flows_a, result.flow.link_flows_h
         ah, b = instance.a + instance.h, instance.b
-        gap_a, _ = _block_gap(instance, instance.auto_demands, 2.0 * instance.a * fa + (ah * fh + b), fa)
-        gap_h, _ = _block_gap(instance, instance.human_demands, 2.0 * instance.h * fh + (ah * fa + b), fh)
+        fa, fh = fa[None], fh[None]
+        (gap_a,), _ = _block_gap(instance, instance.auto_demands, 2.0 * instance.a * fa + (ah * fh + b), fa)
+        (gap_h,), _ = _block_gap(instance, instance.human_demands, 2.0 * instance.h * fh + (ah * fa + b), fh)
         assert result.relative_gap == float(np.maximum(gap_a, gap_h))
 
     def test_budget_is_per_start(self):
@@ -374,10 +389,46 @@ class TestSystemOptimal:
         instance = sr.random_instance(15, sr.ShapeConfig())
         config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
         result = sr.system_optimal(instance, config)
-        assert result.iterations == 3 * len(_multistart_points(instance, config.seed))
+        assert result.iterations == 3 * len(_multistart_points(instance, config.seed)[0])
         # the start's cost, three stepping rounds, and the round that finds the budget spent
         assert len(result.trace) == 4
         assert not result.converged
+
+
+class TestBatchedStarts:
+    @pytest.mark.parametrize(
+        "make",
+        [make_braess, make_pigou]
+        + [lambda seed=seed: sr.random_instance(seed, sr.ShapeConfig()) for seed in (15, 118, 171)],
+        ids=["braess", "pigou", "seed15", "seed118", "seed171"],
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [sr.SolverConfig(), sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)],
+        ids=["default", "budget"],
+    )
+    def test_start_runs_as_it_would_alone(self, make, config):
+        # each start of the batch against the same start as a batch of one
+        instance = make()
+        fa, fh = _multistart_points(instance, config.seed)
+        gaps, iterations, traces = descend_optimum(instance, fa.copy(), fh.copy(), config)
+        tol = config.relative_gap_tol
+        for i in range(len(fa)):
+            (gap,), (alone,), (trace,) = descend_optimum(instance, fa[i : i + 1].copy(), fh[i : i + 1].copy(), config)
+            assert traces[i][-1] == pytest.approx(trace[-1], rel=1e-12, abs=0.0)
+            assert (gaps[i] <= tol) == (gap <= tol)
+            assert (iterations[i] == config.max_iterations) == (alone == config.max_iterations)
+
+    def test_batch_moves_flows_in_place(self):
+        # the returned rows are the end points, also for starts that finish
+        # after the batch was compacted
+        instance = sr.random_instance(171, sr.ShapeConfig())
+        fa, fh = _multistart_points(instance, 0)
+        _, iterations, traces = descend_optimum(instance, fa, fh)
+        assert len(set(iterations.tolist())) > 2  # starts finish at different rounds
+        for i, trace in enumerate(traces):
+            flow = sr.ClassFlow.from_path_flows(instance, fa[i], fh[i])
+            assert sr.social_cost(instance, flow) == pytest.approx(trace[-1], rel=1e-14)
 
 
 class TestMultistartPoints:
@@ -387,23 +438,53 @@ class TestMultistartPoints:
             [sr.Link("e", "1", "2", 0.5, 1.0, 2.0)],
             [sr.ODPair("1", "2", 2.0, 0.25)],
         )
-        assert len(_multistart_points(instance, 0)) == 1
+        fa, fh = _multistart_points(instance, 0)
+        assert fa.shape == fh.shape == (1, 1)
 
     def test_pigou_starts_are_distinct(self, pigou):
-        starts = _multistart_points(pigou, 0)
+        fa, fh = _multistart_points(pigou, 0)
         # the uniform split plus at most the 2 x 2 vertex pairs
-        assert len(starts) <= 5
-        keys = {(fa.tobytes(), fh.tobytes()) for fa, fh in starts}
-        assert len(keys) == len(starts)
-        free_flow = pigou.incidence.T @ pigou.b
-        fa, fh = starts[0]
-        assert np.array_equal(fa, _all_or_nothing(pigou, free_flow, pigou.auto_demands)[0])
-        assert np.array_equal(fh, _all_or_nothing(pigou, free_flow, pigou.human_demands)[0])
+        assert len(fa) == len(fh) <= 5
+        keys = {(a.tobytes(), h.tobytes()) for a, h in zip(fa, fh)}
+        assert len(keys) == len(fa)
+        free_flow = (pigou.incidence.T @ pigou.b)[None]
+        assert np.array_equal(fa[0], _all_or_nothing(pigou, free_flow, pigou.auto_demands)[0][0])
+        assert np.array_equal(fh[0], _all_or_nothing(pigou, free_flow, pigou.human_demands)[0][0])
+
+    @pytest.mark.parametrize(
+        "make, loaded",
+        [
+            (make_pigou, [((0,), (0,)), ((0, 1), (0, 1)), ((1,), (1,)), ((1,), (0,)), ((0,), (1,))]),
+            (
+                lambda: sr.random_instance(15, sr.ShapeConfig()),
+                [
+                    ((0, 2), (0, 2)), ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)), ((1, 3), (1, 2)),
+                    ((0, 3), (1, 4)), ((1, 4), (1, 4)), ((1, 3), (1, 4)), ((0, 4), (1, 2)),
+                    ((0, 3), (1, 2)), ((1, 4), (1, 2)), ((0, 2), (1, 3)), ((0, 3), (0, 3)),
+                    ((0, 3), (1, 3)), ((0, 4), (1, 3)), ((0, 4), (1, 4)),
+                ],
+            ),
+        ],
+        ids=["pigou", "seed15"],
+    )
+    def test_start_rows_are_pinned(self, make, loaded):
+        # the paths each start row loads, per class: the free-flow all-or-nothing
+        # row, the uniform split, then the distinct seeded vertices in draw
+        # order; a change to the random stream or to the order of its draws fails here
+        instance = make()
+        fa, fh = _multistart_points(instance, 0)
+        assert [(tuple(np.flatnonzero(a)), tuple(np.flatnonzero(h))) for a, h in zip(fa, fh)] == loaded
+        sizes = [end - start for start, end in instance.paths.od_slices]
+        assert np.array_equal(fa[1], np.repeat(instance.auto_demands / sizes, sizes))
+        assert np.array_equal(fh[1], np.repeat(instance.human_demands / sizes, sizes))
+        for f, demands in ((fa, instance.auto_demands), (fh, instance.human_demands)):
+            for (start, end), demand in zip(instance.paths.od_slices, demands):
+                assert f[:, start:end].sum(1) == pytest.approx(demand, rel=1e-15)
 
     def test_repeated_draws_change_no_answer(self):
         # seed 118 draws repeated vertices; every start reaches this cost
         instance = sr.random_instance(118, sr.ShapeConfig())
-        assert len(_multistart_points(instance, 0)) < _MULTISTARTS
+        assert len(_multistart_points(instance, 0)[0]) < _MULTISTARTS
         result = sr.system_optimal(instance)
         assert result.converged
         assert result.potential_or_cost == pytest.approx(6.6296571191, abs=1e-9)
