@@ -335,6 +335,8 @@ class BatchConfig:
             raise ValueError(f"count = {self.count} must be >= 1")
         if self.jobs < 1:
             raise ValueError(f"jobs = {self.jobs} must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed = {self.base_seed} must be >= 0")
 
 
 @dataclass(frozen=True)

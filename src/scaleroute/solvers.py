@@ -25,7 +25,11 @@ exactly the link latency under a fixed leader flow, so the
 conditional-gradient gap coincides with the Wardrop relative gap. The system
 optimum is nonconvex in the joint class flows whenever a_l != h_l, but
 strictly convex in each class separately; it runs the loop once, with the
-autonomous and the human block, from all its distinct multistart points.
+autonomous and the human block, from all its distinct multistart points. A
+round of the optimum is the autonomous block, then the human block, then one
+exact class-swap move (``_class_swap``) on the starts that tried a step: at
+fixed total path flows the social cost is linear in the class split, which the
+blocks, each moving one class and so the total flow, only reach by zigzagging.
 
 Every convergence test uses one relative gap. For a block with link
 gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
@@ -52,6 +56,10 @@ _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
 _MULTISTARTS = 16  # start draws of the system optimum, before repeats are dropped
 
+# a move of ``_descend`` after the blocks of a round: (path flows, link flows,
+# rows to try) -> rows it moved
+_Swap = Callable[[list[np.ndarray], list[np.ndarray], np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -66,6 +74,8 @@ class SolverConfig:
             raise ValueError(f"relative_gap_tol must be > 0, got {self.relative_gap_tol}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +85,9 @@ class EquilibriumResult:
     ``potential_or_cost`` is the final potential (human equilibrium) or the
     social cost (system optimum). ``iterations`` counts the rounds of
     ``_descend`` that tried a step, per start, summed over the starts of the
-    system optimum (which run together, as one batch). ``trace`` records the
+    system optimum (which run together, as one batch); a round of the optimum
+    is its autonomous block, then its human block, then the class swap, which
+    runs only in a round that tried a block step. ``trace`` records the
     objective at the start of each round of the returned start, so its last
     entry is the returned point; it is nonincreasing by construction.
     """
@@ -215,6 +227,65 @@ def _block_step(
     return np.logical_or.reduce(x != x_entry, axis=1)
 
 
+def _class_swap(instance: GameInstance) -> _Swap:
+    """The exact class-swap move of the social cost on ``instance``, for ``_descend``.
+
+    On a link the social cost is ``h x^2 + (a-h) f x + b x``, with x the total and
+    f the autonomous flow, so at fixed total path flows it is linear in the class
+    split, with path prices ``c = ((a-h) x) @ incidence``. Per O/D pair, let q be
+    the used autonomous path with the largest c and p the used human path with the
+    smallest. Where c_q > c_p, the move trades delta = min(fa_q, fh_p) of
+    autonomous flow from q to p for as much human flow from p to q: every path
+    total stays fixed and the cost falls by exactly delta (c_q - c_p), the
+    multiclass exchange of Dafermos (1972) as a pairwise path move.
+
+    The returned callable takes the (starts × paths) path flows and (starts ×
+    links) link flows of the autonomous and the human block and a mask of the
+    rows to try. It moves every pair of those rows at once, since no move
+    changes x and so no price: in place on the path flows, and on the link flows
+    by the path change times the incidence. Returns per row whether it moved.
+    """
+    inc = instance.incidence
+    a_minus_h = instance.a - instance.h
+    slices = instance.paths.od_slices
+    offsets = np.array([start for start, _ in slices])
+    sizes = np.array([end - start for start, end in slices])
+    used_a, used_h = (
+        np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes)
+        for demands in (instance.auto_demands, instance.human_demands)
+    )
+
+    def swap(xs: list[np.ndarray], links: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+        fa, fh = xs
+        c = (a_minus_h * (links[0] + links[1])) @ inc
+        c_a = np.where(fa > used_a, c, -np.inf)
+        c_h = np.where(fh > used_h, c, np.inf)
+        # a pair with no used path gives -inf or inf, and a NaN price no gain
+        gain = np.maximum.reduceat(c_a, offsets, axis=1) > np.minimum.reduceat(c_h, offsets, axis=1)
+        gain &= rows[:, None]
+        moved = np.logical_or.reduce(gain, axis=1)
+        if not any(moved):
+            return moved
+        d = np.zeros(fa.shape)  # the autonomous change, and minus the human one
+        for w in np.flatnonzero(np.logical_or.reduce(gain, axis=0)).tolist():
+            start, end = slices[w]
+            r = np.flatnonzero(gain[:, w])
+            q = start + c_a[r, start:end].argmax(1)
+            p = start + c_h[r, start:end].argmin(1)
+            delta = np.minimum(fa[r, q], fh[r, p])
+            d[r, q] = -delta
+            d[r, p] = delta
+        # adding zeros leaves the rows that did not move bit for bit
+        fa += d
+        fh -= d  # delta <= fa_q and fh_p, so both stay >= 0
+        d = d @ inc.T
+        links[0] += d
+        links[1] -= d
+        return moved
+
+    return swap
+
+
 def _descend(
     instance: GameInstance,
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
@@ -223,6 +294,7 @@ def _descend(
     objective: Callable[[list[np.ndarray]], np.ndarray],
     tol: float,
     max_iterations: int,
+    swap: _Swap | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
     """Block-coordinate descent from a batch of starts, in place on the
     (starts × paths) path flows ``flows[k]`` of each block ``blocks[k] =
@@ -235,10 +307,13 @@ def _descend(
     each start (``_block_gap``) and steps the starts (``_block_step``) whose
     gap is not within ``tol``, that have not yet spent ``max_iterations``
     rounds that tried a step, and whose gap is not NaN at a non-finite
-    gradient. A start leaves the batch after a round that changes none of its
-    path flows, since every later round would repeat it; the gaps of that
-    round are therefore measured at its returned point. So each start runs as
-    it would alone, up to the last bits of the batched products.
+    gradient. After the blocks, ``swap`` (if given) moves the path flows and
+    link flows of all blocks in place on the starts that tried a step this
+    round, and returns which of them it moved; that is no extra round. A
+    start leaves the batch after a round that changes none of its path flows,
+    since every later round would repeat it; the gaps of that round are
+    therefore measured at its returned point. So each start runs as it would
+    alone, up to the last bits of the batched products.
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of ``objective`` at the start
@@ -280,6 +355,8 @@ def _descend(
             if any(moved_k):
                 moved = moved | moved_k
                 links[k] = xs[k] @ inc.T
+        if swap is not None and any(tried):
+            moved = moved | swap(xs, links, tried)
         iterations = iterations + tried
         if all(moved):
             continue
@@ -391,7 +468,9 @@ def system_optimal(
     at once: each round steps the autonomous block of every live start at its
     current human flow, then the human block at the new autonomous flow
     (class-a block gradient 2 a fa + (a+h) fh + b, symmetrically for class h),
-    skipping a block whose gap is within tolerance. ``config.max_iterations``
+    skipping a block whose gap is within tolerance, and then, on the starts
+    that tried a block step, the exact class swap of ``_class_swap``, which the
+    two blocks alone only approach by zigzagging. ``config.max_iterations``
     bounds the rounds of each start that try a step, and ``iterations`` sums
     them over the starts. Returns the lowest-cost end point, the first start
     on near-ties; ``relative_gap`` is the larger of the two block gaps at that
@@ -404,7 +483,7 @@ def system_optimal(
     gaps, iterations, traces = _descend(
         instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
         lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
-        tol, config.max_iterations,
+        tol, config.max_iterations, _class_swap(instance),
     )
     best = 0
     for i, trace in enumerate(traces):

@@ -222,8 +222,13 @@ class TestUsageErrors:
             (["solve-optimal", "--max-iter", "0"], "max_iterations"),
             (["verify", "--alpha", "1.5"], "alpha"),
             (["verify", "--mu-min", "0"], "mu_min"),
+            (["play", "--seed", "-1"], "seed"),
+            (["verify", "--count", "3", "--seed", "-1"], "seed"),
         ],
-        ids=["count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "mu-min"],
+        ids=[
+            "count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "mu-min",
+            "seed-negative-play", "seed-negative-verify",
+        ],
     )
     def test_config_out_of_range(self, argv, field, pigou_file, capsys):
         if argv[0] != "verify":

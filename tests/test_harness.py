@@ -52,6 +52,11 @@ class TestBatchConfig:
         with pytest.raises(ValueError, match=field):
             sr.BatchConfig(**{field: value})
 
+    def test_negative_base_seed_rejected(self):
+        # a negative seed cannot seed random_instance: every row would be an error
+        with pytest.raises(ValueError, match="base_seed"):
+            sr.BatchConfig(base_seed=-5)
+
 
 class TestFaceMinimum:
     @pytest.mark.parametrize(
