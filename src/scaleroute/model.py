@@ -42,12 +42,19 @@ FEASIBILITY_TOL = 1e-9
 AGGREGATION_TOL = 1e-12
 
 
-def check_flows(values: np.ndarray, what: str) -> None:
-    """Raise NegativeFlow unless every entry of the flow vector ``values`` is
-    finite and at least ``-AGGREGATION_TOL``; ``what`` names it in the message."""
+def check_flows(values: np.ndarray, size: int, what: str) -> np.ndarray:
+    """``values`` as a float flow vector, checked: DimensionMismatch unless its
+    shape is ``(size,)``, NegativeFlow on an entry that is NaN, infinite or below
+    ``-AGGREGATION_TOL``; ``what`` names it in the messages. The one check of
+    every flow vector argument except the human flows of ``wardrop_gap`` (NaN
+    in, NaN out)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (size,):
+        raise DimensionMismatch(f"{what} must have shape ({size},), got shape {values.shape}")
     bad = values[~(np.isfinite(values) & (values >= -AGGREGATION_TOL))]
     if bad.size:
         raise NegativeFlow(f"{what} must be finite and nonnegative: {bad[0]}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -213,13 +220,9 @@ class GameInstance:
         return (1.0 - self.alphas) * self.demands
 
     def link_flows(self, path_flows: np.ndarray) -> np.ndarray:
-        """Aggregate path flows onto links via the incidence matrix."""
-        path_flows = np.asarray(path_flows, dtype=float)
-        if path_flows.shape != (self.n_paths,):
-            raise DimensionMismatch(
-                f"expected {self.n_paths} path flows, got shape {path_flows.shape}"
-            )
-        return self.incidence @ path_flows
+        """Aggregate path flows onto links via the incidence matrix; the flows
+        are checked by ``check_flows``."""
+        return self.incidence @ check_flows(path_flows, self.n_paths, "path flows")
 
     def link_latencies(self, fa: np.ndarray, fh: np.ndarray) -> np.ndarray:
         """Vector of link latencies e_l = a*fa + h*fh + b."""
@@ -244,16 +247,8 @@ class ClassFlow:
     def from_path_flows(
         cls, instance: GameInstance, fa: np.ndarray, fh: np.ndarray
     ) -> "ClassFlow":
-        fa = np.asarray(fa, dtype=float)
-        fh = np.asarray(fh, dtype=float)
-        if fa.shape != (instance.n_paths,) or fh.shape != (instance.n_paths,):
-            raise DimensionMismatch(
-                f"path flow vectors must have shape ({instance.n_paths},)"
-            )
-        check_flows(fa, "autonomous path flows")
-        check_flows(fh, "human path flows")
-        fa = np.maximum(fa, 0.0)
-        fh = np.maximum(fh, 0.0)
+        fa = np.maximum(check_flows(fa, instance.n_paths, "autonomous path flows"), 0.0)
+        fh = np.maximum(check_flows(fh, instance.n_paths, "human path flows"), 0.0)
         flow = cls(
             path_flows_a=fa,
             path_flows_h=fh,
@@ -535,20 +530,21 @@ def load_instance(path) -> GameInstance:
 
 
 def link_latency(link: Link, fa: float, fh: float) -> float:
-    """Latency of a single link at the given class flows."""
-    if fa < 0 or fh < 0:
-        raise NegativeFlow(f"link {link.id!r}: flows ({fa}, {fh}) must be nonnegative")
+    """Latency of a single link at the given class flows, which must be finite
+    and nonnegative (NegativeFlow)."""
+    if not (0 <= fa < math.inf and 0 <= fh < math.inf):  # NaN fails the comparisons
+        raise NegativeFlow(f"link {link.id!r}: flows ({fa}, {fh}) must be finite and nonnegative")
     return link.latency(fa, fh)
 
 
 def path_latency(
     instance: GameInstance, path: Path, link_flows: tuple[np.ndarray, np.ndarray]
 ) -> float:
-    """Sum of link latencies along ``path`` at the given per-link class flows."""
+    """Sum of link latencies along ``path`` at the given per-link class flows,
+    which are checked by ``check_flows``."""
     instance.paths.global_index(path)  # membership check
-    fa, fh = (np.asarray(v, dtype=float) for v in link_flows)
-    if fa.shape != (instance.n_links,) or fh.shape != (instance.n_links,):
-        raise DimensionMismatch(f"link flow vectors must have shape ({instance.n_links},)")
+    fa = check_flows(link_flows[0], instance.n_links, "autonomous link flows")
+    fh = check_flows(link_flows[1], instance.n_links, "human link flows")
     lat = instance.link_latencies(fa, fh)
     return float(sum(lat[instance.link_index[lid]] for lid in path.links))
 
@@ -559,9 +555,10 @@ def social_cost(instance: GameInstance, flow: ClassFlow) -> float:
 
 
 def social_cost_links(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> float:
-    """Social cost evaluated directly on per-link class flows."""
-    fa = np.asarray(fa, dtype=float)
-    fh = np.asarray(fh, dtype=float)
+    """Social cost evaluated directly on per-link class flows, which are checked
+    by ``check_flows``."""
+    fa = check_flows(fa, instance.n_links, "autonomous link flows")
+    fh = check_flows(fh, instance.n_links, "human link flows")
     return float(np.dot(fa + fh, instance.link_latencies(fa, fh)))
 
 
@@ -596,13 +593,9 @@ def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> Stackelber
     The global check compares the total leader flow with alpha times the
     total demand; the weak-strategy flag additionally requires every O/D
     pair's leader flow to meet an alpha fraction of that pair's demand. Both
-    hold up to ``FEASIBILITY_TOL``. Raises NegativeFlow on a NaN, infinite or
-    negative entry (``check_flows``).
+    hold up to ``FEASIBILITY_TOL``. ``s`` is checked by ``check_flows``.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (instance.n_paths,):
-        raise DimensionMismatch(f"leader path flows must have shape ({instance.n_paths},)")
-    check_flows(s, "leader path flows")
+    s = check_flows(s, instance.n_paths, "leader path flows")
     alpha = network_autonomy_fraction(instance)
     demands = instance.demands
     per_pair = np.empty(len(instance.od_pairs))
@@ -618,14 +611,8 @@ def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> Stackelber
 
 
 def check_leader_flows(instance: GameInstance, s: np.ndarray) -> np.ndarray:
-    """``s`` as a vector of leader link flows, checked: DimensionMismatch on a
-    wrong shape, NegativeFlow on a NaN, infinite or negative entry
-    (``check_flows``)."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (instance.n_links,):
-        raise DimensionMismatch(f"leader link flows must have shape ({instance.n_links},)")
-    check_flows(s, "leader link flows")
-    return s
+    """``s`` as a vector of leader link flows, checked by ``check_flows``."""
+    return check_flows(s, instance.n_links, "leader link flows")
 
 
 def is_opt_restricted(instance: GameInstance, s_links: np.ndarray, fstar: ClassFlow) -> bool:

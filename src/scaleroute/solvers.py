@@ -317,7 +317,8 @@ def _descend(
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of ``objective`` at the start
-    of each of its rounds.
+    of each of its rounds. The objectives of a round are kept for the live
+    starts only, and appended to their traces whenever the batch shrinks.
     """
     inc = instance.incidence
     n_starts = len(flows[0])
@@ -332,7 +333,7 @@ def _descend(
     iterations = np.zeros(n_starts, dtype=int)
     gap_out = np.empty(n_starts)
     iterations_out = np.empty(n_starts, dtype=int)
-    segments: list[tuple[np.ndarray, list[np.ndarray]]] = []  # a live set and its rounds' objectives
+    traces: list[list[float]] = [[] for _ in range(n_starts)]
     rounds: list[np.ndarray] = []
     while True:
         rounds.append(objective(links))
@@ -360,10 +361,11 @@ def _descend(
         iterations = iterations + tried
         if all(moved):
             continue
+        for i, column in zip(live.tolist(), np.array(rounds).T.tolist()):
+            traces[i].extend(column)
+        rounds = []
         done = ~moved
         finished = live[done]
-        segments.append((live, rounds))
-        rounds = []
         gap_out[finished] = reduce(np.maximum, gaps)[done]
         iterations_out[finished] = iterations[done]
         for f, x in zip(flows, xs):
@@ -376,11 +378,6 @@ def _descend(
         links = [link[moved] for link in links]
         quads = [quad[: len(live)] for quad in quads]
         iterations = iterations[moved]
-
-    traces: list[list[float]] = [[] for _ in range(n_starts)]
-    for starts, objectives in segments:
-        for i, column in zip(starts.tolist(), np.array(objectives).T.tolist()):
-            traces[i].extend(column)
     return gap_out, iterations_out, [tuple(t) for t in traces]
 
 
@@ -401,10 +398,9 @@ def follower_equilibrium(
     demands, h = instance.human_demands, instance.h
     lin = instance.a * s + instance.b
     t, _ = _all_or_nothing(instance, (instance.incidence.T @ lin)[None], demands)
-    h_row, lin_row = h[None], lin[None]  # the shape of the one start's link flows, as in _descend
     gap, iterations, traces = _descend(
-        instance, ((demands, h),), (t,), lambda k, links: lin_row,
-        lambda links: 0.5 * np.vecdot(h_row, links[0] * links[0]) + np.vecdot(lin_row, links[0]),
+        instance, ((demands, h),), (t,), lambda k, links: lin,
+        lambda links: 0.5 * np.vecdot(h, links[0] * links[0]) + np.vecdot(lin, links[0]),
         config.relative_gap_tol, config.max_iterations,
     )
     return EquilibriumResult(
@@ -458,6 +454,20 @@ def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, n
     return draws[0][keep], draws[1][keep]
 
 
+def _descend_optimum(
+    instance: GameInstance, flows: tuple[np.ndarray, np.ndarray], config: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
+    """``_descend`` on the social cost, as ``system_optimal`` runs it, in place on
+    the (starts × paths) autonomous and human path flows ``flows``."""
+    ah, b = instance.a + instance.h, instance.b
+    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
+    return _descend(
+        instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
+        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
+        config.relative_gap_tol, config.max_iterations, _class_swap(instance),
+    )
+
+
 def system_optimal(
     instance: GameInstance, config: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
@@ -476,15 +486,9 @@ def system_optimal(
     on near-ties; ``relative_gap`` is the larger of the two block gaps at that
     point, so convergence certifies block-wise optimality only.
     """
-    ah, b = (instance.a + instance.h)[None], instance.b[None]  # rows, as in _descend
-    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
     tol = config.relative_gap_tol
-    flows = _multistart_points(instance, config.seed)  # _descend moves them in place
-    gaps, iterations, traces = _descend(
-        instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
-        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
-        tol, config.max_iterations, _class_swap(instance),
-    )
+    flows = _multistart_points(instance, config.seed)  # _descend_optimum moves them in place
+    gaps, iterations, traces = _descend_optimum(instance, flows, config)
     best = 0
     for i, trace in enumerate(traces):
         if trace[-1] < traces[best][-1] - 1e-15:

@@ -2,7 +2,8 @@
 
 ``benchmarks/`` imports library names and ``ShapeConfig`` fields directly,
 so a removal that breaks the benchmark fails here. One instance per
-workload is played and checked against its committed reference.
+workload is played and checked against its committed reference, and its
+traced play against ``play``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
-from workloads import WORKLOADS, check, play_one  # noqa: E402
+from scaleroute import play  # noqa: E402
+from spans import Tracer  # noqa: E402
+from workloads import SOLVER, WORKLOADS, check, play_one, same_outcome, traced_play  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -23,3 +26,11 @@ def test_first_instance_matches_reference(name):
     iid, make = workload.instances[0]
     problems, _ = check(play_one(workload, make(), iid), workload.references()[iid])
     assert problems == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_play_matches_play(name):
+    # a traced benchmark run fails every play that differs from ``play`` bit for bit
+    iid, make = WORKLOADS[name].instances[0]
+    instance = make()
+    assert same_outcome(traced_play(instance, Tracer(), iid), play(instance, SOLVER))

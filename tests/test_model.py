@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
-from scaleroute.model import AGGREGATION_TOL
+from scaleroute.model import AGGREGATION_TOL, social_cost_links
 
 from conftest import make_braess, make_pigou, make_two_identical
 
@@ -187,6 +187,11 @@ class TestLatencies:
         link = sr.Link("e", "1", "2", 1.0, 1.0, 0.0)
         with pytest.raises(sr.NegativeFlow):
             sr.link_latency(link, -0.1, 0.0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+                sr.link_latency(link, value, 0.0)
+            with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+                sr.link_latency(link, 0.0, value)
 
     def test_path_latency_single_link(self):
         instance = sr.build_instance(
@@ -350,13 +355,45 @@ class TestStackelbergChecks:
         assert not sr.is_opt_restricted(pigou, doubled, opt.flow)
         assert sr.is_opt_restricted(pigou, np.zeros(2), opt.flow)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
-    def test_bad_leader_flow_rejected(self, pigou, value):
-        s = np.array([value, 0.5])
-        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
-            sr.is_stackelberg_feasible(pigou, s)
-        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
-            sr.is_opt_restricted(pigou, s, sr.system_optimal(pigou).flow)
+    @pytest.mark.parametrize(
+        "flows, error, match",
+        [
+            ([float("nan"), 0.5], sr.NegativeFlow, "finite and nonnegative"),
+            ([float("inf"), 0.5], sr.NegativeFlow, "finite and nonnegative"),
+            ([-1.0, 0.5], sr.NegativeFlow, "finite and nonnegative"),
+            ([0.25, 0.25, 0.0], sr.DimensionMismatch, "must have shape"),
+        ],
+        ids=["nan", "inf", "negative", "wrong-length"],
+    )
+    def test_bad_leader_flow_rejected(self, pigou, flows, error, match):
+        # every public entry point that takes a flow vector, at each vector argument
+        # (pigou has two links and two paths)
+        zeros = np.zeros(2)
+        path = pigou.paths.all_paths[0]
+        optimum = sr.system_optimal(pigou).flow
+        entry_points = {
+            "link_flows": lambda f: pigou.link_flows(f),
+            "from_path_flows[fa]": lambda f: sr.ClassFlow.from_path_flows(pigou, f, zeros),
+            "from_path_flows[fh]": lambda f: sr.ClassFlow.from_path_flows(pigou, zeros, f),
+            "path_latency[fa]": lambda f: sr.path_latency(pigou, path, (f, zeros)),
+            "path_latency[fh]": lambda f: sr.path_latency(pigou, path, (zeros, f)),
+            "social_cost_links[fa]": lambda f: social_cost_links(pigou, f, zeros),
+            "social_cost_links[fh]": lambda f: social_cost_links(pigou, zeros, f),
+            "is_stackelberg_feasible": lambda f: sr.is_stackelberg_feasible(pigou, f),
+            "is_opt_restricted": lambda f: sr.is_opt_restricted(pigou, f, optimum),
+            "follower_equilibrium": lambda f: sr.follower_equilibrium(pigou, f),
+            "wardrop_gap": lambda f: sr.wardrop_gap(pigou, f, np.array([0.5, 0.0])),
+            "oracle_nash": lambda f: sr.oracle_nash(pigou, f),
+        }
+        accepted = []
+        for name, call in entry_points.items():
+            try:
+                call(np.array(flows))
+            except error as exc:
+                assert match in str(exc), name
+            else:
+                accepted.append(name)
+        assert accepted == []
 
 
 @settings(max_examples=60, deadline=None)

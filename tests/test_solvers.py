@@ -19,6 +19,7 @@ from scaleroute.solvers import (
     _block_gap,
     _class_swap,
     _descend,
+    _descend_optimum,
     _multistart_points,
     _relative_gap,
 )
@@ -81,19 +82,6 @@ def descend_block(instance, demands, quad, lin, x, config=sr.SolverConfig()):
         config.relative_gap_tol, config.max_iterations,
     )
     return float(gaps[0]), int(iterations[0]), traces[0]
-
-
-def descend_optimum(instance, fa, fh, config=sr.SolverConfig()):
-    """``_descend`` on the social cost with the autonomous and the human block and
-    the class swap, as ``system_optimal`` runs it, in place on the (starts × paths)
-    flows ``fa``, ``fh``: per start its gap, iterations and trace."""
-    ah, b = instance.a + instance.h, instance.b
-    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
-    return _descend(
-        instance, blocks, (fa, fh), lambda k, links: ah * links[1 - k] + b,
-        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
-        config.relative_gap_tol, config.max_iterations, _class_swap(instance),
-    )
 
 
 class TestShortestPaths:
@@ -425,10 +413,10 @@ class TestBatchedStarts:
         # each start of the batch against the same start as a batch of one
         instance = make()
         fa, fh = _multistart_points(instance, config.seed)
-        gaps, iterations, traces = descend_optimum(instance, fa.copy(), fh.copy(), config)
+        gaps, iterations, traces = _descend_optimum(instance, (fa.copy(), fh.copy()), config)
         tol = config.relative_gap_tol
         for i in range(len(fa)):
-            (gap,), (alone,), (trace,) = descend_optimum(instance, fa[i : i + 1].copy(), fh[i : i + 1].copy(), config)
+            (gap,), (alone,), (trace,) = _descend_optimum(instance, (fa[i : i + 1].copy(), fh[i : i + 1].copy()), config)
             assert traces[i][-1] == pytest.approx(trace[-1], rel=1e-12, abs=0.0)
             assert (gaps[i] <= tol) == (gap <= tol)
             assert (iterations[i] == config.max_iterations) == (alone == config.max_iterations)
@@ -438,8 +426,11 @@ class TestBatchedStarts:
         # after the batch was compacted
         instance = sr.random_instance(171, sr.ShapeConfig())
         fa, fh = _multistart_points(instance, 0)
-        _, iterations, traces = descend_optimum(instance, fa, fh)
+        _, iterations, traces = _descend_optimum(instance, (fa, fh), sr.SolverConfig())
         assert len(set(iterations.tolist())) > 2  # starts finish at different rounds
+        # each start's rounds and trace stay its own across the compactions
+        assert iterations.tolist() == [11, 11, 11, 11, 11, 8, 10, 11, 11]
+        assert [len(trace) for trace in traces] == [12, 12, 12, 12, 12, 9, 11, 12, 12]
         for i, trace in enumerate(traces):
             flow = sr.ClassFlow.from_path_flows(instance, fa[i], fh[i])
             assert sr.social_cost(instance, flow) == pytest.approx(trace[-1], rel=1e-14)
