@@ -35,7 +35,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, follower_equilibrium, system_optimal
+from .solvers import EquilibriumResult, SolverConfig, follower_equilibrium, system_optimal
 from .game import play
 
 EXIT_OK = 0
@@ -92,11 +92,6 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _link_flow_csv(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> str:
-    ids = (link.id for link in instance.links)
-    return format_csv("link,flow_a,flow_h,latency", zip(ids, fa, fh, instance.link_latencies(fa, fh)))
-
-
 def _with_uniform_alpha(instance: GameInstance, alpha: float) -> GameInstance:
     od_pairs = [dataclasses.replace(od, alpha=alpha) for od in instance.od_pairs]
     return build_instance(instance.nodes, instance.links, od_pairs, instance.path_cap)
@@ -129,15 +124,25 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _report_solve(
+    args, instance: GameInstance, result: EquilibriumResult, cost: float, cost_label: str, gap_label: str
+) -> int:
+    """Print a solve's cost, gap and convergence, and write its link flows to ``args.out``."""
+    print(f"{cost_label}: {format_float(cost)}")
+    print(f"{gap_label}: {format_float(result.relative_gap)}")
+    print(f"converged: {'yes' if result.converged else 'no'}")
+    if args.out:
+        fa, fh = result.flow.link_flows_a, result.flow.link_flows_h
+        rows = zip((link.id for link in instance.links), fa, fh, instance.link_latencies(fa, fh))
+        _write(format_csv("link,flow_a,flow_h,latency", rows), args.out)
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+
+
 def _cmd_solve_optimal(args) -> int:
     instance = load_instance(args.instance)
     result = system_optimal(instance, _solver_config(args))
-    print(f"optimal social cost: {format_float(result.potential_or_cost)}")
-    print(f"block relative gap: {format_float(result.relative_gap)}")
-    print(f"converged: {'yes' if result.converged else 'no'}")
-    if args.out:
-        _write(_link_flow_csv(instance, result.flow.link_flows_a, result.flow.link_flows_h), args.out)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    cost = result.potential_or_cost
+    return _report_solve(args, instance, result, cost, "optimal social cost", "block relative gap")
 
 
 def _cmd_solve_nash(args) -> int:
@@ -146,12 +151,7 @@ def _cmd_solve_nash(args) -> int:
     baseline = _with_uniform_alpha(instance, 0.0)
     result = follower_equilibrium(baseline, np.zeros(baseline.n_links), _solver_config(args))
     cost = social_cost(baseline, result.flow)
-    print(f"equilibrium social cost: {format_float(cost)}")
-    print(f"relative gap: {format_float(result.relative_gap)}")
-    print(f"converged: {'yes' if result.converged else 'no'}")
-    if args.out:
-        _write(_link_flow_csv(baseline, result.flow.link_flows_a, result.flow.link_flows_h), args.out)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _report_solve(args, baseline, result, cost, "equilibrium social cost", "relative gap")
 
 
 def _cmd_play(args) -> int:

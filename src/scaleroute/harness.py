@@ -40,7 +40,7 @@ from .model import (
     check_leader_flows,
     min_asymmetry,
     network_autonomy_fraction,
-    social_cost_links,
+    social_cost,
 )
 from .solvers import SolverConfig, wardrop_gap
 
@@ -160,26 +160,35 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.T @ (v[:, None] * A)
 
 
-def oracle_optimal(
-    instance: GameInstance, config: OracleConfig = OracleConfig()
-) -> tuple[ClassFlow, float]:
-    """Exact system optimum, over the path flows z = (autonomous, human).
+def _social_cost_quadratic(
+    instance: GameInstance,
+) -> tuple[np.ndarray, np.ndarray, list[range], list[float]]:
+    """The social cost as 1/2 z'Pz + q'z over the path flows z = (autonomous, human),
+    with its simplices (one per class and O/D pair) and their demands, on any network.
 
     On a link the social cost is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh)
-    with (fa, fh) = (A za, A zh) for the incidence A; each class has one
-    simplex per O/D pair. Raises UnsupportedTopology outside the oracle scope
-    (``is_parallel_link``). Returns the flow and its social cost.
+    with (fa, fh) = (A za, A zh) for the incidence A.
     """
-    _check_scope(instance, config)
     A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
     cross = _path_form(A, a + h)
     P = np.block([[_path_form(A, 2.0 * a), cross], [cross, _path_form(A, 2.0 * h)]])
     q = A.T @ instance.b
     slices = instance.paths.od_slices
     groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
-    z, _ = _face_minimum(P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands])
-    flow = ClassFlow.from_path_flows(instance, z[:n], z[n:])
-    return flow, social_cost_links(instance, flow.link_flows_a, flow.link_flows_h)
+    return P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands]
+
+
+def oracle_optimal(
+    instance: GameInstance, config: OracleConfig = OracleConfig()
+) -> tuple[ClassFlow, float]:
+    """Exact system optimum, the ``_face_minimum`` of ``_social_cost_quadratic``.
+    Raises UnsupportedTopology outside the oracle scope (``is_parallel_link``).
+    Returns the flow and its social cost.
+    """
+    _check_scope(instance, config)
+    z, _ = _face_minimum(*_social_cost_quadratic(instance))
+    flow = ClassFlow.from_path_flows(instance, *np.split(z, 2))
+    return flow, social_cost(instance, flow)
 
 
 def oracle_nash(
@@ -381,7 +390,7 @@ class VerificationReport:
 
 
 def certify_outcome(
-    instance: GameInstance, outcome: StackelbergOutcome, oracle_config: OracleConfig
+    instance: GameInstance, outcome: StackelbergOutcome, oracle_config: OracleConfig = OracleConfig()
 ) -> StackelbergOutcome:
     """Mark the outcome oracle-certified if the exact optimum agrees.
 

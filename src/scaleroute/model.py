@@ -549,9 +549,14 @@ def path_latency(
     return float(sum(lat[instance.link_index[lid]] for lid in path.links))
 
 
+def _social_cost(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> float:
+    """Total travel time sum_l (fa_l + fh_l) * e_l(fa_l, fh_l) at unchecked link flows."""
+    return float(np.dot(fa + fh, instance.link_latencies(fa, fh)))
+
+
 def social_cost(instance: GameInstance, flow: ClassFlow) -> float:
-    """Total travel time sum_l (fa_l + fh_l) * e_l(fa_l, fh_l)."""
-    return social_cost_links(instance, flow.link_flows_a, flow.link_flows_h)
+    """Total travel time of a flow; its link flows were checked when it was built."""
+    return _social_cost(instance, flow.link_flows_a, flow.link_flows_h)
 
 
 def social_cost_links(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> float:
@@ -559,17 +564,14 @@ def social_cost_links(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) ->
     by ``check_flows``."""
     fa = check_flows(fa, instance.n_links, "autonomous link flows")
     fh = check_flows(fh, instance.n_links, "human link flows")
-    return float(np.dot(fa + fh, instance.link_latencies(fa, fh)))
+    return _social_cost(instance, fa, fh)
 
 
 def check_feasibility(instance: GameInstance, flow: ClassFlow) -> FeasibilityReport:
     """Check flow conservation per O/D pair and report residuals."""
-    res_a = np.empty(len(instance.od_pairs))
-    res_h = np.empty(len(instance.od_pairs))
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        od = instance.od_pairs[w]
-        res_a[w] = flow.path_flows_a[start:end].sum() - od.alpha * od.demand
-        res_h[w] = flow.path_flows_h[start:end].sum() - (1.0 - od.alpha) * od.demand
+    slices = instance.paths.od_slices
+    res_a = np.array([flow.path_flows_a[start:end].sum() for start, end in slices]) - instance.auto_demands
+    res_h = np.array([flow.path_flows_h[start:end].sum() for start, end in slices]) - instance.human_demands
     feasible = bool(
         np.all(np.abs(res_a) <= FEASIBILITY_TOL) and np.all(np.abs(res_h) <= FEASIBILITY_TOL)
     )

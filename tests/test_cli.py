@@ -100,6 +100,14 @@ class TestPlay:
     def test_alpha_zero_is_validation_error(self, pigou_file, capsys):
         assert run(["play", "--instance", pigou_file, "--alpha", "0"]) == 1
 
+    def test_non_convergence_exit(self, capsys):
+        argv = ["play", "--instance", str(INSTANCES / "braess.json"), "--max-iter", "1", "--tol", "1e-16"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: system optimum not converged")
+
 
 class TestSolvers:
     def test_solve_optimal(self, pigou_file, tmp_path, capsys):
@@ -116,20 +124,10 @@ class TestSolvers:
         out = capsys.readouterr().out
         assert abs(_value(out, "equilibrium social cost") - 1.0) <= 1e-2
 
-    def test_non_convergence_exit(self, tmp_path, capsys):
-        raw = {
-            "nodes": ["1", "2"],
-            "links": [
-                {"id": "a", "tail": "1", "head": "2", "a": 1.0, "h": 1.0, "b": 0.0},
-                {"id": "b", "tail": "1", "head": "2", "a": 2.0, "h": 2.0, "b": 0.05},
-                {"id": "c", "tail": "1", "head": "2", "a": 3.0, "h": 3.0, "b": 0.1},
-            ],
-            "od_pairs": [{"origin": "1", "destination": "2", "demand": 1.0, "alpha": 0.5}],
-        }
-        path = tmp_path / "uneven.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        code = run(["solve-nash", "--instance", str(path), "--max-iter", "1", "--tol", "1e-16"])
-        assert code == 2
+    def test_non_convergence_exit(self, capsys):
+        for command in ("solve-optimal", "solve-nash"):
+            argv = [command, "--instance", str(INSTANCES / "braess.json"), "--max-iter", "1", "--tol", "1e-16"]
+            assert run(argv) == 2
 
 
 class TestCurves:

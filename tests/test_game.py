@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import scaleroute as sr
+from scaleroute.harness import certify_outcome
+from scaleroute.solvers import _multistart_points
 
 from conftest import make_pigou, make_two_identical
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 class TestScaleStrategy:
@@ -90,11 +96,40 @@ class TestPlay:
 
     def test_certified_poa_at_least_one(self, pigou):
         outcome = sr.play(pigou)
-        from scaleroute.harness import certify_outcome
+        # the oracle config may be passed or left to its default
+        for certified in certify_outcome(pigou, outcome, sr.OracleConfig()), certify_outcome(pigou, outcome):
+            assert certified.optimum_certified
+            assert certified.empirical_poa >= 1.0 - 1e-6
 
-        certified = certify_outcome(pigou, outcome, sr.OracleConfig())
-        assert certified.optimum_certified
-        assert certified.empirical_poa >= 1.0 - 1e-6
+
+def result_bits(result):
+    """Everything an ``EquilibriumResult`` reports, comparable bit for bit."""
+    flows = result.flow.path_flows_a.tobytes(), result.flow.path_flows_h.tobytes()
+    return result.iterations, result.trace, result.relative_gap, result.converged, flows
+
+
+class TestNotConverged:
+    """``play`` raises at each solver gate, carrying that solve's unconverged result."""
+
+    CONFIG = sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)
+
+    def test_system_optimum_gate(self):
+        braess = sr.load_instance(INSTANCES / "braess.json")
+        with pytest.raises(sr.NotConverged, match="system optimum not converged") as info:
+            sr.play(braess, self.CONFIG)
+        result = info.value.result
+        assert result.converged is False
+        assert result_bits(result) == result_bits(sr.system_optimal(braess, self.CONFIG))
+        # each of the 9 distinct starts spends its one-round budget
+        assert len(_multistart_points(braess, self.CONFIG.seed)[0]) == result.iterations == 9
+
+    def test_induced_equilibrium_gate(self, braess):
+        with pytest.raises(sr.NotConverged, match="induced equilibrium not converged") as info:
+            sr.play(braess, self.CONFIG)
+        result = info.value.result
+        assert result.converged is False and result.iterations == 1
+        s = braess.link_flows(sr.scale_strategy(sr.system_optimal(braess, self.CONFIG).flow, 0.5))
+        assert result_bits(result) == result_bits(sr.follower_equilibrium(braess, s, self.CONFIG))
 
 
 class TestMeasureLinks:

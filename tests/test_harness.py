@@ -16,6 +16,7 @@ from scaleroute.harness import (
     MAX_NODES,
     MAX_OD_PAIRS,
     _face_minimum,
+    _social_cost_quadratic,
     format_float,
     region_alpha_intervals,
     report_to_csv,
@@ -89,21 +90,6 @@ class TestFaceMinimum:
         assert val == pytest.approx(0.0, abs=1e-15)
 
 
-def social_cost_quadratic(instance):
-    """The social cost as 1/2 z'Pz + q'z over z = (autonomous, human) path
-    flows, with its simplices (one per class and O/D pair) and their demands."""
-    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
-
-    def gram(v):
-        return A.T @ (v[:, None] * A)
-
-    P = np.block([[gram(2.0 * a), gram(a + h)], [gram(a + h), gram(2.0 * h)]])
-    q = np.concatenate([A.T @ instance.b] * 2)
-    slices = instance.paths.od_slices
-    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
-    return P, q, groups, [*instance.auto_demands, *instance.human_demands]
-
-
 def face_count(instance) -> int:
     return math.prod((2 ** (end - start) - 1) ** 2 for start, end in instance.paths.od_slices)
 
@@ -120,7 +106,7 @@ class TestSystemOptimumIsExact:
         else:
             instance = make_braess()
         assert not sr.is_parallel_link(instance)
-        _, exact = _face_minimum(*social_cost_quadratic(instance))
+        _, exact = _face_minimum(*_social_cost_quadratic(instance))
         solved = sr.social_cost(instance, sr.system_optimal(instance).flow)
         assert abs(solved - exact) <= 1e-12 * abs(exact)
 
@@ -129,7 +115,7 @@ class TestSystemOptimumIsExact:
         for seed, instance, outcome in batch_outcomes:
             if face_count(instance) > self.MAX_FACES:
                 continue
-            _, exact = _face_minimum(*social_cost_quadratic(instance))
+            _, exact = _face_minimum(*_social_cost_quadratic(instance))
             assert abs(outcome.optimal_cost - exact) <= 1e-12 * abs(exact), seed
             checked += 1
             general += not sr.is_parallel_link(instance)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import scaleroute as sr
 from scaleroute.model import AGGREGATION_TOL, social_cost_links
 
-from conftest import make_braess, make_pigou, make_two_identical
+from conftest import make_braess, make_two_identical
 
 BRAESS_RAW = {
     "nodes": ["1", "2", "3", "4"],
@@ -365,7 +365,7 @@ class TestStackelbergChecks:
         ],
         ids=["nan", "inf", "negative", "wrong-length"],
     )
-    def test_bad_leader_flow_rejected(self, pigou, flows, error, match):
+    def test_bad_flow_vector_rejected(self, pigou, flows, error, match):
         # every public entry point that takes a flow vector, at each vector argument
         # (pigou has two links and two paths)
         zeros = np.zeros(2)
