@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AlphaOutOfRange, HeterogeneousAlpha, NotConverged
-from .model import ClassFlow, GameInstance, social_cost, social_cost_links
+from .model import ClassFlow, GameInstance, _social_cost, social_cost
 from .solvers import EquilibriumResult, SolverConfig, follower_equilibrium, system_optimal, wardrop_gap
 
 _ALPHA_UNIFORM_TOL = 1e-12
@@ -111,7 +111,7 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     t_link = follower.flow.link_flows_h
 
     optimal_cost = social_cost(instance, opt.flow)
-    induced_cost = social_cost_links(instance, s_link, t_link)
+    induced_cost = _social_cost(instance, s_link, t_link)  # both built from checked path flows
     gap = wardrop_gap(instance, s_link, follower.flow.path_flows_h)
     return StackelbergOutcome(
         instance=instance,

@@ -3,11 +3,12 @@
 The oracles work on path flows, as the solvers do: the social cost and the
 follower's Beckmann potential are quadratics over a product of simplices,
 one per class and O/D pair, and both are minimised exactly by enumerating
-the faces of that product. Each face fixes a support per simplex, and one
-small KKT solve per face gives its stationary point. The global minimum is
-the lowest feasible stationary point, even where the cost is not convex.
-The face count grows exponentially with the path count, so the oracles are
-scoped to one O/D pair of at most three parallel links (``is_parallel_link``).
+the faces of that product. Each face fixes a support per simplex, and its
+KKT system gives its stationary point; one stacked solve covers every face.
+The global minimum is the lowest feasible stationary point, even where the
+cost is not convex. The face count grows exponentially with the path count,
+so the oracles are scoped to one O/D pair of at most three parallel links
+(``is_parallel_link``).
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -19,6 +20,7 @@ boundaries, bound curves) as labeled CSV series.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,6 +112,34 @@ def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
         raise UnsupportedTopology(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
 
 
+@functools.lru_cache(maxsize=32)
+def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces of the product of simplices over n variables with these
+    groups, as read-only arrays: their supports, a (faces, n) mask, and the
+    part of their KKT systems that P does not fill, a (faces, n + k, n + k)
+    stack with the group sums over each support and a unit diagonal that
+    pins each variable off the support at 0. A face takes one nonempty
+    subset per group, the subsets of a group by size and then
+    lexicographically, and the faces come in ``itertools.product`` order."""
+    masks = np.zeros((1, n), dtype=bool)
+    for g in groups:
+        subsets = [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
+        sub = np.zeros((len(subsets), n), dtype=bool)
+        for row, s in zip(sub, subsets):
+            row[list(s)] = True
+        masks = (masks[:, None, :] | sub[None, :, :]).reshape(-1, n)
+    k = len(groups)
+    member = np.zeros((k, n))
+    for j, g in enumerate(groups):
+        member[j, list(g)] = 1.0
+    K = np.zeros((len(masks), n + k, n + k))
+    K[:, :n, :n] = np.eye(n) * ~masks[:, None, :]
+    K[:, n:, :n] = member * masks[:, None, :]  # one sum per group
+    K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
+    masks.flags.writeable = K.flags.writeable = False
+    return masks, K
+
+
 def _face_minimum(
     P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
 ) -> tuple[np.ndarray, float]:
@@ -117,42 +147,39 @@ def _face_minimum(
 
     The feasible set is a product of simplices. Each face fixes a nonempty
     support per group, and the minimum is a stationary point in the relative
-    interior of some face: its KKT system is solved by least squares and
-    kept if the residual is small and the point feasible. A face whose
-    restricted Hessian is singular needs no special case: the cost is
-    constant along the null direction, which reaches a smaller face. Among
-    the surviving faces the lowest value wins, the first face on ties.
-    Returns the minimiser and its value.
+    interior of some face. P is first replaced by its symmetric part, which
+    has the same quadratic form. The KKT systems of all faces form one
+    stack (``_face_layout``) with P restricted to each support, and one
+    Hermitian pseudo-inverse of the stack, at the cutoff of least squares,
+    solves them all. A face's point is kept if its residual is small and it
+    is feasible. A face whose restricted Hessian is singular needs no
+    special case: the cost is constant along the null direction, which
+    reaches a smaller face. Among the surviving faces the lowest value wins,
+    the first face on ties. Returns the minimiser and its value, or
+    ``(None, inf)`` if no face survives.
     """
-    k = len(groups)
-    supports = [
-        [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
-        for g in groups
-    ]
-    d = np.asarray(demands, dtype=float)
-    best_z, best_val = None, math.inf
-    for face in itertools.product(*supports):
-        idx = np.concatenate(face)
-        n = idx.size
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = P[np.ix_(idx, idx)]
-        K[n:, :n] = np.repeat(np.eye(k), [len(s) for s in face], axis=1)  # one sum per group
-        K[:n, n:] = K[n:, :n].T
-        rhs = np.concatenate([-q[idx], d])
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        # one refinement step: a single solve can miss the demands by ~1e-14,
-        # which puts the cost above that of nearby feasible points
-        sol += np.linalg.lstsq(K, rhs - K @ sol, rcond=None)[0]
-        if np.linalg.norm(K @ sol - rhs) > _KKT_RTOL * np.linalg.norm(rhs):
-            continue
-        if sol[:n].min() < -_FEASIBLE_ATOL:
-            continue
-        z = np.zeros(q.size)
-        z[idx] = np.maximum(sol[:n], 0.0)
-        val = float(z @ (0.5 * (P @ z) + q))
-        if val < best_val:
-            best_z, best_val = z, val
-    return best_z, best_val
+    P = 0.5 * (P + P.T)
+    n = q.size
+    masks, template = _face_layout(tuple(map(tuple, groups)), n)
+    K = template.copy()
+    K[:, :n, :n] += P * (masks[:, :, None] & masks[:, None, :])
+    d = np.broadcast_to(demands, (len(masks), len(groups)))
+    rhs = np.concatenate([-q * masks, d], axis=1)[..., None]
+    K_pinv = np.linalg.pinv(K, rtol=None, hermitian=True)
+    sol = K_pinv @ rhs
+    # one refinement step: a single solve can miss the demands by ~1e-14,
+    # which puts the cost above that of nearby feasible points
+    sol += K_pinv @ (rhs - K @ sol)
+    residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
+    stationary = residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2))
+    x = np.where(masks, sol[:, :n, 0], 0.0)
+    feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
+    Z = np.maximum(x, 0.0)
+    values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
+    best = int(np.argmin(values))
+    if values[best] == math.inf:
+        return None, math.inf
+    return Z[best], float(values[best])
 
 
 def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -29,15 +30,15 @@ LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
 
 #: oracle_optimal's total link flows and cost on LOWMU_SHAPE seeds
 EXACT_THREE_LINK_OPTIMA = {
-    1000: ([0.7623661549856844, 0.45018494975183265, 0.7634422681007413], 2.3173589196197018),
-    1002: ([0.22206373219439066, 0.6846379265077469, 0.0179131819943952], 0.9888659497441061),
+    1000: ([0.7623661549856845, 0.45018494975183265, 0.7634422681007413], 2.317358919619702),
+    1002: ([0.22206373219439066, 0.6846379265077469, 0.017913181994395195], 0.9888659497441061),
 }
 
 
 class TestOracleConfig:
     @pytest.mark.parametrize("max_links", [0, 4])
     def test_max_links_out_of_range(self, max_links):
-        # the grids cover at most three links: a fourth must fail here, not inside a batch
+        # the oracles' scope is at most three parallel links: a fourth must fail here, not inside a batch
         with pytest.raises(ValueError, match="max_links"):
             sr.OracleConfig(max_links=max_links)
 
@@ -89,6 +90,56 @@ class TestFaceMinimum:
         assert z[0] == pytest.approx(z[2], abs=1e-15)
         assert val == pytest.approx(0.0, abs=1e-15)
 
+    def test_all_faces_tie(self):
+        # every face's stationary point costs 0: the first vertex wins
+        z, val = _face_minimum(np.zeros((5, 5)), np.zeros(5), [range(2), range(2, 5)], [1.5, 2.0])
+        assert z.tolist() == [1.5, 0.0, 2.0, 0.0, 0.0]
+        assert val == 0.0
+
+    def test_asymmetric_form(self):
+        # z'Pz depends only on the symmetric part (P + P') / 2, here exactly S
+        S = np.array([[2, 0, 1], [0, 2, 0], [1, 0, 3]], dtype=float)
+        P = S + np.array([[0, 2, -1], [-2, 0, 1], [1, -1, 0]], dtype=float)
+        q, groups, demands = np.array([0.0, 0.5, -1.0]), [range(3)], [1.0]
+        z, val = _face_minimum(P, q, groups, demands)
+        z_sym, val_sym = _face_minimum(S, q, groups, demands)
+        assert z.tolist() == z_sym.tolist()
+        assert val == val_sym
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lowest_feasible_point(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="sizes")
+        ends = np.cumsum(sizes).tolist()
+        groups = [range(end - size, end) for size, end in zip(sizes, ends)]
+        n = ends[-1]
+        coefficients = st.floats(-2.0, 2.0)
+        M = np.array(data.draw(st.lists(coefficients, min_size=n * n, max_size=n * n), label="M")).reshape(n, n)
+        P = (M + M.T) / 2.0  # symmetric, maybe indefinite
+        q = np.array(data.draw(st.lists(coefficients, min_size=n, max_size=n), label="q"))
+        k = len(groups)
+        demands = data.draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k), label="demands")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        z, value = _face_minimum(P, q, groups, demands)
+        assert z.min() >= 0.0
+        for g, d in zip(groups, demands):
+            assert abs(z[g].sum() - d) <= 1e-12 * (1.0 + d)
+
+        def cost(y):
+            return y @ (0.5 * (P @ y) + q)
+
+        slack = 1e-12 * (1.0 + abs(value))
+        assert value == pytest.approx(cost(z), rel=1e-12, abs=1e-12)
+        for vertex in itertools.product(*groups):  # one variable per group carries its demand
+            y = np.zeros(n)
+            y[list(vertex)] = demands
+            assert value <= cost(y) + slack, vertex
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            y = np.concatenate([d * rng.dirichlet(np.ones(len(g))) for g, d in zip(groups, demands)])
+            assert value <= cost(y) + slack, y
+
 
 def face_count(instance) -> int:
     return math.prod((2 ** (end - start) - 1) ** 2 for start, end in instance.paths.od_slices)
@@ -97,7 +148,7 @@ def face_count(instance) -> int:
 class TestSystemOptimumIsExact:
     """``system_optimal`` against the exact minimum on general networks."""
 
-    MAX_FACES = 225
+    MAX_FACES = 2401
 
     @pytest.mark.parametrize("source", ["conftest", "file"])
     def test_braess(self, source):
@@ -119,7 +170,7 @@ class TestSystemOptimumIsExact:
             assert abs(outcome.optimal_cost - exact) <= 1e-12 * abs(exact), seed
             checked += 1
             general += not sr.is_parallel_link(instance)
-        assert (checked, general) == (167, 124)
+        assert (checked, general) == (186, 143)
 
 
 @st.composite
