@@ -48,8 +48,7 @@ class AlphaThresholds:
     """Region boundaries in alpha, as functions of mu only.
 
     Raw values may fall outside [0, 1] (including -inf at mu = 1), which
-    renders the corresponding regions empty; use ``in_range``/``clamped``
-    for reporting.
+    renders the corresponding regions empty.
     """
 
     mu: float
@@ -57,13 +56,6 @@ class AlphaThresholds:
     alpha1: float
     alpha2: float
     alpha_tilde: float
-
-    def in_range(self, name: str) -> bool:
-        value = getattr(self, name)
-        return 0.0 <= value <= 1.0
-
-    def clamped(self, name: str) -> float:
-        return min(1.0, max(0.0, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -88,10 +80,6 @@ class BoundResult:
     thresholds: AlphaThresholds
     bound: float
     expression_used: str
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.bound)
 
 
 def _check_alpha_mu(alpha: float, mu: float) -> None:

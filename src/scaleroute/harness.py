@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -260,15 +260,17 @@ class ShapeConfig:
     on ``h_range``, a = mu h with mu uniform on [``mu_min``, 1], and b is zero
     with ``b_zero_probability``, else uniform on ``b_range``. Demands are
     uniform on ``demand_range``, and every pair has autonomy fraction ``alpha``.
+    Only ``mu_min``, ``alpha`` and ``parallel_probability`` are settable; the
+    four distributions are class constants.
     """
 
     mu_min: float = 0.3
     alpha: float = 0.5
     parallel_probability: float = 0.25
-    demand_range: tuple[float, float] = (0.5, 2.0)
-    h_range: tuple[float, float] = (0.5, 2.0)
-    b_range: tuple[float, float] = (0.0, 1.5)
-    b_zero_probability: float = 0.25
+    demand_range: ClassVar[tuple[float, float]] = (0.5, 2.0)
+    h_range: ClassVar[tuple[float, float]] = (0.5, 2.0)
+    b_range: ClassVar[tuple[float, float]] = (0.0, 1.5)
+    b_zero_probability: ClassVar[float] = 0.25
 
     def __post_init__(self):
         if not 0.0 < self.mu_min <= 1.0:
@@ -514,7 +516,6 @@ def report_to_csv(report: VerificationReport) -> str:
 class CurveTable:
     """Labeled (x, y) series, serializable as series,x,y CSV."""
 
-    kind: str
     rows: tuple[tuple[str, float, float], ...]
 
     def series(self, label: str) -> list[tuple[float, float]]:
@@ -604,4 +605,4 @@ def curve_tables(
                 rows.append((f"alpha0[{label}]", t.alpha0, float("inf")))
     else:
         raise BadKind(f"unknown curve kind {kind!r}")
-    return CurveTable(kind=kind, rows=tuple(rows))
+    return CurveTable(rows=tuple(rows))

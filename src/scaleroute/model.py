@@ -100,9 +100,6 @@ class Link:
         """Degree of asymmetry a/h, in (0, 1]."""
         return self.a / self.h
 
-    def latency(self, fa: float, fh: float) -> float:
-        return self.a * fa + self.h * fh + self.b
-
 
 @dataclass(frozen=True)
 class ODPair:
@@ -178,9 +175,11 @@ class GameInstance:
     """Validated mixed-autonomy routing game instance.
 
     Carries the network, the demand structure, the enumerated PathSet, and
-    derived numpy views (slope/intercept vectors, link-path incidence) used
-    by the solvers. Immutable; construct via ``validate_instance`` or
-    ``build_instance``.
+    derived numpy views used by the solvers: the slope/intercept vectors,
+    the link-path incidence, and the per-O/D demand vectors (``demands``,
+    ``alphas``, and the class demands ``auto_demands = alphas * demands``
+    and ``human_demands = (1 - alphas) * demands``). Immutable; construct
+    via ``validate_instance`` or ``build_instance``.
     """
 
     nodes: tuple[str, ...]
@@ -193,6 +192,10 @@ class GameInstance:
     h: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     incidence: np.ndarray = field(repr=False)
+    demands: np.ndarray = field(repr=False)
+    alphas: np.ndarray = field(repr=False)
+    auto_demands: np.ndarray = field(repr=False)
+    human_demands: np.ndarray = field(repr=False)
     link_index: Mapping[str, int] = field(repr=False)
 
     @property
@@ -202,22 +205,6 @@ class GameInstance:
     @property
     def n_paths(self) -> int:
         return len(self.paths)
-
-    @property
-    def demands(self) -> np.ndarray:
-        return np.array([od.demand for od in self.od_pairs])
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([od.alpha for od in self.od_pairs])
-
-    @property
-    def auto_demands(self) -> np.ndarray:
-        return self.alphas * self.demands
-
-    @property
-    def human_demands(self) -> np.ndarray:
-        return (1.0 - self.alphas) * self.demands
 
     def link_flows(self, path_flows: np.ndarray) -> np.ndarray:
         """Aggregate path flows onto links via the incidence matrix; the flows
@@ -417,7 +404,11 @@ def build_instance(
     a = np.array([l.a for l in links])
     h = np.array([l.h for l in links])
     b = np.array([l.b for l in links])
-    for arr in (a, h, b, incidence):
+    demands = np.array([od.demand for od in od_pairs])
+    alphas = np.array([od.alpha for od in od_pairs])
+    auto_demands = alphas * demands
+    human_demands = (1.0 - alphas) * demands
+    for arr in (a, h, b, incidence, demands, alphas, auto_demands, human_demands):
         arr.setflags(write=False)
     return GameInstance(
         nodes=nodes,
@@ -429,6 +420,10 @@ def build_instance(
         h=h,
         b=b,
         incidence=incidence,
+        demands=demands,
+        alphas=alphas,
+        auto_demands=auto_demands,
+        human_demands=human_demands,
         link_index=link_index,
     )
 
@@ -534,7 +529,7 @@ def link_latency(link: Link, fa: float, fh: float) -> float:
     and nonnegative (NegativeFlow)."""
     if not (0 <= fa < math.inf and 0 <= fh < math.inf):  # NaN fails the comparisons
         raise NegativeFlow(f"link {link.id!r}: flows ({fa}, {fh}) must be finite and nonnegative")
-    return link.latency(fa, fh)
+    return link.a * fa + link.h * fh + link.b
 
 
 def path_latency(

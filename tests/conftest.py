@@ -12,13 +12,10 @@ from scaleroute import (
     ShapeConfig,
     SolverConfig,
     build_instance,
-    follower_equilibrium,
     oracle_nash,
     oracle_optimal,
     play,
     random_instance,
-    scale_strategy,
-    system_optimal,
     verify_bounds,
 )
 
@@ -98,21 +95,18 @@ def parallel_batch():
     rows = []
     for seed in range(1000, 1050):
         instance = random_instance(seed, shape)
-        opt = system_optimal(instance, BATCH_SOLVER)
+        outcome = play(instance, BATCH_SOLVER)
         oracle_flow, oracle_cost = oracle_optimal(instance, oracle_cfg)
-        s_path = scale_strategy(opt.flow, instance.od_pairs[0].alpha)
-        s_link = instance.link_flows(s_path)
-        follower = follower_equilibrium(instance, s_link, BATCH_SOLVER)
-        oracle_t, oracle_gap = oracle_nash(instance, s_link, oracle_cfg)
+        oracle_t, oracle_gap = oracle_nash(instance, outcome.leader_link_flows, oracle_cfg)
         rows.append(
             {
                 "seed": seed,
                 "instance": instance,
-                "opt": opt,
+                "opt": outcome.optimal_result,
                 "oracle_flow": oracle_flow,
                 "oracle_cost": oracle_cost,
-                "s_link": s_link,
-                "follower": follower,
+                "s_link": outcome.leader_link_flows,
+                "follower": outcome.follower_result,
                 "oracle_t": oracle_t,
                 "oracle_gap": oracle_gap,
             }

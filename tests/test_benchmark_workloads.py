@@ -1,7 +1,7 @@
 """The benchmark's workloads run against the library as it stands.
 
-``benchmarks/`` imports library names and ``ShapeConfig`` fields directly,
-so a removal that breaks the benchmark fails here. One instance per
+``benchmarks/`` imports library names and reads ``ShapeConfig`` attributes
+directly, so a removal that breaks the benchmark fails here. One instance per
 workload is played and checked against its committed reference, and its
 traced play against ``play``.
 """

@@ -159,14 +159,14 @@ class TestRegions:
 
     def test_threshold_flags_and_clamping(self):
         t = sr.alpha_thresholds(0.6)
-        assert not t.in_range("alpha2")
-        assert t.clamped("alpha2") == 0.0
-        assert sr.alpha_thresholds(0.2).in_range("alpha0")
+        assert not 0.0 <= t.alpha2 <= 1.0
+        assert t.alpha2 < 0.0
+        assert 0.0 <= sr.alpha_thresholds(0.2).alpha0 <= 1.0
 
     def test_alpha_tilde_at_least_alpha0_when_in_range(self):
         for mu in np.linspace(0.01, 0.24, 40):
             t = sr.alpha_thresholds(mu)
-            if t.in_range("alpha_tilde") and t.in_range("alpha0"):
+            if 0.0 <= t.alpha_tilde <= 1.0 and 0.0 <= t.alpha0 <= 1.0:
                 assert t.alpha_tilde >= t.alpha0 - 1e-12
 
 
@@ -204,7 +204,7 @@ class TestPoaBound:
         assert result.region is Region.A0
         assert math.isinf(result.bound)
         assert result.expression_used == "inf"
-        assert not result.finite
+        assert not math.isfinite(result.bound)
 
     def test_domain_errors(self):
         with pytest.raises(sr.DomainError):
@@ -315,5 +315,5 @@ class TestBoundInvariants:
             alpha = rng.uniform(0.001, 0.999)
             mu = rng.uniform(0.001, 1.0)
             result = sr.poa_bound(alpha, mu)
-            if result.finite:
+            if math.isfinite(result.bound):
                 assert result.bound >= 1.0 - 1e-12

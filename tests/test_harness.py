@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -33,6 +34,27 @@ EXACT_THREE_LINK_OPTIMA = {
     1000: ([0.7623661549856845, 0.45018494975183265, 0.7634422681007413], 2.317358919619702),
     1002: ([0.22206373219439066, 0.6846379265077469, 0.017913181994395195], 0.9888659497441061),
 }
+
+
+class TestSettableSurface:
+    def test_config_fields_are_pinned(self):
+        # a new knob must edit this pin on purpose
+        pinned = {
+            sr.SolverConfig: ["relative_gap_tol", "max_iterations", "seed"],
+            sr.ShapeConfig: ["mu_min", "alpha", "parallel_probability"],
+            sr.BatchConfig: ["count", "base_seed", "shape", "solver", "oracle", "jobs"],
+            sr.OracleConfig: ["max_links"],
+        }
+        for config, names in pinned.items():
+            assert [f.name for f in dataclasses.fields(config)] == names
+        # the distributions are class constants, which benchmarks/grid.py reads
+        with pytest.raises(TypeError):
+            sr.ShapeConfig(h_range=(1.0, 2.0))
+        shape = sr.ShapeConfig()
+        assert shape.demand_range == (0.5, 2.0)
+        assert shape.h_range == (0.5, 2.0)
+        assert shape.b_range == (0.0, 1.5)
+        assert shape.b_zero_probability == 0.25
 
 
 class TestOracleConfig:

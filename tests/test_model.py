@@ -327,6 +327,22 @@ class TestScalarSummaries:
         assert sr.network_autonomy_fraction(weighted) == pytest.approx(0.75)
 
 
+class TestDemandVectors:
+    def test_read_only_class_products(self):
+        instance = sr.build_instance(
+            ("1", "2"),
+            [sr.Link("e", "1", "2", 1.0, 1.0, 0.0), sr.Link("r", "2", "1", 1.0, 1.0, 0.0)],
+            [sr.ODPair("1", "2", 1.3, 0.3), sr.ODPair("2", "1", 2.7, 0.7)],
+        )
+        vectors = (instance.demands, instance.alphas, instance.auto_demands, instance.human_demands)
+        assert not any(v.flags.writeable for v in vectors)
+        for w, od in enumerate(instance.od_pairs):
+            assert instance.demands[w] == od.demand
+            assert instance.alphas[w] == od.alpha
+            assert instance.auto_demands[w] == od.alpha * od.demand
+            assert instance.human_demands[w] == (1.0 - od.alpha) * od.demand
+
+
 class TestStackelbergChecks:
     def test_scale_output_is_weak_and_feasible(self, pigou):
         opt = sr.system_optimal(pigou)
