@@ -47,7 +47,6 @@ from .errors import (
     NotConverged,
     PathExplosion,
     ScalerouteError,
-    UnknownPath,
     UnsupportedTopology,
     ValidationError,
 )
@@ -69,23 +68,16 @@ from .harness import (
 )
 from .model import (
     ClassFlow,
-    FeasibilityReport,
     GameInstance,
     Link,
     ODPair,
     Path,
     PathSet,
-    StackelbergFeasibility,
     build_instance,
-    check_feasibility,
     enumerate_paths,
-    is_opt_restricted,
-    is_stackelberg_feasible,
-    link_latency,
     load_instance,
     min_asymmetry,
     network_autonomy_fraction,
-    path_latency,
     social_cost,
     validate_instance,
 )
@@ -93,7 +85,6 @@ from .solvers import (
     EquilibriumResult,
     SolverConfig,
     follower_equilibrium,
-    shortest_paths,
     system_optimal,
     wardrop_gap,
 )

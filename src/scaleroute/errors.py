@@ -60,10 +60,6 @@ class NegativeFlow(ScalerouteError):
     """A flow argument is negative or not finite."""
 
 
-class UnknownPath(ScalerouteError):
-    """A path does not belong to the instance's enumerated path set."""
-
-
 # --- solvers -------------------------------------------------------------------
 
 class NotConverged(ScalerouteError):

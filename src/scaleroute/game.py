@@ -130,12 +130,13 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     )
 
 
-def measure_links(outcome: StackelbergOutcome, instance: GameInstance) -> LinkMeasurement:
-    """Per-link flow and latency ratios of a played game.
+def measure_links(outcome: StackelbergOutcome) -> LinkMeasurement:
+    """Per-link flow and latency ratios of a played game, on ``outcome.instance``.
 
     Links whose induced flow, induced latency, or optimal flow vanish are
     flagged undefined rather than assigned sentinel ratios.
     """
+    instance = outcome.instance
     opt_total = outcome.optimal_flow.total_link_flows
     induced_total = outcome.leader_link_flows + outcome.follower_flow.link_flows_h
     e_induced = instance.link_latencies(

@@ -30,14 +30,11 @@ from .errors import (
     NonPositiveSlope,
     NoPath,
     PathExplosion,
-    UnknownPath,
     ValidationError,
 )
 
 DEFAULT_PATH_CAP = 10_000
 
-#: absolute tolerance for flow-conservation checks
-FEASIBILITY_TOL = 1e-9
 #: absolute tolerance for path-to-link aggregation identities
 AGGREGATION_TOL = 1e-12
 
@@ -158,16 +155,9 @@ class PathSet:
 
     all_paths: tuple[Path, ...]
     od_slices: tuple[tuple[int, int], ...]
-    index_of: Mapping[Path, int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.all_paths)
-
-    def global_index(self, path: Path) -> int:
-        try:
-            return self.index_of[path]
-        except KeyError:
-            raise UnknownPath(f"path {path.nodes} / links {path.links} not in path set") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,36 +241,6 @@ class ClassFlow:
         return self.link_flows_a + self.link_flows_h
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Per-O/D residuals of the flow-conservation constraints."""
-
-    feasible: bool
-    residuals_a: np.ndarray
-    residuals_h: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
-@dataclass(frozen=True)
-class StackelbergFeasibility:
-    """Result of checking a leader flow against the network autonomy fraction.
-
-    ``feasible`` is the global check (total leader flow equals alpha times the
-    total demand); ``weak`` additionally requires the per-pair totals to equal
-    alpha times each pair's demand.
-    """
-
-    feasible: bool
-    weak: bool
-    total_residual: float
-    per_pair_residuals: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 # --- path enumeration ---------------------------------------------------------
 
 
@@ -345,11 +305,7 @@ def enumerate_paths(
         paths.sort(key=lambda p: (p.nodes, p.links))
         od_slices.append((len(all_paths), len(all_paths) + len(paths)))
         all_paths.extend(paths)
-    return PathSet(
-        all_paths=tuple(all_paths),
-        od_slices=tuple(od_slices),
-        index_of={p: i for i, p in enumerate(all_paths)},
-    )
+    return PathSet(all_paths=tuple(all_paths), od_slices=tuple(od_slices))
 
 
 # --- instance construction ------------------------------------------------------
@@ -524,26 +480,6 @@ def load_instance(path) -> GameInstance:
 # --- elementary quantities -------------------------------------------------------
 
 
-def link_latency(link: Link, fa: float, fh: float) -> float:
-    """Latency of a single link at the given class flows, which must be finite
-    and nonnegative (NegativeFlow)."""
-    if not (0 <= fa < math.inf and 0 <= fh < math.inf):  # NaN fails the comparisons
-        raise NegativeFlow(f"link {link.id!r}: flows ({fa}, {fh}) must be finite and nonnegative")
-    return link.a * fa + link.h * fh + link.b
-
-
-def path_latency(
-    instance: GameInstance, path: Path, link_flows: tuple[np.ndarray, np.ndarray]
-) -> float:
-    """Sum of link latencies along ``path`` at the given per-link class flows,
-    which are checked by ``check_flows``."""
-    instance.paths.global_index(path)  # membership check
-    fa = check_flows(link_flows[0], instance.n_links, "autonomous link flows")
-    fh = check_flows(link_flows[1], instance.n_links, "human link flows")
-    lat = instance.link_latencies(fa, fh)
-    return float(sum(lat[instance.link_index[lid]] for lid in path.links))
-
-
 def _social_cost(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) -> float:
     """Total travel time sum_l (fa_l + fh_l) * e_l(fa_l, fh_l) at unchecked link flows."""
     return float(np.dot(fa + fh, instance.link_latencies(fa, fh)))
@@ -562,17 +498,6 @@ def social_cost_links(instance: GameInstance, fa: np.ndarray, fh: np.ndarray) ->
     return _social_cost(instance, fa, fh)
 
 
-def check_feasibility(instance: GameInstance, flow: ClassFlow) -> FeasibilityReport:
-    """Check flow conservation per O/D pair and report residuals."""
-    slices = instance.paths.od_slices
-    res_a = np.array([flow.path_flows_a[start:end].sum() for start, end in slices]) - instance.auto_demands
-    res_h = np.array([flow.path_flows_h[start:end].sum() for start, end in slices]) - instance.human_demands
-    feasible = bool(
-        np.all(np.abs(res_a) <= FEASIBILITY_TOL) and np.all(np.abs(res_h) <= FEASIBILITY_TOL)
-    )
-    return FeasibilityReport(feasible=feasible, residuals_a=res_a, residuals_h=res_h)
-
-
 def min_asymmetry(instance: GameInstance) -> float:
     """Minimum degree of asymmetry min_l a_l/h_l over the network."""
     return float(np.min(instance.a / instance.h))
@@ -584,36 +509,6 @@ def network_autonomy_fraction(instance: GameInstance) -> float:
     return float(np.dot(instance.alphas, demands) / demands.sum())
 
 
-def is_stackelberg_feasible(instance: GameInstance, s: np.ndarray) -> StackelbergFeasibility:
-    """Check a leader path-flow vector against the network autonomy fraction.
-
-    The global check compares the total leader flow with alpha times the
-    total demand; the weak-strategy flag additionally requires every O/D
-    pair's leader flow to meet an alpha fraction of that pair's demand. Both
-    hold up to ``FEASIBILITY_TOL``. ``s`` is checked by ``check_flows``.
-    """
-    s = check_flows(s, instance.n_paths, "leader path flows")
-    alpha = network_autonomy_fraction(instance)
-    demands = instance.demands
-    per_pair = np.empty(len(instance.od_pairs))
-    for w, (start, end) in enumerate(instance.paths.od_slices):
-        per_pair[w] = s[start:end].sum() - alpha * demands[w]
-    total_residual = float(s.sum() - alpha * demands.sum())
-    return StackelbergFeasibility(
-        feasible=bool(abs(total_residual) <= FEASIBILITY_TOL),
-        weak=bool(np.all(np.abs(per_pair) <= FEASIBILITY_TOL)),
-        total_residual=total_residual,
-        per_pair_residuals=per_pair,
-    )
-
-
 def check_leader_flows(instance: GameInstance, s: np.ndarray) -> np.ndarray:
     """``s`` as a vector of leader link flows, checked by ``check_flows``."""
     return check_flows(s, instance.n_links, "leader link flows")
-
-
-def is_opt_restricted(instance: GameInstance, s_links: np.ndarray, fstar: ClassFlow) -> bool:
-    """True iff the leader link flow never exceeds the optimal total link flow
-    (up to ``FEASIBILITY_TOL``). The flow is checked by ``check_leader_flows``."""
-    s_links = check_leader_flows(instance, s_links)
-    return bool(np.all(s_links <= fstar.total_link_flows + FEASIBILITY_TOL))

@@ -1,4 +1,4 @@
-"""Flow solvers: shortest paths, induced human equilibrium, system optimum.
+"""Flow solvers: induced human equilibrium and system optimum.
 
 Both solvers run one loop (``_descend``): block-coordinate descent over the
 enumerated path polytope of each class block, where block k minimizes
@@ -49,8 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
-from .model import ClassFlow, GameInstance, ODPair, Path, check_leader_flows
+from .errors import DimensionMismatch
+from .model import ClassFlow, GameInstance, check_leader_flows
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
@@ -155,26 +155,6 @@ def _block_gap(
     # a loop over the rows on purpose: at 1-16 rows it takes 1.2-3.7 us a call,
     # a masked np.divide plus np.where 4.2-5.1 us (Xeon, 2 CPUs)
     return np.array([_relative_gap(t, c) for t, c in zip(totals, aon_cost.tolist())]), y
-
-
-def shortest_paths(
-    instance: GameInstance, link_latencies: np.ndarray
-) -> dict[ODPair, tuple[Path, float]]:
-    """Minimum-latency path per O/D pair at the given vector of link latencies.
-
-    The latencies are indexed like ``instance.links`` and must be finite.
-    Ties are broken by path-set order, so results are reproducible.
-    """
-    lat = np.asarray(link_latencies, dtype=float)
-    if lat.shape != (instance.n_links,):
-        raise DimensionMismatch(f"expected {instance.n_links} link latencies")
-    if not np.isfinite(lat).all():
-        raise DomainError(f"link latencies must be finite, got {lat}")
-    path_lat = instance.incidence.T @ lat
-    return {
-        od: (instance.paths.all_paths[j], float(path_lat[j]))
-        for od, (j,) in zip(instance.od_pairs, _cheapest(instance, path_lat[None]))
-    }
 
 
 def _block_step(

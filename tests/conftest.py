@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from scaleroute import (
@@ -54,6 +55,12 @@ def make_two_identical(alpha: float = 0.5, demand: float = 1.0):
         [Link("a", "1", "2", 1.0, 1.0, 0.0), Link("b", "1", "2", 1.0, 1.0, 0.0)],
         [ODPair("1", "2", demand=demand, alpha=alpha)],
     )
+
+
+def od_sums(instance, path_flows):
+    """Per-O/D sums of ``path_flows`` over ``instance.paths.od_slices``: the last
+    axis of a 1-D or (rows × paths) array becomes one entry per O/D pair."""
+    return np.stack([path_flows[..., start:end].sum(-1) for start, end in instance.paths.od_slices], -1)
 
 
 @pytest.fixture(scope="session")

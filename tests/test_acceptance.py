@@ -164,7 +164,7 @@ def test_criterion_08_beta_bound_dominance(batch_outcomes):
     links_checked = 0
     for _, instance, outcome in batch_outcomes:
         alpha = sr.network_autonomy_fraction(instance)
-        m = sr.measure_links(outcome, instance)
+        m = sr.measure_links(outcome)
         for i, link in enumerate(instance.links):
             if not (m.beta_defined[i] and m.gamma_defined[i]):
                 continue

@@ -1,4 +1,4 @@
-"""Core model: validation, path enumeration, latencies, feasibility checks."""
+"""Core model: validation, path enumeration, social cost, flow-vector checks."""
 
 from __future__ import annotations
 
@@ -175,72 +175,6 @@ class TestEnumeratePaths:
         assert first.od_slices == second.od_slices
 
 
-class TestLatencies:
-    def test_link_latency_examples(self):
-        link = sr.Link("e", "1", "2", a=1.0, h=1.0, b=0.0)
-        assert sr.link_latency(link, 0.5, 0.5) == pytest.approx(1.0)
-        assert sr.link_latency(link, 0.0, 0.0) == 0.0
-        link2 = sr.Link("e2", "1", "2", a=0.5, h=1.0, b=2.0)
-        assert sr.link_latency(link2, 2.0, 1.0) == pytest.approx(4.0)
-
-    def test_negative_flow_rejected(self):
-        link = sr.Link("e", "1", "2", 1.0, 1.0, 0.0)
-        with pytest.raises(sr.NegativeFlow):
-            sr.link_latency(link, -0.1, 0.0)
-        for value in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
-                sr.link_latency(link, value, 0.0)
-            with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
-                sr.link_latency(link, 0.0, value)
-
-    def test_path_latency_single_link(self):
-        instance = sr.build_instance(
-            ("o", "d"),
-            [sr.Link("e", "o", "d", 1.0, 2.0, 0.5)],
-            [sr.ODPair("o", "d", 1.0, 0.5)],
-        )
-        path = instance.paths.all_paths[0]
-        fa, fh = np.array([0.25]), np.array([0.5])
-        assert sr.path_latency(instance, path, (fa, fh)) == pytest.approx(0.25 + 1.0 + 0.5)
-
-    def test_path_latency_braess_sum(self, braess):
-        path = braess.paths.all_paths[0]  # (1,2,3,4)
-        fa = np.linspace(0.1, 0.5, braess.n_links)
-        fh = np.linspace(0.2, 0.4, braess.n_links)
-        lat = braess.link_latencies(fa, fh)
-        expected = sum(lat[braess.link_index[lid]] for lid in path.links)
-        assert sr.path_latency(braess, path, (fa, fh)) == pytest.approx(expected)
-
-    def test_path_latency_empty_flows_is_free_flow(self, braess):
-        path = braess.paths.all_paths[0]
-        zeros = np.zeros(braess.n_links)
-        expected = sum(braess.links[braess.link_index[lid]].b for lid in path.links)
-        assert sr.path_latency(braess, path, (zeros, zeros)) == pytest.approx(expected)
-
-    def test_unknown_path(self, braess):
-        bogus = sr.Path(nodes=("1", "4"), links=("nope",))
-        with pytest.raises(sr.UnknownPath):
-            sr.path_latency(braess, bogus, (np.zeros(5), np.zeros(5)))
-
-    def test_concatenation_additivity(self):
-        # line network with O/D pairs for both segments and the whole
-        instance = sr.build_instance(
-            ("1", "2", "3"),
-            [sr.Link("e12", "1", "2", 1.0, 1.0, 0.3), sr.Link("e23", "2", "3", 0.5, 1.0, 0.1)],
-            [
-                sr.ODPair("1", "2", 1.0, 0.5),
-                sr.ODPair("1", "3", 1.0, 0.5),
-                sr.ODPair("2", "3", 1.0, 0.5),
-            ],
-        )
-        flows = (np.array([0.4, 0.7]), np.array([0.1, 0.2]))
-        by_nodes = {p.nodes: p for p in instance.paths.all_paths}
-        whole = sr.path_latency(instance, by_nodes[("1", "2", "3")], flows)
-        first = sr.path_latency(instance, by_nodes[("1", "2")], flows)
-        second = sr.path_latency(instance, by_nodes[("2", "3")], flows)
-        assert whole == pytest.approx(first + second)
-
-
 class TestSocialCost:
     def test_zero_flow(self, pigou):
         flow = sr.ClassFlow.from_path_flows(pigou, np.zeros(2), np.zeros(2))
@@ -266,24 +200,6 @@ class TestSocialCost:
         flow, cost = sr.oracle_optimal(pigou)
         assert cost == pytest.approx(0.75, abs=1e-2)
         assert sr.social_cost(pigou, flow) == pytest.approx(cost, abs=1e-9)
-
-
-class TestFeasibility:
-    def test_solver_flow_is_feasible(self, pigou):
-        result = sr.system_optimal(pigou)
-        assert sr.check_feasibility(pigou, result.flow)
-
-    def test_zero_flow_residuals(self, pigou):
-        flow = sr.ClassFlow.from_path_flows(pigou, np.zeros(2), np.zeros(2))
-        report = sr.check_feasibility(pigou, flow)
-        assert not report
-        assert report.residuals_a[0] == pytest.approx(-0.5)
-        assert report.residuals_h[0] == pytest.approx(-0.5)
-
-    def test_hand_built_equal_split(self):
-        instance = make_two_identical(alpha=0.5)
-        flow = sr.ClassFlow.from_path_flows(instance, np.array([0.25, 0.25]), np.array([0.25, 0.25]))
-        assert sr.check_feasibility(instance, flow)
 
 
 class TestScalarSummaries:
@@ -344,33 +260,6 @@ class TestDemandVectors:
 
 
 class TestStackelbergChecks:
-    def test_scale_output_is_weak_and_feasible(self, pigou):
-        opt = sr.system_optimal(pigou)
-        s = sr.scale_strategy(opt.flow, 0.5)
-        check = sr.is_stackelberg_feasible(pigou, s)
-        assert check and check.weak
-        assert sr.is_opt_restricted(pigou, pigou.link_flows(s), opt.flow)
-
-    def test_zero_leader_infeasible_with_positive_alpha(self, pigou):
-        check = sr.is_stackelberg_feasible(pigou, np.zeros(2))
-        assert not check
-
-    def test_one_sided_leader_global_but_not_weak(self):
-        instance = sr.build_instance(
-            ("1", "2"),
-            [sr.Link("e", "1", "2", 1.0, 1.0, 0.0), sr.Link("r", "2", "1", 1.0, 1.0, 0.0)],
-            [sr.ODPair("1", "2", 1.0, 0.5), sr.ODPair("2", "1", 1.0, 0.5)],
-        )
-        s = np.array([1.0, 0.0])  # all leader flow on the first O/D pair
-        check = sr.is_stackelberg_feasible(instance, s)
-        assert check.feasible and not check.weak
-
-    def test_opt_restricted_examples(self, pigou):
-        opt = sr.system_optimal(pigou)
-        doubled = 2.0 * opt.flow.total_link_flows
-        assert not sr.is_opt_restricted(pigou, doubled, opt.flow)
-        assert sr.is_opt_restricted(pigou, np.zeros(2), opt.flow)
-
     @pytest.mark.parametrize(
         "flows, error, match",
         [
@@ -385,18 +274,12 @@ class TestStackelbergChecks:
         # every public entry point that takes a flow vector, at each vector argument
         # (pigou has two links and two paths)
         zeros = np.zeros(2)
-        path = pigou.paths.all_paths[0]
-        optimum = sr.system_optimal(pigou).flow
         entry_points = {
             "link_flows": lambda f: pigou.link_flows(f),
             "from_path_flows[fa]": lambda f: sr.ClassFlow.from_path_flows(pigou, f, zeros),
             "from_path_flows[fh]": lambda f: sr.ClassFlow.from_path_flows(pigou, zeros, f),
-            "path_latency[fa]": lambda f: sr.path_latency(pigou, path, (f, zeros)),
-            "path_latency[fh]": lambda f: sr.path_latency(pigou, path, (zeros, f)),
             "social_cost_links[fa]": lambda f: social_cost_links(pigou, f, zeros),
             "social_cost_links[fh]": lambda f: social_cost_links(pigou, zeros, f),
-            "is_stackelberg_feasible": lambda f: sr.is_stackelberg_feasible(pigou, f),
-            "is_opt_restricted": lambda f: sr.is_opt_restricted(pigou, f, optimum),
             "follower_equilibrium": lambda f: sr.follower_equilibrium(pigou, f),
             "wardrop_gap": lambda f: sr.wardrop_gap(pigou, f, np.array([0.5, 0.0])),
             "oracle_nash": lambda f: sr.oracle_nash(pigou, f),

@@ -17,6 +17,7 @@ from scaleroute.solvers import (
     _MULTISTARTS,
     _all_or_nothing,
     _block_gap,
+    _cheapest,
     _class_swap,
     _descend_block,
     _descend_optimum,
@@ -24,7 +25,7 @@ from scaleroute.solvers import (
     _relative_gap,
 )
 
-from conftest import make_braess, make_pigou, make_two_identical
+from conftest import make_braess, make_pigou, make_two_identical, od_sums
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -74,39 +75,19 @@ def make_two_pairs():
 
 
 class TestShortestPaths:
-    def test_lower_latency_wins(self):
-        instance = sr.build_instance(
-            ("1", "2"),
-            [sr.Link("a", "1", "2", 1.0, 1.0, 1.0), sr.Link("b", "1", "2", 1.0, 1.0, 1.5)],
-            [sr.ODPair("1", "2", 1.0, 0.5)],
-        )
-        path, latency = sr.shortest_paths(instance, instance.b)[instance.od_pairs[0]]
-        assert path.links == ("a",)
-        assert latency == pytest.approx(1.0)
+    """``_cheapest``, the path per O/D pair that both solvers load and price."""
 
     def test_tie_breaks_to_first_path(self):
         instance = make_two_identical()
-        path, _ = sr.shortest_paths(instance, np.array([2.0, 2.0]))[instance.od_pairs[0]]
-        assert path is instance.paths.all_paths[0]
-
-    def test_braess_zero_flow(self, braess):
-        # free-flow b = (1, 1, 0, 1, 1): crossing path ties the direct one at 2
-        path, latency = sr.shortest_paths(braess, braess.b)[braess.od_pairs[0]]
-        assert path.nodes == ("1", "2", "3", "4")
-        assert latency == pytest.approx(2.0)
+        ((j,),) = _cheapest(instance, np.array([[2.0, 2.0]]))
+        assert j == 0
 
     def test_two_pairs(self):
         instance = make_two_pairs()
         # latencies p, q, u, v: the second pair's cheapest path is its second one
-        best = sr.shortest_paths(instance, np.array([0.75, 1.25, 2.0, 0.5]))
-        first, second = instance.od_pairs
-        assert best[first][0].links == ("p",) and best[first][1] == 0.75
-        assert best[second][0].links == ("v",) and best[second][1] == 0.5
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_latency_rejected(self, pigou, value):
-        with pytest.raises(sr.DomainError, match="finite"):
-            sr.shortest_paths(pigou, np.array([value, 1.0]))
+        costs = instance.incidence.T @ np.array([0.75, 1.25, 2.0, 0.5])
+        best = [instance.paths.all_paths[j].links for (j,) in _cheapest(instance, costs[None])]
+        assert best == [("p",), ("v",)]
 
 
 class TestFollowerEquilibrium:
@@ -235,7 +216,7 @@ class TestWardropGap:
         )
         # everything on the congestible link: latency 2 there, 1 on the alternative
         t = np.zeros(2)
-        t[instance.paths.global_index(next(p for p in instance.paths.all_paths if p.links == ("slow",)))] = 1.0
+        t[next(j for j, p in enumerate(instance.paths.all_paths) if p.links == ("slow",))] = 1.0
         assert sr.wardrop_gap(instance, np.zeros(2), t) == pytest.approx(0.5)
 
     def test_zero_demand_gap_is_zero(self):
@@ -452,13 +433,13 @@ class TestClassSwap:
     def test_never_raises_the_cost(self, seed, draw):
         instance = sr.random_instance(seed, sr.ShapeConfig())
         rng = np.random.default_rng(draw)
+        starts, ends = np.array(instance.paths.od_slices).T
         flows = []
         for demands in (instance.auto_demands, instance.human_demands):
             # random points of the class polytope, about half of the paths unused
             f = rng.random((4, instance.n_paths)) * (rng.random((4, instance.n_paths)) < 0.5)
-            for (start, end), demand in zip(instance.paths.od_slices, demands):
-                f[:, start] += 1e-3
-                f[:, start:end] *= demand / f[:, start:end].sum(1, keepdims=True)
+            f[:, starts] += 1e-3
+            f *= np.repeat(demands / od_sums(instance, f), ends - starts, axis=1)
             flows.append(f)
         fa, fh = flows
         rows = rng.random(4) < 0.75
@@ -470,8 +451,7 @@ class TestClassSwap:
         assert np.array_equal(fa[~moved], kept[0][~moved]) and np.array_equal(fh[~moved], kept[1][~moved])
         assert (fa >= 0.0).all() and (fh >= 0.0).all()
         for f, link, demands in ((fa, links[0], instance.auto_demands), (fh, links[1], instance.human_demands)):
-            for (start, end), demand in zip(instance.paths.od_slices, demands):
-                assert f[:, start:end].sum(1) == pytest.approx(demand, rel=0.0, abs=1e-14)
+            assert np.abs(od_sums(instance, f) - demands).max() <= 1e-14
             assert link == pytest.approx(f @ instance.incidence.T, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -541,8 +521,7 @@ class TestMultistartPoints:
         assert np.array_equal(fa[1], np.repeat(instance.auto_demands / sizes, sizes))
         assert np.array_equal(fh[1], np.repeat(instance.human_demands / sizes, sizes))
         for f, demands in ((fa, instance.auto_demands), (fh, instance.human_demands)):
-            for (start, end), demand in zip(instance.paths.od_slices, demands):
-                assert f[:, start:end].sum(1) == pytest.approx(demand, rel=1e-15)
+            assert od_sums(instance, f) == pytest.approx(np.broadcast_to(demands, (len(f), len(demands))), rel=1e-15)
 
     def test_repeated_draws_change_no_answer(self):
         # seed 118 draws repeated vertices; every start reaches this cost
