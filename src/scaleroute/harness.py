@@ -496,8 +496,9 @@ def verify_bounds(config: BatchConfig = BatchConfig()) -> VerificationReport:
     )
     if config.jobs == 1:
         return VerificationReport(rows=tuple(map(_verify_one, *args)))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return VerificationReport(rows=tuple(pool.map(_verify_one, *args)))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(config.jobs, config.count)) as pool:
+        chunksize = -(-config.count // (4 * config.jobs))
+        return VerificationReport(rows=tuple(pool.map(_verify_one, *args, chunksize=chunksize)))
 
 
 #: the verify CSV columns, each a VerificationRow field

@@ -54,7 +54,7 @@ from .model import ClassFlow, GameInstance, check_leader_flows
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
-_MULTISTARTS = 16  # start draws of the system optimum, before repeats are dropped
+_MULTISTARTS = 15  # optimum start draws (all-or-nothing, then vertices), before repeats are dropped
 
 # a move of ``_descend`` after the blocks of a round: (path flows, link flows,
 # rows to try) -> rows it moved
@@ -424,12 +424,13 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
 def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows among ``_MULTISTARTS`` start draws, in first-draw order, as
     (starts × paths) arrays of autonomous and human path flows: per-class
-    all-or-nothing at free flow, the uniform path split, seeded random vertices."""
+    all-or-nothing at free flow, then seeded random vertices, each on one path per
+    O/D pair, since the pairwise sweep empties at most one path per pair and round."""
     slices = instance.paths.od_slices
     offsets = np.array([start for start, _ in slices])
     sizes = np.array([end - start for start, end in slices])
     free_flow = (instance.incidence.T @ instance.b)[None]
-    n_random = _MULTISTARTS - 2
+    n_random = _MULTISTARTS - 1
     # one vertex per O/D pair and class, drawn in the order draw, pair, class
     vertices = np.random.default_rng(seed).integers(np.tile(np.repeat(sizes, 2), n_random))
     vertices = vertices.reshape(n_random, len(sizes), 2)
@@ -437,8 +438,7 @@ def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, n
     for c, demands in enumerate((instance.auto_demands, instance.human_demands)):
         f = np.zeros((_MULTISTARTS, instance.n_paths))
         f[0] = _all_or_nothing(instance, free_flow, demands)[0][0]
-        f[1] = np.repeat(demands / sizes, sizes)
-        f[np.arange(2, _MULTISTARTS)[:, None], offsets + vertices[:, :, c]] = demands
+        f[np.arange(1, _MULTISTARTS)[:, None], offsets + vertices[:, :, c]] = demands
         draws.append(f)
     first: dict[bytes, int] = {}
     for i, row in enumerate(np.hstack(draws)):
@@ -467,7 +467,7 @@ def system_optimal(
     """Two-class flow approximately minimizing the social cost.
 
     One ``_descend`` call with two blocks runs from all distinct points among
-    16 fixed start draws seeded by ``config.seed`` (``_multistart_points``)
+    15 fixed start draws seeded by ``config.seed`` (``_multistart_points``)
     at once: each round steps the autonomous block of every live start at its
     current human flow, then the human block at the new autonomous flow
     (class-a block gradient 2 a fa + (a+h) fh + b, symmetrically for class h),

@@ -129,8 +129,8 @@ class TestNotConverged:
         result = info.value.result
         assert result.converged is False
         assert result_bits(result) == result_bits(sr.system_optimal(braess, self.CONFIG))
-        # each of the 9 distinct starts spends its one-round budget
-        assert len(_multistart_points(braess, self.CONFIG.seed)[0]) == result.iterations == 9
+        # each of the 8 distinct starts spends its one-round budget
+        assert len(_multistart_points(braess, self.CONFIG.seed)[0]) == result.iterations == 8
 
     def test_induced_equilibrium_gate(self, braess):
         with pytest.raises(sr.NotConverged, match="induced equilibrium not converged") as info:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -381,10 +382,25 @@ class TestVerifyBounds:
         assert len(lines) == 7
 
     def test_parallel_jobs_match_serial(self):
-        config = sr.BatchConfig(count=8, base_seed=0)
+        # 9 seeds on 2 workers go out in chunks of 2, 2, 2, 2 and 1
+        config = sr.BatchConfig(count=9, base_seed=0)
         serial = sr.verify_bounds(config)
-        parallel = sr.verify_bounds(sr.BatchConfig(count=8, base_seed=0, jobs=2))
+        parallel = sr.verify_bounds(sr.BatchConfig(count=9, base_seed=0, jobs=2))
         assert report_to_csv(serial) == report_to_csv(parallel)
+
+    def test_workers_capped_at_count(self, monkeypatch):
+        # threads stand in for processes, so no worker process starts
+        seen = []
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        report = sr.verify_bounds(sr.BatchConfig(count=3, jobs=500))
+        assert seen == [3]
+        assert report_to_csv(report) == report_to_csv(sr.verify_bounds(sr.BatchConfig(count=3)))
 
 
 class TestCurveTables:
