@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyDemand,
-    GenerationFailed,
     HeterogeneousAlpha,
     InfeasibleLambda,
     InstanceFormatError,

@@ -24,9 +24,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleLambda
 
-#: switch to the analytic mu -> 1 limit branch below this distance from 1
-MU_ONE_EPS = 1e-9
-
 #: slack accepted on the gamma <= 1/alpha precondition of the beta bounds
 GAMMA_DOMAIN_SLACK = 1e-9
 
@@ -165,15 +162,11 @@ def omega1(lam: float, alpha: float, mu: float) -> float:
 
     Evaluated as 1 / ((alpha(1-mu) + lam*mu) (1 + delta)^2), the simplified
     equivalent of the two-term closed form, which stays well conditioned as
-    mu approaches 1. Within MU_ONE_EPS of mu = 1 the analytic limit
-    1/(4 lam) is used (undefined at lam = 0).
+    mu approaches 1. At mu = 1 it is 1/(4 lam), undefined at lam = 0 (see
+    ``delta``).
     """
     _check_alpha_mu(alpha, mu)
     _check_lambda(lam)
-    if abs(1.0 - mu) < MU_ONE_EPS:
-        if lam <= 0.0:
-            raise DomainError("omega1 limit branch is undefined at lambda = 0")
-        return 1.0 / (4.0 * lam)
     return 1.0 / ((alpha * (1.0 - mu) + lam * mu) * (1.0 + delta(lam, alpha, mu)) ** 2)
 
 

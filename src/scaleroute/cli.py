@@ -275,10 +275,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("verify", help="batch bound verification on random instances")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--mu-min", dest="mu_min", type=float, default=0.3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--count", type=int, default=BatchConfig.count)
+    p.add_argument("--alpha", type=float, default=ShapeConfig.alpha)
+    p.add_argument("--mu-min", dest="mu_min", type=float, default=ShapeConfig.mu_min)
+    p.add_argument("--jobs", type=int, default=BatchConfig.jobs)
     p.add_argument("--out")
     _solver_flags(p)
     p.set_defaults(func=_cmd_verify)

@@ -2,7 +2,10 @@
 
 All library errors derive from ScalerouteError so callers can catch one base
 type. Instance-validation failures derive from ValidationError and carry
-enough context to identify the offending link or O/D pair.
+enough context to identify the offending link or O/D pair. The configuration
+classes (``SolverConfig``, ``ShapeConfig``, ``BatchConfig``, ``OracleConfig``)
+raise ValueError for a field out of range instead, so that a random instance
+or a verification batch never starts from a setting it cannot play.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ class InfeasibleLambda(ScalerouteError):
 class UnsupportedTopology(ScalerouteError):
     """The instance lies outside the exact oracles' scope: one O/D pair joined by at most
     ``OracleConfig.max_links`` parallel links (``is_parallel_link``)."""
-
-
-class GenerationFailed(ScalerouteError):
-    """Random instance generation exhausted its retry budget."""
 
 
 class BadKind(ScalerouteError):

@@ -91,7 +91,7 @@ class TestOmega:
         # the implementation uses the simplified equivalent; check the
         # original two-term expression on a grid
         for alpha in (0.1, 0.4, 0.8):
-            for mu in (0.2, 0.5, 0.9):
+            for mu in (0.2, 0.5, 0.9, 1.0 - 1e-10):
                 for lam in (0.1, 0.5, 1.0):
                     d = sr.delta(lam, alpha, mu)
                     two_term = (1.0 - d) / (alpha * (1.0 - mu)) - (

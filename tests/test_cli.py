@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -164,6 +165,19 @@ class TestCurves:
         assert [x for series, x, _ in rows if series == "omega2"] == ["0", "0.3", "0.6", "0.9"]
 
 
+@pytest.fixture()
+def verify_configs(monkeypatch):
+    """The configs that ``verify`` hands to ``verify_bounds``, which plays nothing."""
+    captured = []
+
+    def fake_verify_bounds(config):
+        captured.append(config)
+        return VerificationReport(rows=())
+
+    monkeypatch.setattr("scaleroute.cli.verify_bounds", fake_verify_bounds)
+    return captured
+
+
 class TestVerify:
     def test_small_batch(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
@@ -174,18 +188,19 @@ class TestVerify:
         assert lines[0] == "seed,alpha,mu,poa_emp,poa_bound,region,margin,certified,status"
         assert len(lines) == 11
 
-    def test_seed_reaches_solver(self, monkeypatch, capsys):
-        captured = []
-
-        def fake_verify_bounds(config):
-            captured.append(config)
-            return VerificationReport(rows=())
-
-        monkeypatch.setattr("scaleroute.cli.verify_bounds", fake_verify_bounds)
+    def test_seed_reaches_solver(self, verify_configs, capsys):
         assert run(["verify", "--count", "3", "--seed", "7"]) == 0
-        (config,) = captured
+        (config,) = verify_configs
         assert config.base_seed == 7
         assert config.solver.seed == 7
+
+    def test_defaults_are_the_config_defaults(self, verify_configs, capsys):
+        # the flag defaults are read off the config classes, not restated
+        assert run(["verify"]) == 0
+        (config,) = verify_configs
+        expected = sr.BatchConfig()
+        for field in dataclasses.fields(sr.BatchConfig):
+            assert getattr(config, field.name) == getattr(expected, field.name), field.name
 
 
 @pytest.mark.parametrize("name", ["pigou", "braess"])
@@ -219,12 +234,16 @@ class TestUsageErrors:
             (["play", "--tol", "-1"], "relative_gap_tol"),
             (["solve-optimal", "--max-iter", "0"], "max_iterations"),
             (["verify", "--alpha", "1.5"], "alpha"),
+            # the SCALE leader and its bound need alpha in (0, 1)
+            (["verify", "--alpha", "0"], "alpha"),
+            (["verify", "--alpha", "1"], "alpha"),
             (["verify", "--mu-min", "0"], "mu_min"),
             (["play", "--seed", "-1"], "seed"),
             (["verify", "--count", "3", "--seed", "-1"], "seed"),
         ],
         ids=[
-            "count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "mu-min",
+            "count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "alpha-zero", "alpha-one",
+            "mu-min",
             "seed-negative-play", "seed-negative-verify",
         ],
     )

@@ -78,7 +78,7 @@ class TestBatchConfig:
             sr.BatchConfig(**{field: value})
 
     def test_negative_base_seed_rejected(self):
-        # a negative seed cannot seed random_instance: every row would be an error
+        # a negative seed cannot seed random_instance: the batch would stop at its first row
         with pytest.raises(ValueError, match="base_seed"):
             sr.BatchConfig(base_seed=-5)
 
@@ -315,6 +315,29 @@ class TestOracleNash:
 
 
 class TestRandomInstance:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_endpoints_rejected(self, alpha):
+        # the SCALE leader and its bound need alpha in (0, 1): an endpoint must fail here, not inside a batch
+        with pytest.raises(ValueError, match="alpha"):
+            sr.ShapeConfig(alpha=alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        mu_min=st.floats(0.0, 1.0, exclude_min=True),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        parallel_probability=st.floats(0.0, 1.0),
+    )
+    def test_every_draw_is_valid(self, seed, mu_min, alpha, parallel_probability):
+        # random_instance draws once and never retries: every draw must build
+        shape = sr.ShapeConfig(mu_min=mu_min, alpha=alpha, parallel_probability=parallel_probability)
+        instance = sr.random_instance(seed, shape)
+        assert len(instance.nodes) <= MAX_NODES
+        assert instance.n_links <= MAX_LINKS
+        assert len(instance.od_pairs) <= MAX_OD_PAIRS
+        # 1 + 4 + 4*3 + 4*3*2 + 4*3*2*1 simple paths between two of six nodes
+        assert all(end - start <= 65 for start, end in instance.paths.od_slices)
+
     def test_same_seed_identical(self):
         shape = sr.ShapeConfig()
         a = sr.random_instance(42, shape)
