@@ -27,28 +27,7 @@ from .bounds import (
     poa_bound_single_class,
     poa_from_lambda,
 )
-from .errors import (
-    AlphaOutOfRange,
-    AsymmetryOutOfRange,
-    BadAlpha,
-    BadKind,
-    DimensionMismatch,
-    DomainError,
-    EmptyDemand,
-    HeterogeneousAlpha,
-    InfeasibleLambda,
-    InstanceFormatError,
-    NegativeFlow,
-    NegativeFreeFlow,
-    NonPositiveDemand,
-    NonPositiveSlope,
-    NoPath,
-    NotConverged,
-    PathExplosion,
-    ScalerouteError,
-    UnsupportedTopology,
-    ValidationError,
-)
+from .errors import DomainError, NotConverged, ScalerouteError, ValidationError
 from .game import LinkMeasurement, StackelbergOutcome, measure_links, play, scale_strategy
 from .harness import (
     BatchConfig,

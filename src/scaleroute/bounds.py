@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleLambda
+from .errors import DomainError
 
 #: slack accepted on the gamma <= 1/alpha precondition of the beta bounds
 GAMMA_DOMAIN_SLACK = 1e-9
@@ -320,7 +320,7 @@ def poa_from_lambda(lam: float, alpha: float, mu: float) -> float:
     """Certificate value lam/(1 - omega(lam)) for a feasible lam."""
     w = omega(lam, alpha, mu)
     if w >= 1.0:
-        raise InfeasibleLambda(f"omega({lam}) = {w} >= 1: lambda outside the feasible set")
+        raise DomainError(f"omega({lam}) = {w} >= 1: lambda outside the feasible set")
     return lam / (1.0 - w)
 
 

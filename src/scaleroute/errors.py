@@ -1,11 +1,19 @@
-"""Exception hierarchy for scaleroute.
+"""Exception hierarchy for scaleroute: one class per way a caller fixes the error.
 
-All library errors derive from ScalerouteError so callers can catch one base
-type. Instance-validation failures derive from ValidationError and carry
-enough context to identify the offending link or O/D pair. The configuration
-classes (``SolverConfig``, ``ShapeConfig``, ``BatchConfig``, ``OracleConfig``)
-raise ValueError for a field out of range instead, so that a random instance
-or a verification batch never starts from a setting it cannot play.
+- ``ValidationError``: an instance description or a model object breaks a
+  model invariant (a slope, a demand, an autonomy fraction in [0, 1], the
+  file format, the path cap); fix the data.
+- ``DomainError``: an argument lies outside the domain of the function that
+  takes it (alpha in (0, 1), mu in (0, 1], lambda, gamma, a flow vector, the
+  oracles' scope, a curve kind); fix the call.
+- ``NotConverged``: a solver ran out of its iteration budget; raise the
+  budget or loosen the tolerance.
+
+All derive from ``ScalerouteError``. The message says what failed and where.
+The configuration classes (``SolverConfig``, ``ShapeConfig``, ``BatchConfig``,
+``OracleConfig``) raise ValueError for a field out of range instead, so that
+a random instance or a verification batch never starts from a setting it
+cannot play.
 """
 
 from __future__ import annotations
@@ -15,55 +23,13 @@ class ScalerouteError(Exception):
     """Base class for all scaleroute errors."""
 
 
-# --- instance validation -----------------------------------------------------
-
 class ValidationError(ScalerouteError):
-    """An instance description violates a model invariant."""
+    """An instance description or a model object violates a model invariant."""
 
 
-class InstanceFormatError(ValidationError):
-    """Malformed instance file: wrong types, missing or unknown fields."""
+class DomainError(ScalerouteError):
+    """An argument lies outside the domain of the function that takes it."""
 
-
-class NonPositiveSlope(ValidationError):
-    """Link latency slope a or h is not strictly positive."""
-
-
-class NegativeFreeFlow(ValidationError):
-    """Link free-flow latency b is negative."""
-
-
-class AsymmetryOutOfRange(ValidationError):
-    """Link degree of asymmetry a/h lies outside (0, 1]."""
-
-
-class NoPath(ValidationError):
-    """An O/D pair has no directed path from origin to destination."""
-
-
-class NonPositiveDemand(ValidationError):
-    """An O/D pair demand is not strictly positive."""
-
-
-class BadAlpha(ValidationError):
-    """An autonomy fraction lies outside [0, 1]."""
-
-
-class PathExplosion(ValidationError):
-    """Simple-path enumeration exceeded the configured cap."""
-
-
-class EmptyDemand(ValidationError):
-    """An instance has no O/D pair."""
-
-
-# --- flow / latency operations -----------------------------------------------
-
-class NegativeFlow(ScalerouteError):
-    """A flow argument is negative or not finite."""
-
-
-# --- solvers -------------------------------------------------------------------
 
 class NotConverged(ScalerouteError):
     """A solver failed to reach its gap tolerance within the iteration budget.
@@ -74,38 +40,3 @@ class NotConverged(ScalerouteError):
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
-
-
-class DimensionMismatch(ScalerouteError):
-    """An array argument does not match the instance's link/path dimensions."""
-
-
-# --- Stackelberg game ----------------------------------------------------------
-
-class AlphaOutOfRange(ScalerouteError):
-    """Stackelberg play requires a network autonomy fraction in (0, 1)."""
-
-
-class HeterogeneousAlpha(ScalerouteError):
-    """Stackelberg play requires a uniform autonomy fraction across O/D pairs."""
-
-
-# --- closed-form bounds ---------------------------------------------------------
-
-class DomainError(ScalerouteError):
-    """An argument lies outside the domain of the function that takes it."""
-
-
-class InfeasibleLambda(ScalerouteError):
-    """lambda is outside the feasible set (omega(lambda) >= 1)."""
-
-
-# --- validation harness ----------------------------------------------------------
-
-class UnsupportedTopology(ScalerouteError):
-    """The instance lies outside the exact oracles' scope: one O/D pair joined by at most
-    ``OracleConfig.max_links`` parallel links (``is_parallel_link``)."""
-
-
-class BadKind(ScalerouteError):
-    """Unknown curve-table kind."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, HeterogeneousAlpha, NotConverged
+from .errors import DomainError, NotConverged
 from .model import ClassFlow, GameInstance, _social_cost, social_cost
 from .solvers import EquilibriumResult, SolverConfig, follower_equilibrium, system_optimal, wardrop_gap
 
@@ -69,14 +69,14 @@ class LinkMeasurement:
 def scale_strategy(optimal_flow: ClassFlow, alpha: float) -> np.ndarray:
     """Leader path flows: an alpha fraction of the optimal total on each path."""
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha = {alpha} must lie in (0, 1)")
+        raise DomainError(f"alpha = {alpha} must lie in (0, 1)")
     return alpha * (optimal_flow.path_flows_a + optimal_flow.path_flows_h)
 
 
 def _uniform_alpha(instance: GameInstance) -> float:
     alphas = instance.alphas
     if alphas.max() - alphas.min() > _ALPHA_UNIFORM_TOL:
-        raise HeterogeneousAlpha(
+        raise DomainError(
             f"O/D autonomy fractions must be uniform, got range "
             f"[{alphas.min()}, {alphas.max()}]"
         )
@@ -92,7 +92,7 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     """
     alpha = _uniform_alpha(instance)
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha = {alpha} must lie in (0, 1)")
+        raise DomainError(f"alpha = {alpha} must lie in (0, 1)")
 
     opt = system_optimal(instance, config)
     if not opt.converged:

@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import (
     Region, _check_alpha_mu, _check_lambda, alpha_thresholds, omega1_sup, omega2, poa_bound,
 )
-from .errors import BadKind, NotConverged, UnsupportedTopology
+from .errors import DomainError, NotConverged
 from .game import StackelbergOutcome, play
 from .model import (
     ClassFlow,
@@ -105,7 +105,7 @@ def is_parallel_link(instance: GameInstance, max_links: int = 3) -> bool:
 
 def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
     if not is_parallel_link(instance, config.max_links):
-        raise UnsupportedTopology(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
+        raise DomainError(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
 
 
 @functools.lru_cache(maxsize=32)
@@ -147,20 +147,25 @@ def _face_minimum(
     has the same quadratic form. The KKT systems of all faces form one
     stack (``_face_layout``) with P restricted to each support, and one
     Hermitian pseudo-inverse of the stack, at the cutoff of least squares,
-    solves them all. A face's point is kept if its residual is small and it
-    is feasible. A face whose restricted Hessian is singular needs no
+    solves them all. The stack holds P and q divided by s, the larger of
+    max|P| and 1, which leaves every minimiser in place and keeps the unit
+    constraint rows above the cutoff however large the slopes: a vertex
+    face, whose KKT block is [[P_SS / s, I], [I, 0]] with determinant +-1,
+    then always survives. A face's point is kept if its residual is small
+    and it is feasible. A face whose restricted Hessian is singular needs no
     special case: the cost is constant along the null direction, which
-    reaches a smaller face. Among the surviving faces the lowest value wins,
-    the first face on ties. Returns the minimiser and its value, or
-    ``(None, inf)`` if no face survives.
+    reaches a smaller face. Among the surviving faces the lowest value, at
+    the unscaled P and q, wins, the first face on ties. Returns the
+    minimiser and its value.
     """
     P = 0.5 * (P + P.T)
+    scale = max(np.abs(P).max(), 1.0)
     n = q.size
     masks, template = _face_layout(tuple(map(tuple, groups)), n)
     K = template.copy()
-    K[:, :n, :n] += P * (masks[:, :, None] & masks[:, None, :])
+    K[:, :n, :n] += (P / scale) * (masks[:, :, None] & masks[:, None, :])
     d = np.broadcast_to(demands, (len(masks), len(groups)))
-    rhs = np.concatenate([-q * masks, d], axis=1)[..., None]
+    rhs = np.concatenate([-(q / scale) * masks, d], axis=1)[..., None]
     K_pinv = np.linalg.pinv(K, rtol=None, hermitian=True)
     sol = K_pinv @ rhs
     # one refinement step: a single solve can miss the demands by ~1e-14,
@@ -173,8 +178,6 @@ def _face_minimum(
     Z = np.maximum(x, 0.0)
     values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
     best = int(np.argmin(values))
-    if values[best] == math.inf:
-        return None, math.inf
     return Z[best], float(values[best])
 
 
@@ -205,7 +208,7 @@ def oracle_optimal(
     instance: GameInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[ClassFlow, float]:
     """Exact system optimum, the ``_face_minimum`` of ``_social_cost_quadratic``.
-    Raises UnsupportedTopology outside the oracle scope (``is_parallel_link``).
+    Raises DomainError outside the oracle scope (``is_parallel_link``).
     Returns the flow and its social cost.
     """
     _check_scope(instance, config)
@@ -273,6 +276,8 @@ class ShapeConfig:
             raise ValueError(f"mu_min = {self.mu_min} must lie in (0, 1]")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha = {self.alpha} must lie in (0, 1)")
+        if not 0.0 <= self.parallel_probability <= 1.0:
+            raise ValueError(f"parallel_probability = {self.parallel_probability} must lie in [0, 1]")
 
 
 def _draw_link(rng: np.random.Generator, lid: str, tail: str, head: str, shape: ShapeConfig) -> Link:
@@ -592,5 +597,5 @@ def curve_tables(
             if t.alpha0 >= 0.0:
                 rows.append((f"alpha0[{label}]", t.alpha0, float("inf")))
     else:
-        raise BadKind(f"unknown curve kind {kind!r}")
+        raise DomainError(f"unknown curve kind {kind!r}")
     return CurveTable(rows=tuple(rows))

@@ -18,20 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AsymmetryOutOfRange,
-    BadAlpha,
-    DimensionMismatch,
-    EmptyDemand,
-    InstanceFormatError,
-    NegativeFlow,
-    NegativeFreeFlow,
-    NonPositiveDemand,
-    NonPositiveSlope,
-    NoPath,
-    PathExplosion,
-    ValidationError,
-)
+from .errors import DomainError, ValidationError
 
 DEFAULT_PATH_CAP = 10_000
 
@@ -40,17 +27,16 @@ AGGREGATION_TOL = 1e-12
 
 
 def check_flows(values: np.ndarray, size: int, what: str) -> np.ndarray:
-    """``values`` as a float flow vector, checked: DimensionMismatch unless its
-    shape is ``(size,)``, NegativeFlow on an entry that is NaN, infinite or below
-    ``-AGGREGATION_TOL``; ``what`` names it in the messages. The one check of
-    every flow vector argument except the human flows of ``wardrop_gap`` (NaN
-    in, NaN out)."""
+    """``values`` as a float flow vector, checked: DomainError unless its shape
+    is ``(size,)`` and no entry is NaN, infinite or below ``-AGGREGATION_TOL``;
+    ``what`` names it in the messages. The one check of every flow vector
+    argument except the human flows of ``wardrop_gap`` (NaN in, NaN out)."""
     values = np.asarray(values, dtype=float)
     if values.shape != (size,):
-        raise DimensionMismatch(f"{what} must have shape ({size},), got shape {values.shape}")
+        raise DomainError(f"{what} must have shape ({size},), got shape {values.shape}")
     bad = values[~(np.isfinite(values) & (values >= -AGGREGATION_TOL))]
     if bad.size:
-        raise NegativeFlow(f"{what} must be finite and nonnegative: {bad[0]}")
+        raise DomainError(f"{what} must be finite and nonnegative: {bad[0]}")
     return values
 
 
@@ -82,13 +68,13 @@ class Link:
             if not math.isfinite(value):
                 raise ValidationError(f"link {self.id!r}: {name} = {value} must be finite")
         if not self.a > 0:
-            raise NonPositiveSlope(f"link {self.id!r}: a = {self.a} must be > 0")
+            raise ValidationError(f"link {self.id!r}: a = {self.a} must be > 0")
         if not self.h > 0:
-            raise NonPositiveSlope(f"link {self.id!r}: h = {self.h} must be > 0")
+            raise ValidationError(f"link {self.id!r}: h = {self.h} must be > 0")
         if self.b < 0:
-            raise NegativeFreeFlow(f"link {self.id!r}: b = {self.b} must be >= 0")
+            raise ValidationError(f"link {self.id!r}: b = {self.b} must be >= 0")
         if self.a / self.h > 1.0:
-            raise AsymmetryOutOfRange(
+            raise ValidationError(
                 f"link {self.id!r}: a/h = {self.a / self.h} must lie in (0, 1]"
             )
 
@@ -122,12 +108,14 @@ class ODPair:
                 f"demand = {self.demand} must be finite"
             )
         if not self.demand > 0:
-            raise NonPositiveDemand(
-                f"O/D pair ({self.origin!r}, {self.destination!r}): demand = {self.demand}"
+            raise ValidationError(
+                f"O/D pair ({self.origin!r}, {self.destination!r}): "
+                f"demand = {self.demand} must be > 0"
             )
         if not 0.0 <= self.alpha <= 1.0:
-            raise BadAlpha(
-                f"O/D pair ({self.origin!r}, {self.destination!r}): alpha = {self.alpha}"
+            raise ValidationError(
+                f"O/D pair ({self.origin!r}, {self.destination!r}): "
+                f"alpha = {self.alpha} must lie in [0, 1]"
             )
 
 
@@ -271,7 +259,7 @@ def _simple_paths(
             if link.head == destination:
                 counter[0] += 1
                 if counter[0] > cap:
-                    raise PathExplosion(
+                    raise ValidationError(
                         f"more than {cap} simple paths; raise path_cap to enumerate"
                     )
                 found.append(Path(nodes=tuple(node_seq), links=tuple(link_seq)))
@@ -291,8 +279,8 @@ def enumerate_paths(
 ) -> PathSet:
     """Enumerate every simple path of every O/D pair, deterministically ordered.
 
-    Raises PathExplosion once the total path count over all pairs exceeds
-    ``path_cap``, and NoPath if some O/D pair is unreachable.
+    Raises ValidationError once the total path count over all pairs exceeds
+    ``path_cap``, or if some O/D pair is unreachable.
     """
     adj = _adjacency(links)
     counter = [0]
@@ -301,7 +289,7 @@ def enumerate_paths(
     for od in od_pairs:
         paths = _simple_paths(adj, od.origin, od.destination, counter, path_cap)
         if not paths:
-            raise NoPath(f"no path from {od.origin!r} to {od.destination!r}")
+            raise ValidationError(f"no path from {od.origin!r} to {od.destination!r}")
         paths.sort(key=lambda p: (p.nodes, p.links))
         od_slices.append((len(all_paths), len(all_paths) + len(paths)))
         all_paths.extend(paths)
@@ -319,36 +307,36 @@ def build_instance(
 ) -> GameInstance:
     """Assemble and validate a GameInstance from already-typed parts.
 
-    Raises EmptyDemand without an O/D pair, so every instance has a path and
-    a link.
+    Raises ValidationError without an O/D pair, so every instance has a path
+    and a link.
     """
     nodes = tuple(nodes)
     links = tuple(links)
     od_pairs = tuple(od_pairs)
     if not od_pairs:
-        raise EmptyDemand("instance has no O/D pairs")
+        raise ValidationError("instance has no O/D pairs")
     node_set = set(nodes)
     if len(node_set) != len(nodes):
-        raise InstanceFormatError("duplicate node identifiers")
+        raise ValidationError("duplicate node identifiers")
     seen_links: set[str] = set()
     for link in links:
         if link.id in seen_links:
-            raise InstanceFormatError(f"duplicate link id {link.id!r}")
+            raise ValidationError(f"duplicate link id {link.id!r}")
         seen_links.add(link.id)
         for endpoint in (link.tail, link.head):
             if endpoint not in node_set:
-                raise InstanceFormatError(
+                raise ValidationError(
                     f"link {link.id!r}: endpoint {endpoint!r} is not a declared node"
                 )
     for od in od_pairs:
         for endpoint in (od.origin, od.destination):
             if endpoint not in node_set:
-                raise InstanceFormatError(
+                raise ValidationError(
                     f"O/D pair ({od.origin!r}, {od.destination!r}): "
                     f"{endpoint!r} is not a declared node"
                 )
     if isinstance(path_cap, bool) or not isinstance(path_cap, int) or path_cap < 1:
-        raise InstanceFormatError(f"path_cap must be a positive integer, got {path_cap!r}")
+        raise ValidationError(f"path_cap must be a positive integer, got {path_cap!r}")
 
     paths = enumerate_paths(links, od_pairs, path_cap)
     n_links = len(links)
@@ -391,25 +379,25 @@ _TOP_FIELDS = {"nodes", "links", "od_pairs", "path_cap"}
 
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceFormatError(f"{where}: expected a number, got {value!r}")
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     return float(value)
 
 
 def _as_identifier(value, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise InstanceFormatError(f"{where}: expected a non-empty string, got {value!r}")
+        raise ValidationError(f"{where}: expected a non-empty string, got {value!r}")
     return value
 
 
 def _check_fields(record: Mapping, required: set[str], where: str) -> None:
     if not isinstance(record, Mapping):
-        raise InstanceFormatError(f"{where}: expected an object, got {type(record).__name__}")
+        raise ValidationError(f"{where}: expected an object, got {type(record).__name__}")
     unknown = set(record) - required
     if unknown:
-        raise InstanceFormatError(f"{where}: unknown fields {sorted(unknown)}")
+        raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
     missing = required - set(record)
     if missing:
-        raise InstanceFormatError(f"{where}: missing fields {sorted(missing)}")
+        raise ValidationError(f"{where}: missing fields {sorted(missing)}")
 
 
 def validate_instance(raw: Mapping) -> GameInstance:
@@ -421,20 +409,20 @@ def validate_instance(raw: Mapping) -> GameInstance:
     ``path_cap``. Unknown fields are rejected.
     """
     if not isinstance(raw, Mapping):
-        raise InstanceFormatError(f"instance must be an object, got {type(raw).__name__}")
+        raise ValidationError(f"instance must be an object, got {type(raw).__name__}")
     unknown = set(raw) - _TOP_FIELDS
     if unknown:
-        raise InstanceFormatError(f"unknown top-level fields {sorted(unknown)}")
+        raise ValidationError(f"unknown top-level fields {sorted(unknown)}")
     for required in ("nodes", "links", "od_pairs"):
         if required not in raw:
-            raise InstanceFormatError(f"missing top-level field {required!r}")
+            raise ValidationError(f"missing top-level field {required!r}")
 
     for name in ("nodes", "links", "od_pairs"):
         if not isinstance(raw[name], Sequence) or isinstance(raw[name], (str, bytes)):
-            raise InstanceFormatError(f"{name!r} must be a list, got {raw[name]!r}")
+            raise ValidationError(f"{name!r} must be a list, got {raw[name]!r}")
     nodes = tuple(_as_identifier(n, "nodes") for n in raw["nodes"])
     if not nodes:
-        raise InstanceFormatError("'nodes' must be non-empty")
+        raise ValidationError("'nodes' must be non-empty")
 
     links = []
     for k, rec in enumerate(raw["links"]):
@@ -473,7 +461,7 @@ def load_instance(path) -> GameInstance:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return validate_instance(raw)
 
 

@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DomainError
 from .model import ClassFlow, GameInstance, check_leader_flows
 
 _COST_FLOOR = 1e-30
@@ -416,7 +416,7 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
     s = check_leader_flows(instance, s)
     t = np.asarray(t, dtype=float)
     if t.shape != (instance.n_paths,):
-        raise DimensionMismatch(f"human path flows must have shape ({instance.n_paths},)")
+        raise DomainError(f"human path flows must have shape ({instance.n_paths},)")
     t_link = (instance.incidence @ t)[None]
     return float(_block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0][0])
 

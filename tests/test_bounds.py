@@ -220,7 +220,7 @@ class TestPoaFromLambda:
 
     def test_infeasible_at_omega2_root(self):
         lt = sr.lambda_thresholds(0.4, 0.8)
-        with pytest.raises(sr.InfeasibleLambda):
+        with pytest.raises(sr.DomainError, match="lambda outside the feasible set"):
             sr.poa_from_lambda(lt.lambda_omega2, 0.4, 0.8)
 
     def test_grid_minimum_matches_bound(self):

@@ -10,7 +10,7 @@ import pytest
 
 import scaleroute as sr
 from scaleroute.cli import run
-from scaleroute.harness import VerificationReport
+from scaleroute.harness import VerificationReport, format_float
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -62,6 +62,15 @@ class TestValidate:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "O/D" in line
 
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"nodes": [', encoding="utf-8")
+        assert run(["validate", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "invalid JSON" in line
+
     @pytest.mark.parametrize("command", ["validate", "play"])
     def test_nan_coefficient_rejected(self, tmp_path, capsys, command):
         links = [dict(PIGOU_RAW["links"][0], b=float("nan")), PIGOU_RAW["links"][1]]
@@ -97,6 +106,20 @@ class TestPlay:
         assert abs(_value(out, "optimal cost") - 0.75) <= 2e-2
         assert abs(_value(out, "induced cost") - 0.8125) <= 2e-2
         assert abs(_value(out, "empirical poa") - 1.083) <= 2e-2
+
+    def test_out_file(self, pigou_file, tmp_path, capsys):
+        out_path = tmp_path / "play.csv"
+        assert run(["play", "--instance", pigou_file, "--out", str(out_path)]) == 0
+        outcome = sr.play(sr.load_instance(pigou_file))
+        opt, follower = outcome.optimal_flow, outcome.follower_flow
+        columns = (opt.link_flows_a, opt.link_flows_h, outcome.leader_link_flows, follower.link_flows_h)
+        expected = [
+            [link["id"], *(format_float(column[k]) for column in columns)]
+            for k, link in enumerate(PIGOU_RAW["links"])
+        ]
+        header, *rows = out_path.read_text(encoding="utf-8").splitlines()
+        assert header == "link,opt_flow_a,opt_flow_h,leader_flow,follower_flow"
+        assert [row.split(",") for row in rows] == expected
 
     def test_alpha_zero_is_validation_error(self, pigou_file, capsys):
         assert run(["play", "--instance", pigou_file, "--alpha", "0"]) == 1

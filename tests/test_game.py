@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import scaleroute as sr
-from scaleroute.harness import certify_outcome
+from scaleroute.harness import ORACLE_FLOW_TOL, certify_outcome
 from scaleroute.solvers import _multistart_points
 
 from conftest import make_pigou, make_two_identical, od_sums
@@ -50,7 +52,7 @@ class TestScaleStrategy:
     def test_endpoint_alphas_rejected(self, pigou):
         opt = sr.system_optimal(pigou)
         for alpha in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(sr.AlphaOutOfRange):
+            with pytest.raises(sr.DomainError, match=r"must lie in \(0, 1\)"):
                 sr.scale_strategy(opt.flow, alpha)
 
 
@@ -68,7 +70,7 @@ class TestPlay:
             assert outcome.empirical_poa == pytest.approx(1.0, abs=1e-6)
 
     def test_alpha_zero_rejected(self):
-        with pytest.raises(sr.AlphaOutOfRange):
+        with pytest.raises(sr.DomainError, match=r"alpha = 0.0 must lie in \(0, 1\)"):
             sr.play(make_pigou(alpha=0.0))
 
     def test_heterogeneous_alpha_rejected(self):
@@ -77,7 +79,7 @@ class TestPlay:
             [sr.Link("e", "1", "2", 1.0, 1.0, 0.0), sr.Link("r", "2", "1", 1.0, 1.0, 0.0)],
             [sr.ODPair("1", "2", 1.0, 0.4), sr.ODPair("2", "1", 1.0, 0.6)],
         )
-        with pytest.raises(sr.HeterogeneousAlpha):
+        with pytest.raises(sr.DomainError, match="autonomy fractions must be uniform"):
             sr.play(instance)
 
     def test_batch_flows_are_feasible_and_leader_opt_restricted(self, batch_outcomes):
@@ -109,6 +111,22 @@ class TestPlay:
         for certified in certify_outcome(pigou, outcome, sr.OracleConfig()), certify_outcome(pigou, outcome):
             assert certified.optimum_certified
             assert certified.empirical_poa >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("disagreement", ["cost", "flows"])
+    def test_disagreeing_outcome_not_certified(self, pigou, disagreement):
+        # each condition alone keeps an outcome uncertified
+        outcome = sr.play(pigou)
+        assert certify_outcome(pigou, outcome).optimum_certified
+        _, oracle_cost = sr.oracle_optimal(pigou)
+        if disagreement == "cost":
+            off = dataclasses.replace(outcome, optimal_cost=oracle_cost + 2e-3 * (1.0 + abs(oracle_cost)))
+        else:
+            opt = outcome.optimal_flow
+            fh = opt.path_flows_h + np.array([2.0 * ORACLE_FLOW_TOL, 0.0])
+            moved = sr.ClassFlow.from_path_flows(pigou, opt.path_flows_a, fh)
+            off = dataclasses.replace(outcome, optimal_flow=moved)
+            assert off.optimal_cost == outcome.optimal_cost
+        assert not certify_outcome(pigou, off).optimum_certified
 
 
 def result_bits(result):

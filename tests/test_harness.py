@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
+from scaleroute import errors
 from scaleroute.harness import (
     MAX_LINKS,
     MAX_NODES,
@@ -32,12 +33,26 @@ LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
 
 #: oracle_optimal's total link flows and cost on LOWMU_SHAPE seeds
 EXACT_THREE_LINK_OPTIMA = {
-    1000: ([0.7623661549856845, 0.45018494975183265, 0.7634422681007413], 2.317358919619702),
-    1002: ([0.22206373219439066, 0.6846379265077469, 0.017913181994395195], 0.9888659497441061),
+    1000: ([0.7623661549856844, 0.4501849497518326, 0.7634422681007413], 2.3173589196197018),
+    1002: ([0.22206373219439063, 0.6846379265077468, 0.017913181994395202], 0.9888659497441058),
 }
 
 
 class TestSettableSurface:
+    def test_exception_classes_are_pinned(self):
+        # one class per way a caller fixes the error: a new class must edit this pin on purpose
+        defined = {
+            name: obj.__bases__
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, sr.ScalerouteError)
+        }
+        assert defined == {
+            "ScalerouteError": (Exception,),
+            "ValidationError": (sr.ScalerouteError,),
+            "DomainError": (sr.ScalerouteError,),
+            "NotConverged": (sr.ScalerouteError,),
+        }
+
     def test_config_fields_are_pinned(self):
         # a new knob must edit this pin on purpose
         pinned = {
@@ -241,7 +256,24 @@ class TestOracleProperties:
             assert lat[used].max() <= lat.min() * (1.0 + 1e-12)
 
 
+def steep_pair(h: float) -> sr.GameInstance:
+    """Two parallel links with slopes of order h, where the unit constraint rows
+    of the oracles' KKT systems are small beside the slopes."""
+    links = [sr.Link("e", "1", "2", h, h, 0.0), sr.Link("f", "1", "2", h / 2, h, 1.0)]
+    return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.5)])
+
+
+STEEP_SLOPES = [1e5, 1e6, 1e8, 1e12]
+
+
 class TestOracleOptimal:
+    @pytest.mark.parametrize("h", STEEP_SLOPES)
+    def test_exact_at_steep_slopes(self, h):
+        instance = steep_pair(h)
+        _, cost = sr.oracle_optimal(instance)
+        optimum = sr.system_optimal(instance).potential_or_cost
+        assert abs(cost - optimum) <= 1e-12 * optimum
+
     def test_pigou_cost(self, pigou):
         _, cost = sr.oracle_optimal(pigou)
         assert cost == pytest.approx(0.75, abs=1e-2)
@@ -263,7 +295,7 @@ class TestOracleOptimal:
         assert cost == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_parallel(self, braess):
-        with pytest.raises(sr.UnsupportedTopology):
+        with pytest.raises(sr.DomainError, match="oracle scope"):
             sr.oracle_optimal(braess)
 
     def test_rejects_too_many_links(self):
@@ -272,7 +304,7 @@ class TestOracleOptimal:
             [sr.Link(f"e{i}", "1", "2", 1.0, 1.0, 0.0) for i in range(4)],
             [sr.ODPair("1", "2", 1.0, 0.5)],
         )
-        with pytest.raises(sr.UnsupportedTopology):
+        with pytest.raises(sr.DomainError, match="oracle scope"):
             sr.oracle_optimal(instance)
 
     @pytest.mark.parametrize(
@@ -296,6 +328,12 @@ class TestOracleOptimal:
 
 
 class TestOracleNash:
+    @pytest.mark.parametrize("h", STEEP_SLOPES)
+    def test_exact_at_steep_slopes(self, h):
+        instance = steep_pair(h)
+        _, gap = sr.oracle_nash(instance, sr.play(instance).leader_link_flows)
+        assert gap <= 1e-12
+
     def test_pigou_no_leader(self):
         instance = make_pigou(alpha=0.0)
         t, gap = sr.oracle_nash(instance, np.zeros(2))
@@ -320,6 +358,11 @@ class TestRandomInstance:
         # the SCALE leader and its bound need alpha in (0, 1): an endpoint must fail here, not inside a batch
         with pytest.raises(ValueError, match="alpha"):
             sr.ShapeConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("p", [float("nan"), -3.0, 7.0])
+    def test_parallel_probability_out_of_range(self, p):
+        with pytest.raises(ValueError, match=r"parallel_probability = .* must lie in \[0, 1\]"):
+            sr.ShapeConfig(parallel_probability=p)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -470,7 +513,7 @@ class TestCurveTables:
         assert all(0.0 < g < gamma_plus for g, _ in table.series("omega1"))
 
     def test_bad_kind(self):
-        with pytest.raises(sr.BadKind):
+        with pytest.raises(sr.DomainError, match="unknown curve kind 'nope'"):
             sr.curve_tables("nope")
 
     def test_tables_deterministic(self):

@@ -40,7 +40,7 @@ class TestValidateInstance:
             "links": [{"id": "e", "tail": "1", "head": "2", "a": 1.2, "h": 1.0, "b": 0.0}],
             "od_pairs": [{"origin": "1", "destination": "2", "demand": 1.0, "alpha": 0.5}],
         }
-        with pytest.raises(sr.AsymmetryOutOfRange):
+        with pytest.raises(sr.ValidationError, match=r"a/h = 1.2 must lie in \(0, 1\]"):
             sr.validate_instance(raw)
 
     def test_parallel_links_ordered_by_id(self):
@@ -57,22 +57,22 @@ class TestValidateInstance:
         assert [p.links for p in instance.paths.all_paths] == [("a",), ("z",)]
 
     @pytest.mark.parametrize(
-        "patch, error",
+        "patch, match",
         [
-            ({"a": -1.0}, sr.NonPositiveSlope),
-            ({"h": 0.0}, sr.NonPositiveSlope),
-            ({"b": -0.1}, sr.NegativeFreeFlow),
-            ({"a": float("nan")}, sr.ValidationError),
-            ({"a": float("inf")}, sr.ValidationError),
-            ({"h": float("nan")}, sr.ValidationError),
-            ({"h": float("inf")}, sr.ValidationError),
-            ({"a": float("inf"), "h": float("inf")}, sr.ValidationError),
-            ({"b": float("nan")}, sr.ValidationError),
-            ({"b": float("inf")}, sr.ValidationError),
+            ({"a": -1.0}, "a = -1.0 must be > 0"),
+            ({"h": 0.0}, "h = 0.0 must be > 0"),
+            ({"b": -0.1}, "b = -0.1 must be >= 0"),
+            ({"a": float("nan")}, "a = nan must be finite"),
+            ({"a": float("inf")}, "a = inf must be finite"),
+            ({"h": float("nan")}, "h = nan must be finite"),
+            ({"h": float("inf")}, "h = inf must be finite"),
+            ({"a": float("inf"), "h": float("inf")}, "a = inf must be finite"),
+            ({"b": float("nan")}, "b = nan must be finite"),
+            ({"b": float("inf")}, "b = inf must be finite"),
         ],
         ids=["neg-a", "zero-h", "neg-b", "nan-a", "inf-a", "nan-h", "inf-h", "inf-a-h", "nan-b", "inf-b"],
     )
-    def test_link_coefficient_errors(self, patch, error):
+    def test_link_coefficient_errors(self, patch, match):
         link = {"id": "e", "tail": "1", "head": "2", "a": 1.0, "h": 1.0, "b": 0.0}
         link.update(patch)
         raw = {
@@ -80,15 +80,15 @@ class TestValidateInstance:
             "links": [link],
             "od_pairs": [{"origin": "1", "destination": "2", "demand": 1.0, "alpha": 0.5}],
         }
-        with pytest.raises(error):
+        with pytest.raises(sr.ValidationError, match=match):
             sr.validate_instance(raw)
 
     def test_demand_and_alpha_errors(self):
         raw = dict(BRAESS_RAW, od_pairs=[{"origin": "1", "destination": "4", "demand": 0.0, "alpha": 0.5}])
-        with pytest.raises(sr.NonPositiveDemand):
+        with pytest.raises(sr.ValidationError, match="demand = 0.0 must be > 0"):
             sr.validate_instance(raw)
         raw = dict(BRAESS_RAW, od_pairs=[{"origin": "1", "destination": "4", "demand": 1.0, "alpha": 1.5}])
-        with pytest.raises(sr.BadAlpha):
+        with pytest.raises(sr.ValidationError, match=r"alpha = 1.5 must lie in \[0, 1\]"):
             sr.validate_instance(raw)
 
     @pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
@@ -99,29 +99,28 @@ class TestValidateInstance:
 
     def test_no_path(self):
         raw = dict(BRAESS_RAW, od_pairs=[{"origin": "4", "destination": "1", "demand": 1.0, "alpha": 0.5}])
-        with pytest.raises(sr.NoPath):
+        with pytest.raises(sr.ValidationError, match="no path from '4' to '1'"):
             sr.validate_instance(raw)
 
     def test_unknown_fields_rejected(self):
         raw = dict(BRAESS_RAW, extra=1)
-        with pytest.raises(sr.InstanceFormatError):
+        with pytest.raises(sr.ValidationError, match=r"unknown top-level fields \['extra'\]"):
             sr.validate_instance(raw)
         bad_link = dict(BRAESS_RAW)
         bad_link = {**BRAESS_RAW, "links": [dict(BRAESS_RAW["links"][0], capacity=3.0)] + BRAESS_RAW["links"][1:]}
-        with pytest.raises(sr.InstanceFormatError):
+        with pytest.raises(sr.ValidationError, match=r"links\[0\]: unknown fields \['capacity'\]"):
             sr.validate_instance(bad_link)
 
     def test_empty_demand_rejected(self):
         # without an O/D pair an instance has no path to route on
-        assert issubclass(sr.EmptyDemand, sr.ValidationError)
-        with pytest.raises(sr.EmptyDemand):
+        with pytest.raises(sr.ValidationError, match="no O/D pairs"):
             sr.validate_instance(dict(BRAESS_RAW, od_pairs=[]))
-        with pytest.raises(sr.EmptyDemand):
+        with pytest.raises(sr.ValidationError, match="no O/D pairs"):
             sr.build_instance(("1", "2"), [sr.Link("e", "1", "2", 1.0, 1.0)], [])
 
     @pytest.mark.parametrize("path_cap", [True, 0, 2.0])
     def test_bad_path_cap_rejected(self, path_cap):
-        with pytest.raises(sr.InstanceFormatError, match="path_cap"):
+        with pytest.raises(sr.ValidationError, match="path_cap must be a positive integer"):
             sr.build_instance(
                 ("1", "2"), [sr.Link("e", "1", "2", 1.0, 1.0)], [sr.ODPair("1", "2", 1.0, 0.5)], path_cap
             )
@@ -141,8 +140,56 @@ class TestValidateInstance:
             "links": [{"id": "e", "tail": "1", "head": "3", "a": 1.0, "h": 1.0, "b": 0.0}],
             "od_pairs": [{"origin": "1", "destination": "2", "demand": 1.0, "alpha": 0.5}],
         }
-        with pytest.raises(sr.InstanceFormatError):
+        with pytest.raises(sr.ValidationError, match="endpoint '3' is not a declared node"):
             sr.validate_instance(raw)
+
+
+def _with_record(section, k, **fields):
+    """BRAESS_RAW with record k of ``section`` updated by ``fields``."""
+    records = list(BRAESS_RAW[section])
+    records[k] = dict(records[k], **fields)
+    return dict(BRAESS_RAW, **{section: records})
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    return sr.load_instance(path)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda _: sr.validate_instance(dict(BRAESS_RAW, nodes=["1", "2", "3", "4", "2"])),
+             sr.ValidationError, "duplicate node identifiers"),
+            (lambda _: sr.validate_instance(_with_record("links", 1, id="l12")),
+             sr.ValidationError, "duplicate link id 'l12'"),
+            (lambda _: sr.validate_instance(_with_record("od_pairs", 0, destination="9")),
+             sr.ValidationError, r"O/D pair \('1', '9'\): '9' is not a declared node"),
+            (lambda _: sr.validate_instance(_with_record("od_pairs", 0, destination="1")),
+             sr.ValidationError, "origin equals destination"),
+            (lambda _: sr.validate_instance(_with_record("links", 0, a="1")),
+             sr.ValidationError, r"links\[0\]\.a: expected a number, got '1'"),
+            (lambda _: sr.validate_instance(dict(BRAESS_RAW, links=[["l12", "1", "2"]])),
+             sr.ValidationError, r"links\[0\]: expected an object, got list"),
+            (lambda _: sr.validate_instance([BRAESS_RAW]),
+             sr.ValidationError, "instance must be an object, got list"),
+            (lambda _: sr.validate_instance(dict(BRAESS_RAW, nodes=[])),
+             sr.ValidationError, "'nodes' must be non-empty"),
+            (lambda tmp_path: _load_text(tmp_path, '{"nodes": ['),
+             sr.ValidationError, r"instance\.json: invalid JSON"),
+            (lambda _: sr.wardrop_gap(make_braess(), np.zeros(5), np.zeros(4)),
+             sr.DomainError, r"human path flows must have shape \(3,\)"),
+        ],
+        ids=[
+            "duplicate-node", "duplicate-link", "od-undeclared", "od-self", "non-number",
+            "non-object-link", "non-object-top", "empty-nodes", "invalid-json", "gap-human-length",
+        ],
+    )
+    def test_rejected(self, call, error, match, tmp_path):
+        with pytest.raises(error, match=match):
+            call(tmp_path)
 
 
 class TestEnumeratePaths:
@@ -165,7 +212,7 @@ class TestEnumeratePaths:
             for j in range(8)
             if i != j
         ]
-        with pytest.raises(sr.PathExplosion):
+        with pytest.raises(sr.ValidationError, match="more than 100 simple paths"):
             sr.build_instance(nodes, links, [sr.ODPair("n0", "n7", 1.0, 0.5)], path_cap=100)
 
     def test_enumeration_is_deterministic(self, braess):
@@ -182,9 +229,9 @@ class TestSocialCost:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_path_flow_rejected(self, pigou, value):
-        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+        with pytest.raises(sr.DomainError, match="finite and nonnegative"):
             sr.ClassFlow.from_path_flows(pigou, np.array([value, 0.5]), np.zeros(2))
-        with pytest.raises(sr.NegativeFlow, match="finite and nonnegative"):
+        with pytest.raises(sr.DomainError, match="finite and nonnegative"):
             sr.ClassFlow.from_path_flows(pigou, np.zeros(2), np.array([0.5, value]))
 
     def test_single_link_value(self):
@@ -261,16 +308,16 @@ class TestDemandVectors:
 
 class TestStackelbergChecks:
     @pytest.mark.parametrize(
-        "flows, error, match",
+        "flows, match",
         [
-            ([float("nan"), 0.5], sr.NegativeFlow, "finite and nonnegative"),
-            ([float("inf"), 0.5], sr.NegativeFlow, "finite and nonnegative"),
-            ([-1.0, 0.5], sr.NegativeFlow, "finite and nonnegative"),
-            ([0.25, 0.25, 0.0], sr.DimensionMismatch, "must have shape"),
+            ([float("nan"), 0.5], "finite and nonnegative"),
+            ([float("inf"), 0.5], "finite and nonnegative"),
+            ([-1.0, 0.5], "finite and nonnegative"),
+            ([0.25, 0.25, 0.0], "must have shape"),
         ],
         ids=["nan", "inf", "negative", "wrong-length"],
     )
-    def test_bad_flow_vector_rejected(self, pigou, flows, error, match):
+    def test_bad_flow_vector_rejected(self, pigou, flows, match):
         # every public entry point that takes a flow vector, at each vector argument
         # (pigou has two links and two paths)
         zeros = np.zeros(2)
@@ -288,7 +335,7 @@ class TestStackelbergChecks:
         for name, call in entry_points.items():
             try:
                 call(np.array(flows))
-            except error as exc:
+            except sr.DomainError as exc:
                 assert match in str(exc), name
             else:
                 accepted.append(name)
