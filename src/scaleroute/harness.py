@@ -146,17 +146,23 @@ def _face_minimum(
     interior of some face. P is first replaced by its symmetric part, which
     has the same quadratic form. The KKT systems of all faces form one
     stack (``_face_layout``) with P restricted to each support, and one
-    Hermitian pseudo-inverse of the stack, at the cutoff of least squares,
-    solves them all. The stack holds P and q divided by s, the larger of
-    max|P| and 1, which leaves every minimiser in place and keeps the unit
-    constraint rows above the cutoff however large the slopes: a vertex
-    face, whose KKT block is [[P_SS / s, I], [I, 0]] with determinant +-1,
-    then always survives. A face's point is kept if its residual is small
-    and it is feasible. A face whose restricted Hessian is singular needs no
-    special case: the cost is constant along the null direction, which
-    reaches a smaller face. Among the surviving faces the lowest value, at
-    the unscaled P and q, wins, the first face on ties. Returns the
-    minimiser and its value.
+    batched LU solve covers them all. The stack holds P and q divided by s,
+    the larger of max|P| and 1, which leaves every minimiser in place and
+    keeps the slopes on the scale of the unit constraint rows however
+    large they are. A face's point is kept if its residual is small and it
+    is feasible; a point that overflows fails one of the two tests.
+
+    A face whose KKT matrix LU finds exactly singular is skipped, and the
+    skip loses no minimum. Take a minimiser z* in the relative interior of
+    such a face, and a null vector (v, w) of its KKT matrix [[P_SS, E'],
+    [E, 0]]. Then E v = 0, and v != 0 because the group rows of E are
+    disjoint and nonempty. The gradient term along v is 0 by stationarity,
+    and the curvature term is v'P v = -(E v)'w = 0, so the cost is constant
+    along v, and moving along +-v reaches a smaller face with the same
+    value. A vertex face, whose KKT block is [[P_SS / s, I], [I, 0]] with
+    determinant +-1, is never skipped. Among the surviving faces the lowest
+    value, at the unscaled P and q, wins, the first face on ties. Returns
+    the minimiser and its value.
     """
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
@@ -166,17 +172,21 @@ def _face_minimum(
     K[:, :n, :n] += (P / scale) * (masks[:, :, None] & masks[:, None, :])
     d = np.broadcast_to(demands, (len(masks), len(groups)))
     rhs = np.concatenate([-(q / scale) * masks, d], axis=1)[..., None]
-    K_pinv = np.linalg.pinv(K, rtol=None, hermitian=True)
-    sol = K_pinv @ rhs
-    # one refinement step: a single solve can miss the demands by ~1e-14,
-    # which puts the cost above that of nearby feasible points
-    sol += K_pinv @ (rhs - K @ sol)
-    residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
-    stationary = residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2))
-    x = np.where(masks, sol[:, :n, 0], 0.0)
-    feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
-    Z = np.maximum(x, 0.0)
-    values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
+    singular = np.zeros(len(masks), dtype=bool)
+    # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:  # some face has an exactly zero pivot
+            singular = np.linalg.slogdet(K)[0] == 0
+            K[singular] = np.eye(K.shape[1])
+            sol = np.linalg.solve(K, rhs)
+        residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
+        stationary = ~singular & (residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2)))
+        x = np.where(masks, sol[:, :n, 0], 0.0)
+        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
+        Z = np.maximum(x, 0.0)
+        values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
     best = int(np.argmin(values))
     return Z[best], float(values[best])
 
