@@ -1,14 +1,11 @@
 """Exact oracles, random instances, batch verification, figure data and CSV.
 
-The oracles work on path flows, as the solvers do: the social cost and the
-follower's Beckmann potential are quadratics over a product of simplices,
-one per class and O/D pair, and both are minimised exactly by enumerating
-the faces of that product. Each face fixes a support per simplex, and its
-KKT system gives its stationary point; one stacked solve covers every face.
-The global minimum is the lowest feasible stationary point, even where the
-cost is not convex. The face count grows exponentially with the path count,
-so the oracles are scoped to one O/D pair of at most three parallel links
-(``is_parallel_link``).
+The oracles solve the social cost and the follower's Beckmann potential
+exactly by the face enumeration of ``solvers._face_minimum``, the solve that
+``system_optimal`` and ``follower_equilibrium`` run themselves within their
+face budget. The oracles run it at any face count, which grows exponentially
+with the path count, so they are scoped to one O/D pair of at most three
+parallel links (``is_parallel_link``).
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -20,7 +17,6 @@ boundaries, bound curves) as labeled CSV series.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,16 +40,11 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, wardrop_gap
+from .solvers import SolverConfig, _face_point, _path_form, _social_cost_quadratic, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
 ORACLE_FLOW_TOL = 1e-3
-
-#: a face's KKT solution is stationary up to this residual relative to the right-hand side
-_KKT_RTOL = 1e-9
-#: and feasible down to this negative flow, which is then clipped to zero
-_FEASIBLE_ATOL = 1e-12
 
 
 def format_float(x: float) -> str:
@@ -108,122 +99,15 @@ def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
         raise DomainError(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
 
 
-@functools.lru_cache(maxsize=32)
-def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The faces of the product of simplices over n variables with these
-    groups, as read-only arrays: their supports, a (faces, n) mask, and the
-    part of their KKT systems that P does not fill, a (faces, n + k, n + k)
-    stack with the group sums over each support and a unit diagonal that
-    pins each variable off the support at 0. A face takes one nonempty
-    subset per group, the subsets of a group by size and then
-    lexicographically, and the faces come in ``itertools.product`` order."""
-    masks = np.zeros((1, n), dtype=bool)
-    for g in groups:
-        subsets = [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
-        sub = np.zeros((len(subsets), n), dtype=bool)
-        for row, s in zip(sub, subsets):
-            row[list(s)] = True
-        masks = (masks[:, None, :] | sub[None, :, :]).reshape(-1, n)
-    k = len(groups)
-    member = np.zeros((k, n))
-    for j, g in enumerate(groups):
-        member[j, list(g)] = 1.0
-    K = np.zeros((len(masks), n + k, n + k))
-    K[:, :n, :n] = np.eye(n) * ~masks[:, None, :]
-    K[:, n:, :n] = member * masks[:, None, :]  # one sum per group
-    K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
-    masks.flags.writeable = K.flags.writeable = False
-    return masks, K
-
-
-def _face_minimum(
-    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
-) -> tuple[np.ndarray, float]:
-    """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group.
-
-    The feasible set is a product of simplices. Each face fixes a nonempty
-    support per group, and the minimum is a stationary point in the relative
-    interior of some face. P is first replaced by its symmetric part, which
-    has the same quadratic form. The KKT systems of all faces form one
-    stack (``_face_layout``) with P restricted to each support, and one
-    batched LU solve covers them all. The stack holds P and q divided by s,
-    the larger of max|P| and 1, which leaves every minimiser in place and
-    keeps the slopes on the scale of the unit constraint rows however
-    large they are. A face's point is kept if its residual is small and it
-    is feasible; a point that overflows fails one of the two tests.
-
-    A face whose KKT matrix LU finds exactly singular is skipped, and the
-    skip loses no minimum. Take a minimiser z* in the relative interior of
-    such a face, and a null vector (v, w) of its KKT matrix [[P_SS, E'],
-    [E, 0]]. Then E v = 0, and v != 0 because the group rows of E are
-    disjoint and nonempty. The gradient term along v is 0 by stationarity,
-    and the curvature term is v'P v = -(E v)'w = 0, so the cost is constant
-    along v, and moving along +-v reaches a smaller face with the same
-    value. A vertex face, whose KKT block is [[P_SS / s, I], [I, 0]] with
-    determinant +-1, is never skipped. Among the surviving faces the lowest
-    value, at the unscaled P and q, wins, the first face on ties. Returns
-    the minimiser and its value.
-    """
-    P = 0.5 * (P + P.T)
-    scale = max(np.abs(P).max(), 1.0)
-    n = q.size
-    masks, template = _face_layout(tuple(map(tuple, groups)), n)
-    K = template.copy()
-    K[:, :n, :n] += (P / scale) * (masks[:, :, None] & masks[:, None, :])
-    d = np.broadcast_to(demands, (len(masks), len(groups)))
-    rhs = np.concatenate([-(q / scale) * masks, d], axis=1)[..., None]
-    singular = np.zeros(len(masks), dtype=bool)
-    # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:  # some face has an exactly zero pivot
-            singular = np.linalg.slogdet(K)[0] == 0
-            K[singular] = np.eye(K.shape[1])
-            sol = np.linalg.solve(K, rhs)
-        residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
-        stationary = ~singular & (residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2)))
-        x = np.where(masks, sol[:, :n, 0], 0.0)
-        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
-        Z = np.maximum(x, 0.0)
-        values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
-    best = int(np.argmin(values))
-    return Z[best], float(values[best])
-
-
-def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A' diag(v) A: the link weights v as a quadratic form in the path flows."""
-    return A.T @ (v[:, None] * A)
-
-
-def _social_cost_quadratic(
-    instance: GameInstance,
-) -> tuple[np.ndarray, np.ndarray, list[range], list[float]]:
-    """The social cost as 1/2 z'Pz + q'z over the path flows z = (autonomous, human),
-    with its simplices (one per class and O/D pair) and their demands, on any network.
-
-    On a link the social cost is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh)
-    with (fa, fh) = (A za, A zh) for the incidence A.
-    """
-    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
-    cross = _path_form(A, a + h)
-    P = np.block([[_path_form(A, 2.0 * a), cross], [cross, _path_form(A, 2.0 * h)]])
-    q = A.T @ instance.b
-    slices = instance.paths.od_slices
-    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
-    return P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands]
-
-
 def oracle_optimal(
     instance: GameInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[ClassFlow, float]:
-    """Exact system optimum, the ``_face_minimum`` of ``_social_cost_quadratic``.
+    """Exact system optimum, the ``_face_point`` of ``_social_cost_quadratic``.
     Raises DomainError outside the oracle scope (``is_parallel_link``).
     Returns the flow and its social cost.
     """
     _check_scope(instance, config)
-    z, _ = _face_minimum(*_social_cost_quadratic(instance))
-    flow = ClassFlow.from_path_flows(instance, *np.split(z, 2))
+    flow = ClassFlow.from_path_flows(instance, *np.split(_face_point(*_social_cost_quadratic(instance)), 2))
     return flow, social_cost(instance, flow)
 
 
@@ -240,12 +124,10 @@ def oracle_nash(
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    if not instance.human_demands.any():  # all-autonomous demand: no human flow to place
-        return np.zeros(instance.n_links), 0.0
     A = instance.incidence
     groups = [range(start, end) for start, end in instance.paths.od_slices]
     q = A.T @ (instance.a * s + instance.b)
-    t, _ = _face_minimum(_path_form(A, instance.h), q, groups, instance.human_demands)
+    t = _face_point(_path_form(A, instance.h), q, groups, instance.human_demands)
     return A @ t, wardrop_gap(instance, s, t)
 
 

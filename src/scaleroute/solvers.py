@@ -1,13 +1,24 @@
 """Flow solvers: induced human equilibrium and system optimum.
 
-Both solvers run one loop (``_descend``): block-coordinate descent over the
-enumerated path polytope of each class block, where block k minimizes
-``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by the other
-blocks. The loop runs a batch of starts at once: the path flows of a block
-are a (starts × paths) array, and every numpy call of a round serves all live
-starts, so a batch takes as many rounds as its longest start, not the sum of
-their rounds. A round gives each block of each start in turn one step
-(``_block_step``) unless its gap is already within tolerance: an
+Both objectives are quadratics in the path flows over a product of simplices,
+one per class and O/D pair, and both solvers are exact within a face budget.
+Each face of the product fixes a nonempty support per simplex, and its KKT
+system gives its stationary point; ``_face_minimum`` solves the systems of
+all faces in one stacked solve and keeps the lowest feasible stationary
+point, the global minimum even where the social cost is not convex. The face
+count (``_face_count``) grows exponentially with the path count (Pardalos
+and Vavasis, 1991), so the exact solve runs only within ``_FACE_BUDGET``
+faces; one solve counts as one iteration, and its trace holds the objective
+at its point.
+
+Above the budget both solvers run one loop (``_descend``): block-coordinate
+descent over the enumerated path polytope of each class block, where block k
+minimizes ``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by
+the other blocks. The loop runs a batch of starts at once: the path flows of
+a block are a (starts × paths) array, and every numpy call of a round serves
+all live starts, so a batch takes as many rounds as its longest start, not
+the sum of their rounds. A round gives each block of each start in turn one
+step (``_block_step``) unless its gap is already within tolerance: an
 all-or-nothing assignment to current shortest paths as the search direction,
 an exact closed-form line search (every objective here is quadratic along a
 segment), then a pairwise vertex-exchange sweep, moving mass from the worst
@@ -31,9 +42,9 @@ exact class-swap move (``_class_swap``) on the starts that tried a step: at
 fixed total path flows the social cost is linear in the class split, which the
 blocks, each moving one class and so the total flow, only reach by zigzagging.
 
-Every convergence test uses one relative gap. For a block with link
-gradient g, link flow x and per-O/D demands, let y be the all-or-nothing
-load of the demands on the cheapest paths under g; the gap is
+Every convergence test uses one relative gap, exact solve or descent. For a
+block with link gradient g, link flow x and per-O/D demands, let y be the
+all-or-nothing load of the demands on the cheapest paths under g; the gap is
 ``(g.x - g.y) / g.x``, clamped at 0 from below and defined as 0 when g.x is
 at most ``_COST_FLOOR``. A NaN gap fails every tolerance test, so a solver
 never reports convergence on NaN input. The Wardrop gap of a human flow is
@@ -43,9 +54,11 @@ its two block gaps.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,6 +68,13 @@ from .model import ClassFlow, GameInstance, check_leader_flows
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
 _MULTISTARTS = 15  # optimum start draws (all-or-nothing, then vertices), before repeats are dropped
+#: the most faces (``_face_count``) a solver enumerates exactly; above it, it descends
+_FACE_BUDGET = 225
+
+#: a face's KKT solution is stationary up to this residual relative to the right-hand side
+_KKT_RTOL = 1e-9
+#: and feasible down to this negative flow, which is then clipped to zero
+_FEASIBLE_ATOL = 1e-12
 
 # a move of ``_descend`` after the blocks of a round: (path flows, link flows,
 # rows to try) -> rows it moved
@@ -83,11 +103,13 @@ class EquilibriumResult:
     """Solver output: flow, objective value, certificate and iteration trace.
 
     ``potential_or_cost`` is the final potential (human equilibrium) or the
-    social cost (system optimum). ``iterations`` counts the rounds of
-    ``_descend`` that tried a step, per start, summed over the starts of the
-    system optimum (which run together, as one batch); a round of the optimum
-    is its autonomous block, then its human block, then the class swap, which
-    runs only in a round that tried a block step. ``trace`` records the
+    social cost (system optimum). An exact solve within the face budget
+    counts one iteration, and its ``trace`` is the objective at its point.
+    Above the budget, ``iterations`` counts the rounds of ``_descend`` that
+    tried a step, per start, summed over the starts of the system optimum
+    (which run together, as one batch); a round of the optimum is its
+    autonomous block, then its human block, then the class swap, which runs
+    only in a round that tried a block step. ``trace`` then records the
     objective at the start of each round of the returned start, so its last
     entry is the returned point; it is nonincreasing by construction.
     """
@@ -357,7 +379,7 @@ def _descend(
         rounds = []
         done = ~moved
         finished = live[done]
-        gap_out[finished] = reduce(np.maximum, gaps)[done]
+        gap_out[finished] = functools.reduce(np.maximum, gaps)[done]
         iterations_out[finished] = iterations[done]
         for f, x in zip(flows, xs):
             if x is not f:
@@ -372,38 +394,247 @@ def _descend(
     return gap_out, iterations_out, [tuple(t) for t in traces]
 
 
+def _block_form(demands: np.ndarray, quad: np.ndarray, lin: np.ndarray):
+    """The one block sum_l [quad_l x_l^2 / 2 + lin_l x_l] as ``_descend`` takes it:
+    its blocks, ``lin`` and ``objective``."""
+    return (
+        ((demands, quad),),
+        lambda k, links: lin,
+        lambda links: 0.5 * np.vecdot(quad, links[0] * links[0]) + np.vecdot(lin, links[0]),
+    )
+
+
 def _descend_block(
     instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray, x: np.ndarray,
     config: SolverConfig,
 ) -> tuple[float, int, tuple[float, ...]]:
     """``_descend`` on the one block sum_l [quad_l x_l^2 / 2 + lin_l x_l], in place
     from the one start ``x`` (path flows): its gap, iterations and trace."""
+    blocks, lin_k, objective = _block_form(demands, quad, lin)
     gaps, iterations, traces = _descend(
-        instance, ((demands, quad),), (x[None],), lambda k, links: lin,
-        lambda links: 0.5 * np.vecdot(quad, links[0] * links[0]) + np.vecdot(lin, links[0]),
-        config.relative_gap_tol, config.max_iterations,
+        instance, blocks, (x[None],), lin_k, objective, config.relative_gap_tol, config.max_iterations,
     )
     return float(gaps[0]), int(iterations[0]), traces[0]
+
+
+def _social_cost_form(instance: GameInstance):
+    """The social cost as ``_descend`` takes it: the autonomous and the human
+    block (class-a gradient 2 a fa + (a+h) fh + b, symmetrically for class h),
+    ``lin`` and ``objective``."""
+    ah, b = instance.a + instance.h, instance.b
+    return (
+        ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h)),
+        lambda k, links: ah * links[1 - k] + b,
+        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
+    )
+
+
+def _descend_optimum(
+    instance: GameInstance, flows: tuple[np.ndarray, np.ndarray], config: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
+    """``_descend`` on the social cost, as ``system_optimal`` runs it, in place on
+    the (starts × paths) autonomous and human path flows ``flows``."""
+    blocks, lin, objective = _social_cost_form(instance)
+    return _descend(
+        instance, blocks, flows, lin, objective, config.relative_gap_tol, config.max_iterations,
+        _class_swap(instance),
+    )
+
+
+# --- the exact solve within the face budget -----------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces of the product of simplices over n variables with these
+    groups, as read-only arrays: their supports, a (faces, n) mask, and the
+    part of their KKT systems that P does not fill, a (faces, n + k, n + k)
+    stack with the group sums over each support and a unit diagonal that
+    pins each variable off the support at 0. A face takes one nonempty
+    subset per group, the subsets of a group by size and then
+    lexicographically, and the faces come in ``itertools.product`` order."""
+    masks = np.zeros((1, n), dtype=bool)
+    for g in groups:
+        subsets = [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
+        sub = np.zeros((len(subsets), n), dtype=bool)
+        for row, s in zip(sub, subsets):
+            row[list(s)] = True
+        masks = (masks[:, None, :] | sub[None, :, :]).reshape(-1, n)
+    k = len(groups)
+    member = np.zeros((k, n))
+    for j, g in enumerate(groups):
+        member[j, list(g)] = 1.0
+    K = np.zeros((len(masks), n + k, n + k))
+    K[:, :n, :n] = np.eye(n) * ~masks[:, None, :]
+    K[:, n:, :n] = member * masks[:, None, :]  # one sum per group
+    K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
+    masks.flags.writeable = K.flags.writeable = False
+    return masks, K
+
+
+def _face_minimum(
+    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
+) -> tuple[np.ndarray, float]:
+    """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group.
+
+    The feasible set is a product of simplices. Each face fixes a nonempty
+    support per group, and the minimum is a stationary point in the relative
+    interior of some face. P is first replaced by its symmetric part, which
+    has the same quadratic form. The KKT systems of all faces form one
+    stack (``_face_layout``) with P restricted to each support, and one
+    batched LU solve covers them all. The stack holds P and q divided by s,
+    the larger of max|P| and 1, which leaves every minimiser in place and
+    keeps the slopes on the scale of the unit constraint rows however
+    large they are. A face's point is kept if its residual is small and it
+    is feasible; a point that overflows fails one of the two tests.
+
+    A face whose KKT matrix LU finds exactly singular is skipped, and the
+    skip loses no minimum. Take a minimiser z* in the relative interior of
+    such a face, and a null vector (v, w) of its KKT matrix [[P_SS, E'],
+    [E, 0]]. Then E v = 0, and v != 0 because the group rows of E are
+    disjoint and nonempty. The gradient term along v is 0 by stationarity,
+    and the curvature term is v'P v = -(E v)'w = 0, so the cost is constant
+    along v, and moving along +-v reaches a smaller face with the same
+    value. A vertex face, whose KKT block is [[P_SS / s, I], [I, 0]] with
+    determinant +-1, is never skipped. Among the surviving faces the lowest
+    value, at the unscaled P and q, wins, the first face on ties. Returns
+    the minimiser and its value.
+    """
+    P = 0.5 * (P + P.T)
+    scale = max(np.abs(P).max(), 1.0)
+    n = q.size
+    masks, template = _face_layout(tuple(map(tuple, groups)), n)
+    K = template.copy()
+    K[:, :n, :n] += (P / scale) * (masks[:, :, None] & masks[:, None, :])
+    d = np.broadcast_to(demands, (len(masks), len(groups)))
+    rhs = np.concatenate([-(q / scale) * masks, d], axis=1)[..., None]
+    singular = np.zeros(len(masks), dtype=bool)
+    # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:  # some face has an exactly zero pivot
+            singular = np.linalg.slogdet(K)[0] == 0
+            K[singular] = np.eye(K.shape[1])
+            sol = np.linalg.solve(K, rhs)
+        residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
+        stationary = ~singular & (residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2)))
+        x = np.where(masks, sol[:, :n, 0], 0.0)
+        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
+        Z = np.maximum(x, 0.0)
+        values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
+    best = int(np.argmin(values))
+    return Z[best], float(values[best])
+
+
+def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A' diag(v) A: the link weights v as a quadratic form in the path flows."""
+    return A.T @ (v[:, None] * A)
+
+
+def _social_cost_quadratic(
+    instance: GameInstance,
+) -> tuple[np.ndarray, np.ndarray, list[range], list[float]]:
+    """The social cost as 1/2 z'Pz + q'z over the path flows z = (autonomous, human),
+    with its simplices (one per class and O/D pair) and their demands, on any network.
+
+    On a link the social cost is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh)
+    with (fa, fh) = (A za, A zh) for the incidence A.
+    """
+    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
+    cross = _path_form(A, a + h)
+    P = np.block([[_path_form(A, 2.0 * a), cross], [cross, _path_form(A, 2.0 * h)]])
+    q = A.T @ instance.b
+    slices = instance.paths.od_slices
+    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
+    return P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands]
+
+
+def _face_count(instance: GameInstance, classes: int) -> int:
+    """Faces of the product of simplices of ``classes`` classes, one simplex per
+    class and O/D pair: prod_w (2^n_w - 1)^classes over the pairs w with n_w
+    paths, counted, not enumerated."""
+    return math.prod((2 ** (end - start) - 1) ** classes for start, end in instance.paths.od_slices)
+
+
+def _face_point(
+    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
+) -> np.ndarray:
+    """The minimiser of ``_face_minimum``, each group's flows scaled to sum to
+    its demand, so a group of zero demand gets exactly zero flow.
+
+    The KKT solve meets a group sum only up to a rounding error on the scale
+    of q: round-off in an empty group, and a large relative error where the
+    demand is small against the latencies (a human demand of 1e-5 at
+    latencies near 1/3 left a Wardrop gap of 5.6e-12).
+    """
+    z, _ = _face_minimum(P, q, groups, demands)
+    for g, d in zip(groups, demands):
+        g = list(g)
+        total = z[g].sum()
+        if total > 0.0:
+            z[g] *= d / total
+    return z
+
+
+def _exact_report(
+    instance: GameInstance, form, flows: tuple[np.ndarray, ...]
+) -> tuple[float, int, tuple[float, ...]]:
+    """What ``_descend`` reports, for the path flows ``flows`` of the blocks of
+    ``form`` that one exact solve found: the largest block gap there (NaN if any
+    is NaN), one iteration, and a trace of the objective there."""
+    blocks, lin, objective = form
+    links = [(instance.incidence @ f)[None] for f in flows]
+    gaps = [
+        _block_gap(instance, demands, quad * links[k] + lin(k, links), links[k])[0]
+        for k, (demands, quad) in enumerate(blocks)
+    ]
+    return float(functools.reduce(np.maximum, gaps)[0]), 1, (float(objective(links)[0]),)
+
+
+# --- the solvers ---------------------------------------------------------------------
+
+
+def _follower_by_descent(
+    instance: GameInstance, s: np.ndarray, config: SolverConfig
+) -> EquilibriumResult:
+    """``follower_equilibrium`` above the face budget, at checked leader link
+    flows ``s``: ``_descend_block`` from the all-or-nothing load at the
+    latencies of zero human flow."""
+    lin = instance.a * s + instance.b
+    t = _all_or_nothing(instance, (instance.incidence.T @ lin)[None], instance.human_demands)[0][0]
+    descent = _descend_block(instance, instance.human_demands, instance.h, lin, t, config)
+    return _result(instance, np.zeros(instance.n_paths), t, *descent, config.relative_gap_tol)
 
 
 def follower_equilibrium(
     instance: GameInstance, s: np.ndarray, config: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
-    """Wardrop equilibrium of the human class under a fixed leader link flow.
+    """Wardrop equilibrium of the human class under a fixed leader link flow,
+    exact within the face budget.
 
     Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l] over
-    the human feasibility polytope by ``_descend_block``, from the
-    all-or-nothing load at the latencies of zero human flow.
-    Link flows at the optimum are unique (h_l > 0); the path decomposition is
-    the solver's. Raises on a leader flow that is not a finite nonnegative
-    link vector (``check_leader_flows``), but never on non-convergence: the
-    result then carries the last iterate with ``converged=False``.
+    the human feasibility polytope. Within ``_FACE_BUDGET`` faces
+    (``_face_count`` of one class) the result is the ``_face_point`` of the
+    potential in the path flows t, with quadratic form A' diag(h) A and linear
+    term A'(a s + b) for the incidence A: one solve, counted as one iteration,
+    to which ``config.max_iterations`` does not apply. Above the budget it is
+    ``_follower_by_descent``. Either way ``relative_gap`` is the Wardrop gap
+    at the returned point, and a human class of zero demand gets exactly zero
+    flow. Link flows at the optimum are unique (h_l > 0); the path
+    decomposition is the solver's. Raises on a leader flow that is not a
+    finite nonnegative link vector (``check_leader_flows``), but never on
+    non-convergence: the result then carries its point with
+    ``converged=False``.
     """
     s = check_leader_flows(instance, s)
-    lin = instance.a * s + instance.b
-    t = _all_or_nothing(instance, (instance.incidence.T @ lin)[None], instance.human_demands)[0][0]
-    descent = _descend_block(instance, instance.human_demands, instance.h, lin, t, config)
-    return _result(instance, np.zeros(instance.n_paths), t, *descent, config.relative_gap_tol)
+    if _face_count(instance, 1) > _FACE_BUDGET:
+        return _follower_by_descent(instance, s, config)
+    A, lin = instance.incidence, instance.a * s + instance.b
+    groups = [range(start, end) for start, end in instance.paths.od_slices]
+    t = _face_point(_path_form(A, instance.h), A.T @ lin, groups, instance.human_demands)
+    report = _exact_report(instance, _block_form(instance.human_demands, instance.h, lin), (t,))
+    return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol)
 
 
 def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
@@ -447,30 +678,13 @@ def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, n
     return draws[0][keep], draws[1][keep]
 
 
-def _descend_optimum(
-    instance: GameInstance, flows: tuple[np.ndarray, np.ndarray], config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
-    """``_descend`` on the social cost, as ``system_optimal`` runs it, in place on
-    the (starts × paths) autonomous and human path flows ``flows``."""
-    ah, b = instance.a + instance.h, instance.b
-    blocks = ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h))
-    return _descend(
-        instance, blocks, flows, lambda k, links: ah * links[1 - k] + b,
-        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
-        config.relative_gap_tol, config.max_iterations, _class_swap(instance),
-    )
+def _optimum_by_descent(instance: GameInstance, config: SolverConfig) -> EquilibriumResult:
+    """``system_optimal`` above the face budget: the multistart descent.
 
-
-def system_optimal(
-    instance: GameInstance, config: SolverConfig = SolverConfig()
-) -> EquilibriumResult:
-    """Two-class flow approximately minimizing the social cost.
-
-    One ``_descend`` call with two blocks runs from all distinct points among
-    15 fixed start draws seeded by ``config.seed`` (``_multistart_points``)
-    at once: each round steps the autonomous block of every live start at its
-    current human flow, then the human block at the new autonomous flow
-    (class-a block gradient 2 a fa + (a+h) fh + b, symmetrically for class h),
+    One ``_descend_optimum`` call runs from all distinct points among 15
+    fixed start draws seeded by ``config.seed`` (``_multistart_points``) at
+    once: each round steps the autonomous block of every live start at its
+    current human flow, then the human block at the new autonomous flow,
     skipping a block whose gap is within tolerance, and then, on the starts
     that tried a block step, the exact class swap of ``_class_swap``, which the
     two blocks alone only approach by zigzagging. ``config.max_iterations``
@@ -489,3 +703,23 @@ def system_optimal(
         instance, flows[0][best], flows[1][best], gaps[best], iterations.sum(), traces[best],
         config.relative_gap_tol,
     )
+
+
+def system_optimal(
+    instance: GameInstance, config: SolverConfig = SolverConfig()
+) -> EquilibriumResult:
+    """Two-class flow minimizing the social cost, exact within the face budget.
+
+    Within ``_FACE_BUDGET`` faces (``_face_count`` of two classes) the result
+    is the ``_face_point`` of ``_social_cost_quadratic``, the global minimum:
+    one solve, counted as one iteration, to which ``config.max_iterations``
+    and ``config.seed`` do not apply; a class of zero demand gets exactly zero
+    flow. Above the budget it is ``_optimum_by_descent``, whose convergence
+    certifies block-wise optimality only. Either way ``relative_gap`` is the
+    larger of the two block gaps at the returned point.
+    """
+    if _face_count(instance, 2) > _FACE_BUDGET:
+        return _optimum_by_descent(instance, config)
+    fa, fh = np.split(_face_point(*_social_cost_quadratic(instance)), 2)
+    report = _exact_report(instance, _social_cost_form(instance), (fa, fh))
+    return _result(instance, fa, fh, *report, config.relative_gap_tol)

@@ -3,11 +3,12 @@
 ``benchmarks/`` imports library names and reads ``ShapeConfig`` attributes
 directly, so a removal that breaks the benchmark fails here. One instance per
 workload is played and checked against its committed reference, and its
-traced play against ``play``.
+traced play against ``play``; the per-layer metrics of a traced run are finite.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
+import run  # noqa: E402
 from scaleroute import play  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import SOLVER, WORKLOADS, check, play_one, same_outcome, traced_play  # noqa: E402
@@ -34,3 +36,14 @@ def test_traced_play_matches_play(name):
     iid, make = WORKLOADS[name].instances[0]
     instance = make()
     assert same_outcome(traced_play(instance, Tracer(), iid), play(instance, SOLVER))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_layer_metrics_are_finite(name):
+    # a traced benchmark run divides by the optimum's iterations and the wall time
+    workload = WORKLOADS[name]
+    tracer = Tracer()
+    for iid, make in workload.instances[:2]:
+        play_one(workload, make(), iid, tracer)
+    metrics = run.layer_metrics(tracer)
+    assert all(math.isfinite(value) for value in metrics.values()), metrics

@@ -148,9 +148,13 @@ class TestSolvers:
         out = capsys.readouterr().out
         assert abs(_value(out, "equilibrium social cost") - 1.0) <= 1e-2
 
-    def test_non_convergence_exit(self, capsys):
+    def test_non_convergence_exit(self, tmp_path, capsys):
+        # eight parallel links: over both face budgets, so both solvers descend
+        path = tmp_path / "eight.json"
+        links = [{"id": f"e{i}", "tail": "1", "head": "2", "a": 1.0, "h": 1.0, "b": 0.0} for i in range(8)]
+        path.write_text(json.dumps(dict(PIGOU_RAW, links=links)), encoding="utf-8")
         for command in ("solve-optimal", "solve-nash"):
-            argv = [command, "--instance", str(INSTANCES / "braess.json"), "--max-iter", "1", "--tol", "1e-16"]
+            argv = [command, "--instance", str(path), "--max-iter", "1", "--tol", "1e-16"]
             assert run(argv) == 2
 
 

@@ -135,28 +135,42 @@ def result_bits(result):
     return result.iterations, result.trace, result.relative_gap, result.converged, flows
 
 
+def eight_links(b: float) -> sr.GameInstance:
+    """Eight parallel links, over both face budgets (65,025 optimum faces, 255
+    follower faces), so both solvers descend: e1, e2 and e8 are free of
+    free-flow time, the five between have free-flow time ``b``."""
+    slopes = [(1.0, 1.0), (0.5, 0.5)] + [(1.0, 1.0)] * 6
+    links = [
+        sr.Link(f"e{i + 1}", "1", "2", a, h, 0.0 if i in (0, 1, 7) else b) for i, (a, h) in enumerate(slopes)
+    ]
+    return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.5)])
+
+
 class TestNotConverged:
     """``play`` raises at each solver gate, carrying that solve's unconverged result."""
 
     CONFIG = sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)
 
     def test_system_optimum_gate(self):
-        braess = sr.load_instance(INSTANCES / "braess.json")
+        instance = eight_links(0.0)
         with pytest.raises(sr.NotConverged, match="system optimum not converged") as info:
-            sr.play(braess, self.CONFIG)
+            sr.play(instance, self.CONFIG)
         result = info.value.result
         assert result.converged is False
-        assert result_bits(result) == result_bits(sr.system_optimal(braess, self.CONFIG))
-        # each of the 8 distinct starts spends its one-round budget
-        assert len(_multistart_points(braess, self.CONFIG.seed)[0]) == result.iterations == 8
+        assert result_bits(result) == result_bits(sr.system_optimal(instance, self.CONFIG))
+        # each of the 14 distinct starts spends its one-round budget
+        assert len(_multistart_points(instance, self.CONFIG.seed)[0]) == result.iterations == 14
 
-    def test_induced_equilibrium_gate(self, braess):
+    def test_induced_equilibrium_gate(self):
+        # the optimum (total flows 1/4, 1/2 and 1/4 on e1, e2 and e8) is
+        # reached within the one round, the follower's equilibrium is not
+        instance = eight_links(4.0)
         with pytest.raises(sr.NotConverged, match="induced equilibrium not converged") as info:
-            sr.play(braess, self.CONFIG)
+            sr.play(instance, self.CONFIG)
         result = info.value.result
         assert result.converged is False and result.iterations == 1
-        s = braess.link_flows(sr.scale_strategy(sr.system_optimal(braess, self.CONFIG).flow, 0.5))
-        assert result_bits(result) == result_bits(sr.follower_equilibrium(braess, s, self.CONFIG))
+        s = instance.link_flows(sr.scale_strategy(sr.system_optimal(instance, self.CONFIG).flow, 0.5))
+        assert result_bits(result) == result_bits(sr.follower_equilibrium(instance, s, self.CONFIG))
 
 
 class TestMeasureLinks:

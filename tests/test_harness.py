@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
@@ -19,12 +19,11 @@ from scaleroute.harness import (
     MAX_LINKS,
     MAX_NODES,
     MAX_OD_PAIRS,
-    _face_minimum,
-    _social_cost_quadratic,
     format_float,
     region_alpha_intervals,
     report_to_csv,
 )
+from scaleroute.solvers import _face_count, _face_minimum, _optimum_by_descent, _social_cost_quadratic
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
 from test_solvers import optimal_grid_two_links
@@ -179,12 +178,10 @@ class TestFaceMinimum:
             assert value <= cost(y) + slack, y
 
 
-def face_count(instance) -> int:
-    return math.prod((2 ** (end - start) - 1) ** 2 for start, end in instance.paths.od_slices)
-
-
 class TestSystemOptimumIsExact:
-    """``system_optimal`` against the exact minimum on general networks."""
+    """The descent alone, the best start of ``_descend_optimum``, against the
+    exact minimum on general networks: ``system_optimal`` is that minimum
+    within the face budget, so it would be compared with itself."""
 
     MAX_FACES = 11025
 
@@ -196,16 +193,18 @@ class TestSystemOptimumIsExact:
             instance = make_braess()
         assert not sr.is_parallel_link(instance)
         _, exact = _face_minimum(*_social_cost_quadratic(instance))
-        solved = sr.social_cost(instance, sr.system_optimal(instance).flow)
+        solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
         assert abs(solved - exact) <= 1e-12 * abs(exact)
 
-    def test_verify_default_seeds(self, batch_outcomes):
+    def test_verify_default_seeds(self):
         checked = general = 0
-        for seed, instance, outcome in batch_outcomes:
-            if face_count(instance) > self.MAX_FACES:
+        for seed in range(200):
+            instance = sr.random_instance(seed, sr.ShapeConfig())
+            if _face_count(instance, 2) > self.MAX_FACES:
                 continue
             _, exact = _face_minimum(*_social_cost_quadratic(instance))
-            assert abs(outcome.optimal_cost - exact) <= 1e-12 * abs(exact), seed
+            solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
+            assert abs(solved - exact) <= 1e-12 * abs(exact), seed
             checked += 1
             general += not sr.is_parallel_link(instance)
         assert (checked, general) == (196, 153)
@@ -234,13 +233,20 @@ class TestOracleProperties:
         assert np.abs(od_sums(instance, flow.path_flows_a) - instance.auto_demands).max() <= 1e-14
         assert np.abs(od_sums(instance, flow.path_flows_h) - instance.human_demands).max() <= 1e-14
         assert flow.path_flows_a.min() >= 0.0 and flow.path_flows_h.min() >= 0.0
-        solved = sr.system_optimal(instance).potential_or_cost
+        solved = _optimum_by_descent(instance, sr.SolverConfig()).potential_or_cost
         assert cost <= solved * (1.0 + 1e-12)
         if instance.n_links == 2:
             assert cost <= optimal_grid_two_links(instance, resolution=1e-2)[2] + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(instance=parallel_instances())
+    # a human demand of 1e-5 at latencies near 1/3: the face solve's group sum
+    # is off by rounding on the scale of the latencies (gap 5.6e-12 unscaled)
+    @example(instance=sr.build_instance(
+        ("1", "2"),
+        [sr.Link("e0", "1", "2", 0.5, 1.0, 0.0), sr.Link("e1", "1", "2", 1.0, 1.0, 0.0)],
+        [sr.ODPair("1", "2", 1.0, 0.99999)],
+    ))
     def test_nash_is_an_equilibrium(self, instance):
         od = instance.od_pairs[0]
         flow, _ = sr.oracle_optimal(instance)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import scaleroute as sr
 from scaleroute.model import social_cost_links
 from scaleroute.solvers import (
+    _FACE_BUDGET,
     _MULTISTARTS,
     _all_or_nothing,
     _block_gap,
@@ -22,8 +23,13 @@ from scaleroute.solvers import (
     _class_swap,
     _descend_block,
     _descend_optimum,
+    _face_count,
+    _face_minimum,
+    _follower_by_descent,
     _multistart_points,
+    _optimum_by_descent,
     _relative_gap,
+    _social_cost_quadratic,
 )
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
@@ -134,7 +140,7 @@ class TestFollowerEquilibrium:
             [sr.ODPair("1", "2", 1.0, 0.0)],
         )
         config = sr.SolverConfig(max_iterations=2, relative_gap_tol=1e-16)
-        result = sr.follower_equilibrium(instance, np.zeros(3), config)
+        result = _follower_by_descent(instance, np.zeros(3), config)
         assert not result.converged
         assert result.iterations == 2
         assert result.flow.path_flows_h.sum() == pytest.approx(1.0)
@@ -175,7 +181,7 @@ class TestFollowerEquilibrium:
         # g.x overflows at the all-or-nothing start, so its gap is NaN, but the
         # latencies are finite and the first step brings g.x back in range
         with np.errstate(over="ignore", invalid="ignore"):
-            result = sr.follower_equilibrium(make_pigou(alpha=0.0, demand=1e155), np.zeros(2))
+            result = _follower_by_descent(make_pigou(alpha=0.0, demand=1e155), np.zeros(2), sr.SolverConfig())
         assert result.converged
         assert result.iterations >= 1
 
@@ -191,7 +197,7 @@ class TestFollowerEquilibrium:
         # pinned results of the follower's step: an edit to _block_step that
         # changes the follower fails here
         instance = make()
-        result = sr.follower_equilibrium(instance, 0.1 * np.ones(instance.n_links))
+        result = _follower_by_descent(instance, 0.1 * np.ones(instance.n_links), sr.SolverConfig())
         assert result.iterations == iterations
         assert result.relative_gap == gap
         assert len(result.trace) == trace_length
@@ -200,7 +206,7 @@ class TestFollowerEquilibrium:
         # every iterate overflows, so no gap is a number; the second step
         # leaves the path flows unchanged, which ends the solve
         with np.errstate(over="ignore", invalid="ignore"):
-            result = sr.follower_equilibrium(make_pigou(alpha=0.0, demand=1e160), np.zeros(2))
+            result = _follower_by_descent(make_pigou(alpha=0.0, demand=1e160), np.zeros(2), sr.SolverConfig())
         assert result.iterations == 2
         assert math.isnan(result.relative_gap)
         assert not result.converged
@@ -283,7 +289,7 @@ class TestSystemOptimal:
         # and each start ends after its second round, which moves no flow,
         # instead of spending the budget
         with np.errstate(over="ignore", invalid="ignore"):
-            result = sr.system_optimal(make_pigou(alpha=alpha, demand=1e160))
+            result = _optimum_by_descent(make_pigou(alpha=alpha, demand=1e160), sr.SolverConfig())
         assert not result.converged
         assert math.isnan(result.relative_gap)
         assert len(result.trace) == 2
@@ -295,7 +301,7 @@ class TestSystemOptimal:
     )
     def test_trace_nonincreasing(self, make):
         # each iteration steps both class blocks downhill on the shared flows
-        trace = np.array(sr.system_optimal(make()).trace)
+        trace = np.array(_optimum_by_descent(make(), sr.SolverConfig()).trace)
         assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
     @pytest.mark.parametrize(
@@ -305,7 +311,7 @@ class TestSystemOptimal:
     )
     def test_pinned_runs(self, make, iterations, trace_length):
         # pinned rounds of the shared descent: an edit to its round rule fails here
-        result = sr.system_optimal(make())
+        result = _optimum_by_descent(make(), sr.SolverConfig())
         assert result.converged
         assert result.iterations == iterations
         assert len(result.trace) == trace_length
@@ -334,7 +340,10 @@ class TestSystemOptimal:
     def test_rounds_over_random_seeds(self):
         # pinned total rounds: the two blocks alone zigzag along the class split and
         # took 2,677; a change that brings that back fails here
-        total = sum(sr.system_optimal(sr.random_instance(seed, sr.ShapeConfig())).iterations for seed in range(50))
+        total = sum(
+            _optimum_by_descent(sr.random_instance(seed, sr.ShapeConfig()), sr.SolverConfig()).iterations
+            for seed in range(50)
+        )
         assert total == 1088
 
     def test_path_heavy_grid(self):
@@ -354,6 +363,112 @@ class TestSystemOptimal:
         # the start's cost, three stepping rounds, and the round that finds the budget spent
         assert len(result.trace) == 4
         assert not result.converged
+
+
+def parallel_links(n: int, alpha: float = 0.5) -> sr.GameInstance:
+    """One pair over n parallel links with distinct slopes and free-flow times."""
+    links = [sr.Link(f"e{i + 1}", "1", "2", 0.5 + 0.1 * i, 1.0 + 0.2 * i, 0.1 * i) for i in range(n)]
+    return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 2.0, alpha)])
+
+
+def same_result(x: sr.EquilibriumResult, y: sr.EquilibriumResult) -> bool:
+    """Bitwise equality of two solver results."""
+    flows = (lambda r: r.flow.path_flows_a, lambda r: r.flow.path_flows_h)
+    fields = ("potential_or_cost", "relative_gap", "iterations", "converged", "trace")
+    return all(np.array_equal(f(x), f(y)) for f in flows) and all(getattr(x, f) == getattr(y, f) for f in fields)
+
+
+def with_alpha(instance: sr.GameInstance, alpha: float) -> sr.GameInstance:
+    pairs = [dataclasses.replace(od, alpha=alpha) for od in instance.od_pairs]
+    return sr.build_instance(instance.nodes, instance.links, pairs)
+
+
+class TestFaceBudget:
+    """Both solvers solve exactly within ``_FACE_BUDGET`` faces and descend above it."""
+
+    def test_face_count(self):
+        assert [_face_count(parallel_links(n), 2) for n in (3, 4, 5, 8)] == [49, 225, 961, 65025]
+        assert [_face_count(parallel_links(n), 1) for n in (7, 8)] == [127, 255]
+        assert _face_count(make_two_pairs(), 2) == 9 * 9
+        # a count, not an enumeration: 2^184 - 1 faces per class on a 4x4 grid
+        assert _face_count(grid_instance(1, 4), 1) == 2**184 - 1
+
+    def test_optimum_at_and_over_the_budget(self):
+        at, over = parallel_links(4), parallel_links(5)
+        assert _face_count(at, 2) == _FACE_BUDGET < _face_count(over, 2)
+        exact = sr.system_optimal(at)
+        assert exact.converged and exact.iterations == 1
+        z, value = _face_minimum(*_social_cost_quadratic(at))
+        assert np.array_equal(np.concatenate([exact.flow.path_flows_a, exact.flow.path_flows_h]), z)
+        assert exact.trace == (exact.potential_or_cost,)
+        assert exact.potential_or_cost == pytest.approx(value, rel=1e-14)
+        descent = sr.system_optimal(over)
+        assert descent.converged and descent.iterations > 1
+        assert same_result(descent, _optimum_by_descent(over, sr.SolverConfig()))
+
+    def test_follower_at_and_over_the_budget(self):
+        at, over = parallel_links(7, alpha=0.0), parallel_links(8, alpha=0.0)
+        assert _face_count(at, 1) <= _FACE_BUDGET < _face_count(over, 1)
+        s = np.full(7, 0.25)
+        exact = sr.follower_equilibrium(at, s)
+        assert exact.converged and exact.iterations == 1 and len(exact.trace) == 1
+        # the true Wardrop gap at the returned point, not a written 0
+        t_link = exact.flow.link_flows_h[None]
+        (gap,), _ = _block_gap(at, at.human_demands, at.h * t_link + (at.a * s + at.b), t_link)
+        assert exact.relative_gap == gap
+        s = np.full(8, 0.25)
+        descent = sr.follower_equilibrium(over, s)
+        assert descent.converged and descent.iterations > 1
+        assert same_result(descent, _follower_by_descent(over, s, sr.SolverConfig()))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sr.load_instance(INSTANCES / "pigou.json"),
+            lambda: sr.load_instance(INSTANCES / "braess.json"),
+            # the face solve alone leaves 4.2e-17 of human flow at alpha = 1
+            lambda: sr.random_instance(206, sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05)),
+        ],
+        ids=["pigou", "braess", "lowmu-seed206"],
+    )
+    def test_empty_class_gets_zero_flow(self, make, alpha):
+        instance = with_alpha(make(), alpha)
+        result = sr.system_optimal(instance)
+        assert result.converged and result.iterations == 1
+        empty = result.flow.path_flows_a if alpha == 0.0 else result.flow.path_flows_h
+        assert not empty.any()
+        if alpha == 1.0:  # the leader routes the whole optimum, the follower nothing
+            follower = sr.follower_equilibrium(instance, result.flow.link_flows_a)
+            assert follower.converged and follower.iterations == 1
+            assert not follower.flow.path_flows_h.any()
+
+    def test_small_demand_keeps_its_sum(self):
+        # a human demand of 1e-5 against latencies near 1/3: the face solve
+        # meets the demand only up to rounding on the scale of the latencies
+        links = [sr.Link("e1", "1", "2", 0.5, 1.0, 0.0), sr.Link("e2", "1", "2", 1.0, 1.0, 0.0)]
+        instance = sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.99999)])
+        result = sr.play(instance).follower_result
+        assert result.flow.path_flows_h.sum() == pytest.approx(instance.human_demands[0], rel=1e-15)
+        assert result.relative_gap <= 1e-15
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: sr.system_optimal(make_pigou(alpha=0.0, demand=1e160)),
+            lambda: sr.system_optimal(make_pigou(alpha=0.5, demand=1e160)),
+            lambda: sr.follower_equilibrium(make_pigou(alpha=0.0, demand=1e160), np.zeros(2)),
+        ],
+        ids=["optimum-a0", "optimum-a05", "follower"],
+    )
+    def test_overflow_on_the_exact_path(self, solve):
+        # every face value overflows, so the solve keeps the first face, where
+        # the block gap is NaN: no certificate, and no written 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = solve()
+        assert result.iterations == 1
+        assert math.isnan(result.relative_gap)
+        assert result.converged is False
 
 
 class TestBatchedStarts:
@@ -479,9 +594,8 @@ class TestClassSwap:
     )
     def test_one_class_limits(self, name, alpha, cost, iterations):
         # one class is empty, so the move never fires: the two-block descent's values
-        instance = sr.load_instance(INSTANCES / f"{name}.json")
-        pairs = [dataclasses.replace(od, alpha=alpha) for od in instance.od_pairs]
-        result = sr.system_optimal(sr.build_instance(instance.nodes, instance.links, pairs))
+        instance = with_alpha(sr.load_instance(INSTANCES / f"{name}.json"), alpha)
+        result = _optimum_by_descent(instance, sr.SolverConfig())
         assert result.converged
         assert result.potential_or_cost == cost
         assert result.iterations == iterations
@@ -539,14 +653,14 @@ class TestMultistartPoints:
         # seed 118 draws repeated vertices; every start reaches this cost
         instance = sr.random_instance(118, sr.ShapeConfig())
         assert len(_multistart_points(instance, 0)[0]) < _MULTISTARTS
-        result = sr.system_optimal(instance)
+        result = _optimum_by_descent(instance, sr.SolverConfig())
         assert result.converged
         assert result.potential_or_cost == pytest.approx(6.6296571191, abs=1e-9)
 
 
 class TestSolverProperties:
     def test_potential_descent(self, braess):
-        result = sr.follower_equilibrium(braess, 0.1 * np.ones(5))
+        result = _follower_by_descent(braess, 0.1 * np.ones(5), sr.SolverConfig())
         trace = np.array(result.trace)
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
