@@ -67,9 +67,11 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=SolverConfig.max_iterations,
                         help="iteration budget; the system optimum (solve-optimal, play, verify) gets it "
                         "per start; an iteration is a round in which each class not yet within "
-                        "tolerance steps once")
+                        "tolerance steps once; a solve within the face budget is exact, one "
+                        "iteration, and does not use it")
     parser.add_argument("--seed", type=int, default=SolverConfig.seed,
-                        help="seed for multistart and generation")
+                        help="seed for multistart and generation; a solve within the face budget "
+                        "is exact and draws no starts")
 
 
 def _checked(make, **fields):

@@ -25,9 +25,11 @@ class StackelbergOutcome:
     """Everything measured in one leader-follower play.
 
     ``empirical_poa`` is induced over optimal social cost; it is only a
-    certified lower bound of 1 when ``optimum_certified`` is set (by an
-    external oracle), since the optimum solver certifies block-wise
-    optimality only.
+    certified lower bound of 1 when ``optimum_certified`` is set. ``play``
+    never sets it; ``harness.certify_outcome`` does, when the optimum agrees
+    with the exact one: ``optimal_result`` itself where it is exact, else
+    the ``oracle_optimal`` of a parallel-link instance, since the descent
+    certifies block-wise optimality only.
     """
 
     instance: GameInstance

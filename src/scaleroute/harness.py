@@ -9,9 +9,12 @@ parallel links (``is_parallel_link``).
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
-parallel-link instances are additionally oracle-certified. Curve tables
-reproduce the characteristic plots (certificate functions, region
-boundaries, bound curves) as labeled CSV series.
+parallel-link instances are additionally certified against the exact
+optimum (``certify_outcome``). Every instance in the oracle scope is within
+the solvers' face budget, so that optimum is the one ``system_optimal`` has
+already solved, and ``oracle_optimal`` runs only for an optimum that was not
+exact. Curve tables reproduce the characteristic plots (certificate
+functions, region boundaries, bound curves) as labeled CSV series.
 """
 
 from __future__ import annotations
@@ -314,18 +317,31 @@ def certify_outcome(
 ) -> StackelbergOutcome:
     """Mark the outcome oracle-certified if the exact optimum agrees.
 
+    The exact optimum is the outcome's own optimum result when that is exact
+    (``EquilibriumResult.exact``: the same face solve ``oracle_optimal``
+    would repeat), with its social cost; otherwise it is ``oracle_optimal``.
     Certification requires total link flows within ``ORACLE_FLOW_TOL`` of the
-    oracle's (the class split is not unique when a link has equal slopes)
-    and a solver cost at most 1e-3 * (1 + |oracle cost|) above the oracle's.
+    exact optimum's (the class split is not unique when a link has equal
+    slopes) and a solver cost at most 1e-3 * (1 + |exact cost|) above its
+    cost, so an outcome whose flow or cost was changed after the solve is
+    not certified. Raises DomainError outside the oracle scope
+    (``is_parallel_link``) or when the outcome was played on another instance.
     """
-    oracle_flow, oracle_cost = oracle_optimal(instance, oracle_config)
+    if outcome.instance is not instance:
+        raise DomainError("the outcome was played on another instance")
+    _check_scope(instance, oracle_config)
+    result = outcome.optimal_result
+    if result.exact:
+        exact_flow, exact_cost = result.flow, social_cost(instance, result.flow)
+    else:
+        exact_flow, exact_cost = oracle_optimal(instance, oracle_config)
     flows_close = bool(
         np.max(
-            np.abs(outcome.optimal_flow.total_link_flows - oracle_flow.total_link_flows)
+            np.abs(outcome.optimal_flow.total_link_flows - exact_flow.total_link_flows)
         )
         <= ORACLE_FLOW_TOL
     )
-    cost_ok = outcome.optimal_cost <= oracle_cost + 1e-3 * (1.0 + abs(oracle_cost))
+    cost_ok = outcome.optimal_cost <= exact_cost + 1e-3 * (1.0 + abs(exact_cost))
     if flows_close and cost_ok:
         return outcome.certified()
     return outcome

@@ -112,6 +112,10 @@ class EquilibriumResult:
     only in a round that tried a block step. ``trace`` then records the
     objective at the start of each round of the returned start, so its last
     entry is the returned point; it is nonincreasing by construction.
+
+    ``exact`` is set when the result is the exact solve within the face
+    budget, the global minimum of its objective; a descent result, whose
+    convergence certifies block-wise optimality only, leaves it False.
     """
 
     flow: ClassFlow
@@ -120,15 +124,17 @@ class EquilibriumResult:
     iterations: int
     converged: bool
     trace: tuple[float, ...] = ()
+    exact: bool = False
 
 
 def _result(
     instance: GameInstance, fa: np.ndarray, fh: np.ndarray, gap: float, iterations: int,
-    trace: tuple[float, ...], tol: float,
+    trace: tuple[float, ...], tol: float, exact: bool = False,
 ) -> EquilibriumResult:
-    """Both solvers' result: path flows ``fa`` and ``fh`` and their descent, against ``tol``."""
+    """Both solvers' result: path flows ``fa`` and ``fh`` and their descent or
+    exact solve, against ``tol``."""
     flow = ClassFlow.from_path_flows(instance, fa, fh)
-    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), bool(gap <= tol), trace)
+    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), bool(gap <= tol), trace, exact)
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
@@ -445,13 +451,16 @@ def _descend_optimum(
 
 
 @functools.lru_cache(maxsize=32)
-def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _face_layout(
+    groups: tuple[tuple[int, ...], ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The faces of the product of simplices over n variables with these
-    groups, as read-only arrays: their supports, a (faces, n) mask, and the
-    part of their KKT systems that P does not fill, a (faces, n + k, n + k)
-    stack with the group sums over each support and a unit diagonal that
-    pins each variable off the support at 0. A face takes one nonempty
-    subset per group, the subsets of a group by size and then
+    groups, as read-only arrays: their supports, a (faces, n) mask; the
+    support pairs, a (faces, n, n) mask of the entries of P that each face
+    keeps; and the part of their KKT systems that P does not fill, a (faces,
+    n + k, n + k) stack with the group sums over each support and a unit
+    diagonal that pins each variable off the support at 0. A face takes one
+    nonempty subset per group, the subsets of a group by size and then
     lexicographically, and the faces come in ``itertools.product`` order."""
     masks = np.zeros((1, n), dtype=bool)
     for g in groups:
@@ -460,6 +469,7 @@ def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarra
         for row, s in zip(sub, subsets):
             row[list(s)] = True
         masks = (masks[:, None, :] | sub[None, :, :]).reshape(-1, n)
+    pairs = masks[:, :, None] & masks[:, None, :]
     k = len(groups)
     member = np.zeros((k, n))
     for j, g in enumerate(groups):
@@ -468,8 +478,8 @@ def _face_layout(groups: tuple[tuple[int, ...], ...], n: int) -> tuple[np.ndarra
     K[:, :n, :n] = np.eye(n) * ~masks[:, None, :]
     K[:, n:, :n] = member * masks[:, None, :]  # one sum per group
     K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
-    masks.flags.writeable = K.flags.writeable = False
-    return masks, K
+    masks.flags.writeable = pairs.flags.writeable = K.flags.writeable = False
+    return masks, pairs, K
 
 
 def _face_minimum(
@@ -503,11 +513,12 @@ def _face_minimum(
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
     n = q.size
-    masks, template = _face_layout(tuple(map(tuple, groups)), n)
+    masks, pairs, template = _face_layout(tuple(map(tuple, groups)), n)
     K = template.copy()
-    K[:, :n, :n] += (P / scale) * (masks[:, :, None] & masks[:, None, :])
-    d = np.broadcast_to(demands, (len(masks), len(groups)))
-    rhs = np.concatenate([-(q / scale) * masks, d], axis=1)[..., None]
+    K[:, :n, :n] += (P / scale) * pairs
+    rhs = np.empty((len(masks), K.shape[1], 1))
+    np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
+    rhs[:, n:, 0] = demands
     singular = np.zeros(len(masks), dtype=bool)
     # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -517,8 +528,11 @@ def _face_minimum(
             singular = np.linalg.slogdet(K)[0] == 0
             K[singular] = np.eye(K.shape[1])
             sol = np.linalg.solve(K, rhs)
-        residual = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
-        stationary = ~singular & (residual <= _KKT_RTOL * np.linalg.norm(rhs, axis=(1, 2)))
+        # |r| <= rtol |rhs|, squared: each side overflows where its norm would
+        r = K @ sol - rhs
+        stationary = ~singular & (
+            np.einsum("fij,fij->f", r, r) <= _KKT_RTOL**2 * np.einsum("fij,fij->f", rhs, rhs)
+        )
         x = np.where(masks, sol[:, :n, 0], 0.0)
         feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
         Z = np.maximum(x, 0.0)
@@ -542,8 +556,10 @@ def _social_cost_quadratic(
     with (fa, fh) = (A za, A zh) for the incidence A.
     """
     A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
-    cross = _path_form(A, a + h)
-    P = np.block([[_path_form(A, 2.0 * a), cross], [cross, _path_form(A, 2.0 * h)]])
+    P = np.empty((2 * n, 2 * n))
+    P[:n, :n] = _path_form(A, 2.0 * a)
+    P[:n, n:] = P[n:, :n] = _path_form(A, a + h)
+    P[n:, n:] = _path_form(A, 2.0 * h)
     q = A.T @ instance.b
     slices = instance.paths.od_slices
     groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
@@ -558,7 +574,7 @@ def _face_count(instance: GameInstance, classes: int) -> int:
 
 
 def _face_point(
-    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
+    P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float]
 ) -> np.ndarray:
     """The minimiser of ``_face_minimum``, each group's flows scaled to sum to
     its demand, so a group of zero demand gets exactly zero flow.
@@ -570,10 +586,10 @@ def _face_point(
     """
     z, _ = _face_minimum(P, q, groups, demands)
     for g, d in zip(groups, demands):
-        g = list(g)
-        total = z[g].sum()
+        group = z[g.start : g.stop]
+        total = group.sum()
         if total > 0.0:
-            z[g] *= d / total
+            group *= d / total
     return z
 
 
@@ -618,14 +634,14 @@ def follower_equilibrium(
     (``_face_count`` of one class) the result is the ``_face_point`` of the
     potential in the path flows t, with quadratic form A' diag(h) A and linear
     term A'(a s + b) for the incidence A: one solve, counted as one iteration,
-    to which ``config.max_iterations`` does not apply. Above the budget it is
-    ``_follower_by_descent``. Either way ``relative_gap`` is the Wardrop gap
-    at the returned point, and a human class of zero demand gets exactly zero
-    flow. Link flows at the optimum are unique (h_l > 0); the path
-    decomposition is the solver's. Raises on a leader flow that is not a
-    finite nonnegative link vector (``check_leader_flows``), but never on
-    non-convergence: the result then carries its point with
-    ``converged=False``.
+    to which ``config.max_iterations`` does not apply, with ``exact`` set.
+    Above the budget it is ``_follower_by_descent``. Either way
+    ``relative_gap`` is the Wardrop gap at the returned point, and a human
+    class of zero demand gets exactly zero flow. Link flows at the optimum
+    are unique (h_l > 0); the path decomposition is the solver's. Raises on
+    a leader flow that is not a finite nonnegative link vector
+    (``check_leader_flows``), but never on non-convergence: the result then
+    carries its point with ``converged=False``.
     """
     s = check_leader_flows(instance, s)
     if _face_count(instance, 1) > _FACE_BUDGET:
@@ -634,7 +650,7 @@ def follower_equilibrium(
     groups = [range(start, end) for start, end in instance.paths.od_slices]
     t = _face_point(_path_form(A, instance.h), A.T @ lin, groups, instance.human_demands)
     report = _exact_report(instance, _block_form(instance.human_demands, instance.h, lin), (t,))
-    return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol)
+    return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol, exact=True)
 
 
 def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
@@ -713,13 +729,14 @@ def system_optimal(
     Within ``_FACE_BUDGET`` faces (``_face_count`` of two classes) the result
     is the ``_face_point`` of ``_social_cost_quadratic``, the global minimum:
     one solve, counted as one iteration, to which ``config.max_iterations``
-    and ``config.seed`` do not apply; a class of zero demand gets exactly zero
-    flow. Above the budget it is ``_optimum_by_descent``, whose convergence
-    certifies block-wise optimality only. Either way ``relative_gap`` is the
-    larger of the two block gaps at the returned point.
+    and ``config.seed`` do not apply, with ``exact`` set; a class of zero
+    demand gets exactly zero flow. Above the budget it is
+    ``_optimum_by_descent``, whose convergence certifies block-wise
+    optimality only. Either way ``relative_gap`` is the larger of the two
+    block gaps at the returned point.
     """
     if _face_count(instance, 2) > _FACE_BUDGET:
         return _optimum_by_descent(instance, config)
     fa, fh = np.split(_face_point(*_social_cost_quadratic(instance)), 2)
     report = _exact_report(instance, _social_cost_form(instance), (fa, fh))
-    return _result(instance, fa, fh, *report, config.relative_gap_tol)
+    return _result(instance, fa, fh, *report, config.relative_gap_tol, exact=True)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import scaleroute as sr
+from scaleroute import harness
 from scaleroute.harness import ORACLE_FLOW_TOL, certify_outcome
-from scaleroute.solvers import _multistart_points
+from scaleroute.solvers import _multistart_points, _optimum_by_descent
 
 from conftest import make_pigou, make_two_identical, od_sums
 
@@ -127,6 +128,41 @@ class TestPlay:
             off = dataclasses.replace(outcome, optimal_flow=moved)
             assert off.optimal_cost == outcome.optimal_cost
         assert not certify_outcome(pigou, off).optimum_certified
+
+    def test_exact_optimum_is_reused(self, pigou, monkeypatch):
+        # the exact optimum is the solve oracle_optimal would repeat; a descent
+        # optimum still needs the oracle, and is certified only where it agrees
+        calls = []
+
+        def oracle(instance, config=sr.OracleConfig()):
+            calls.append(instance)
+            return sr.oracle_optimal(instance, config)
+
+        monkeypatch.setattr(harness, "oracle_optimal", oracle)
+        outcome = sr.play(pigou)
+        assert outcome.optimal_result.exact
+        assert certify_outcome(pigou, outcome).optimum_certified
+        assert calls == []
+        descent = _optimum_by_descent(pigou, sr.SolverConfig())
+        cost = sr.social_cost(pigou, descent.flow)
+        agreeing = dataclasses.replace(
+            outcome, optimal_result=descent, optimal_flow=descent.flow, optimal_cost=cost
+        )
+        assert certify_outcome(pigou, agreeing).optimum_certified
+        assert calls == [pigou]
+        off = dataclasses.replace(agreeing, optimal_cost=cost + 2e-3 * (1.0 + cost))
+        assert not certify_outcome(pigou, off).optimum_certified
+        assert calls == [pigou, pigou]
+
+    @pytest.mark.parametrize("other_seed", [1004, 1001], ids=["two-vs-three-links", "three-links-each"])
+    def test_outcome_of_another_instance_rejected(self, other_seed):
+        shape = sr.ShapeConfig(parallel_probability=1.0)
+        instance = sr.random_instance(1000, shape)
+        other = sr.random_instance(other_seed, shape)
+        outcome = sr.play(other)
+        assert certify_outcome(other, outcome).optimum_certified
+        with pytest.raises(sr.DomainError, match="another instance"):
+            certify_outcome(instance, outcome)
 
 
 def result_bits(result):

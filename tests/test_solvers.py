@@ -24,6 +24,7 @@ from scaleroute.solvers import (
     _descend_block,
     _descend_optimum,
     _face_count,
+    _face_layout,
     _face_minimum,
     _follower_by_descent,
     _multistart_points,
@@ -374,7 +375,7 @@ def parallel_links(n: int, alpha: float = 0.5) -> sr.GameInstance:
 def same_result(x: sr.EquilibriumResult, y: sr.EquilibriumResult) -> bool:
     """Bitwise equality of two solver results."""
     flows = (lambda r: r.flow.path_flows_a, lambda r: r.flow.path_flows_h)
-    fields = ("potential_or_cost", "relative_gap", "iterations", "converged", "trace")
+    fields = ("potential_or_cost", "relative_gap", "iterations", "converged", "trace", "exact")
     return all(np.array_equal(f(x), f(y)) for f in flows) and all(getattr(x, f) == getattr(y, f) for f in fields)
 
 
@@ -397,29 +398,33 @@ class TestFaceBudget:
         at, over = parallel_links(4), parallel_links(5)
         assert _face_count(at, 2) == _FACE_BUDGET < _face_count(over, 2)
         exact = sr.system_optimal(at)
-        assert exact.converged and exact.iterations == 1
+        assert exact.exact and exact.converged and exact.iterations == 1
         z, value = _face_minimum(*_social_cost_quadratic(at))
         assert np.array_equal(np.concatenate([exact.flow.path_flows_a, exact.flow.path_flows_h]), z)
         assert exact.trace == (exact.potential_or_cost,)
         assert exact.potential_or_cost == pytest.approx(value, rel=1e-14)
         descent = sr.system_optimal(over)
-        assert descent.converged and descent.iterations > 1
-        assert same_result(descent, _optimum_by_descent(over, sr.SolverConfig()))
+        assert not descent.exact and descent.converged and descent.iterations > 1
+        by_descent = [_optimum_by_descent(instance, sr.SolverConfig()) for instance in (at, over)]
+        assert not any(result.exact for result in by_descent)
+        assert same_result(descent, by_descent[1])
 
     def test_follower_at_and_over_the_budget(self):
         at, over = parallel_links(7, alpha=0.0), parallel_links(8, alpha=0.0)
         assert _face_count(at, 1) <= _FACE_BUDGET < _face_count(over, 1)
         s = np.full(7, 0.25)
         exact = sr.follower_equilibrium(at, s)
-        assert exact.converged and exact.iterations == 1 and len(exact.trace) == 1
+        assert exact.exact and exact.converged and exact.iterations == 1 and len(exact.trace) == 1
+        assert not _follower_by_descent(at, s, sr.SolverConfig()).exact
         # the true Wardrop gap at the returned point, not a written 0
         t_link = exact.flow.link_flows_h[None]
         (gap,), _ = _block_gap(at, at.human_demands, at.h * t_link + (at.a * s + at.b), t_link)
         assert exact.relative_gap == gap
         s = np.full(8, 0.25)
         descent = sr.follower_equilibrium(over, s)
-        assert descent.converged and descent.iterations > 1
-        assert same_result(descent, _follower_by_descent(over, s, sr.SolverConfig()))
+        assert not descent.exact and descent.converged and descent.iterations > 1
+        by_descent = _follower_by_descent(over, s, sr.SolverConfig())
+        assert not by_descent.exact and same_result(descent, by_descent)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize(
@@ -469,6 +474,17 @@ class TestFaceBudget:
         assert result.iterations == 1
         assert math.isnan(result.relative_gap)
         assert result.converged is False
+
+    def test_layout_cache_keeps_every_layout(self):
+        # the default batch and the low-mu oracle batch, certified as verify
+        # plays them, fit in the layout cache: no layout is evicted and rebuilt,
+        # so a budget raise that overflows the cache fails here
+        _face_layout.cache_clear()
+        sr.verify_bounds(sr.BatchConfig(count=200))
+        lowmu = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
+        sr.verify_bounds(sr.BatchConfig(count=50, base_seed=1000, shape=lowmu))
+        info = _face_layout.cache_info()
+        assert info.hits > 0 and info.misses == info.currsize
 
 
 class TestBatchedStarts:
