@@ -1,11 +1,12 @@
 """Exact oracles, random instances, batch verification, figure data and CSV.
 
-The oracles solve the social cost and the follower's Beckmann potential
-exactly by the face enumeration of ``solvers._face_minimum``, the solve that
-``system_optimal`` and ``follower_equilibrium`` run themselves within their
-face budget. The oracles run it at any face count, which grows exponentially
-with the path count, so they are scoped to one O/D pair of at most three
-parallel links (``is_parallel_link``).
+The oracles solve the social cost and the follower's Beckmann potential, as
+``solvers._Quadratic`` states them, exactly by the face enumeration of
+``solvers._face_point``: the solve that ``system_optimal`` and
+``follower_equilibrium`` run on the same statements within their face
+budget, bit for bit. The oracles run it at any face count, which grows
+exponentially with the path count, so they are scoped to one O/D pair of at
+most three parallel links (``is_parallel_link``).
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -43,7 +44,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _face_point, _path_form, _social_cost_quadratic, wardrop_gap
+from .solvers import SolverConfig, _face_point, _Quadratic, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -105,12 +106,13 @@ def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
 def oracle_optimal(
     instance: GameInstance, config: OracleConfig = OracleConfig()
 ) -> tuple[ClassFlow, float]:
-    """Exact system optimum, the ``_face_point`` of ``_social_cost_quadratic``.
+    """Exact system optimum, the ``_face_point`` of ``_Quadratic.social_cost``.
     Raises DomainError outside the oracle scope (``is_parallel_link``).
     Returns the flow and its social cost.
     """
     _check_scope(instance, config)
-    flow = ClassFlow.from_path_flows(instance, *np.split(_face_point(*_social_cost_quadratic(instance)), 2))
+    z = _face_point(*_Quadratic.social_cost(instance).path_form())
+    flow = ClassFlow.from_path_flows(instance, *np.split(z, 2))
     return flow, social_cost(instance, flow)
 
 
@@ -119,19 +121,16 @@ def oracle_nash(
 ) -> tuple[np.ndarray, float]:
     """Exact induced human equilibrium given leader link flows s.
 
-    Minimises the Beckmann potential of the human path flows t with the
-    leader fixed: h (A t)^2 / 2 + (a s + b) A t per link. ``s`` is checked as
+    The ``_face_point`` of the human path flows t under ``_Quadratic.potential``
+    at s, the Beckmann potential with the leader fixed. ``s`` is checked as
     ``follower_equilibrium`` checks it, and the scope as in ``oracle_optimal``.
     Returns the human link flows A t and their relative Wardrop gap
     (``wardrop_gap``).
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    A = instance.incidence
-    groups = [range(start, end) for start, end in instance.paths.od_slices]
-    q = A.T @ (instance.a * s + instance.b)
-    t = _face_point(_path_form(A, instance.h), q, groups, instance.human_demands)
-    return A @ t, wardrop_gap(instance, s, t)
+    t = _face_point(*_Quadratic.potential(instance, s).path_form())
+    return instance.incidence @ t, wardrop_gap(instance, s, t)
 
 
 # --- random instance generation ----------------------------------------------------

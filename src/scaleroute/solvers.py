@@ -1,20 +1,29 @@
 """Flow solvers: induced human equilibrium and system optimum.
 
-Both objectives are quadratics in the path flows over a product of simplices,
-one per class and O/D pair, and both solvers are exact within a face budget.
-Each face of the product fixes a nonempty support per simplex, and its KKT
-system gives its stationary point; ``_face_minimum`` solves the systems of
-all faces in one stacked solve and keeps the lowest feasible stationary
+Each objective is stated once, as a ``_Quadratic``: with x_k = A z_k the link
+flows of the path flows z_k of class block k (A the incidence), it is
+``sum_l [ sum_k quad_kl x_kl^2 / 2 + cross_l x_0l x_1l + lin_l sum_k x_kl ]``
+over a product of simplices, one per block and O/D pair. The social cost
+sum_l (fa_l + fh_l) e_l, with e = a fa + h fh + b, has the autonomous and the
+human block, quad = (2a, 2h), cross = a + h and lin = b. The human Beckmann
+potential under a fixed leader link flow s has one block, quad = h and
+lin = a s + b; its gradient is the link latency, so its gap (below) is the
+Wardrop relative gap.
+
+Both solvers are exact within a face budget. Each face of the product fixes
+a nonempty support per simplex, and its KKT system gives its stationary
+point; ``_face_minimum`` solves the systems of all faces of the path form
+1/2 z'Pz + q'z in one stacked solve and keeps the lowest feasible stationary
 point, the global minimum even where the social cost is not convex. The face
-count (``_face_count``) grows exponentially with the path count (Pardalos
-and Vavasis, 1991), so the exact solve runs only within ``_FACE_BUDGET``
-faces; one solve counts as one iteration, and its trace holds the objective
-at its point.
+count (``_Quadratic.faces``) grows exponentially with the path count
+(Pardalos and Vavasis, 1991), so the exact solve (``_exact``) runs only
+within ``_FACE_BUDGET`` faces; one solve counts as one iteration, and its
+trace holds the objective at its point.
 
 Above the budget both solvers run one loop (``_descend``): block-coordinate
 descent over the enumerated path polytope of each class block, where block k
 minimizes ``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by
-the other blocks. The loop runs a batch of starts at once: the path flows of
+the other block. The loop runs a batch of starts at once: the path flows of
 a block are a (starts × paths) array, and every numpy call of a round serves
 all live starts, so a batch takes as many rounds as its longest start, not
 the sum of their rounds. A round gives each block of each start in turn one
@@ -30,17 +39,14 @@ none of its path flows. Each start keeps its own round budget, and an
 iteration is a round in which it tried a step; its trace holds the objective
 at the start of each of its rounds, so the last entry is its returned point.
 
-The human equilibrium is the loop with one block: it minimizes the convex
-potential ``sum_l [ h_l t_l^2 / 2 + (a_l s_l + b_l) t_l ]`` whose gradient is
-exactly the link latency under a fixed leader flow, so the
-conditional-gradient gap coincides with the Wardrop relative gap. The system
-optimum is nonconvex in the joint class flows whenever a_l != h_l, but
-strictly convex in each class separately; it runs the loop once, with the
-autonomous and the human block, from all its distinct multistart points. A
-round of the optimum is the autonomous block, then the human block, then one
-exact class-swap move (``_class_swap``) on the starts that tried a step: at
-fixed total path flows the social cost is linear in the class split, which the
-blocks, each moving one class and so the total flow, only reach by zigzagging.
+The human equilibrium is the loop with one block. The system optimum is
+nonconvex in the joint class flows whenever a_l != h_l, but strictly convex
+in each class separately; it runs the loop once, with both blocks, from all
+its distinct multistart points. A round of the optimum is the autonomous
+block, then the human block, then one exact class-swap move
+(``_class_swap``) on the starts that tried a step: at fixed total path flows
+the social cost is linear in the class split, which the blocks, each moving
+one class and so the total flow, only reach by zigzagging.
 
 Every convergence test uses one relative gap, exact solve or descent. For a
 block with link gradient g, link flow x and per-O/D demands, let y be the
@@ -68,17 +74,13 @@ from .model import ClassFlow, GameInstance, check_leader_flows
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
 _MULTISTARTS = 15  # optimum start draws (all-or-nothing, then vertices), before repeats are dropped
-#: the most faces (``_face_count``) a solver enumerates exactly; above it, it descends
+#: the most faces (``_Quadratic.faces``) a solver enumerates exactly; above it, it descends
 _FACE_BUDGET = 225
 
 #: a face's KKT solution is stationary up to this residual relative to the right-hand side
 _KKT_RTOL = 1e-9
 #: and feasible down to this negative flow, which is then clipped to zero
 _FEASIBLE_ATOL = 1e-12
-
-# a move of ``_descend`` after the blocks of a round: (path flows, link flows,
-# rows to try) -> rows it moved
-_Swap = Callable[[list[np.ndarray], list[np.ndarray], np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,9 @@ class SolverConfig:
 class EquilibriumResult:
     """Solver output: flow, objective value, certificate and iteration trace.
 
-    ``potential_or_cost`` is the final potential (human equilibrium) or the
-    social cost (system optimum). An exact solve within the face budget
+    ``potential_or_cost`` is the value of the solver's ``_Quadratic`` at the
+    flow: the potential (human equilibrium) or the social cost (system
+    optimum). An exact solve within the face budget
     counts one iteration, and its ``trace`` is the objective at its point.
     Above the budget, ``iterations`` counts the rounds of ``_descend`` that
     tried a step, per start, summed over the starts of the system optimum
@@ -135,6 +138,64 @@ def _result(
     exact solve, against ``tol``."""
     flow = ClassFlow.from_path_flows(instance, fa, fh)
     return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), bool(gap <= tol), trace, exact)
+
+
+@dataclass(frozen=True, eq=False)
+class _Quadratic:
+    """A link-separable quadratic over the path flows of one class block, or of
+    two coupled by ``cross`` (see the module docstring), with per-block O/D
+    demands and link weights ``quad[k]`` and the linear term ``lin``."""
+
+    instance: GameInstance
+    demands: tuple[np.ndarray, ...]
+    quad: tuple[np.ndarray, ...]
+    lin: np.ndarray
+    cross: np.ndarray | None = None
+
+    @classmethod
+    def social_cost(cls, instance: GameInstance) -> _Quadratic:
+        """a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh) per link."""
+        demands = instance.auto_demands, instance.human_demands
+        return cls(instance, demands, (2.0 * instance.a, 2.0 * instance.h), instance.b, instance.a + instance.h)
+
+    @classmethod
+    def potential(cls, instance: GameInstance, s: np.ndarray) -> _Quadratic:
+        """h t^2 / 2 + (a s + b) t per link, at checked leader link flows s."""
+        return cls(instance, (instance.human_demands,), (instance.h,), instance.a * s + instance.b)
+
+    @property
+    def faces(self) -> int:
+        """Faces of its product of simplices, prod_w (2^n_w - 1)^blocks over the
+        O/D pairs w with n_w paths: counted, not enumerated."""
+        blocks = len(self.quad)
+        return math.prod((2 ** (end - start) - 1) ** blocks for start, end in self.instance.paths.od_slices)
+
+    def block_lin(self, k: int, links: list[np.ndarray]) -> np.ndarray:
+        """Block k's linear term at the (starts × links) link flows of all blocks."""
+        return self.lin if self.cross is None else self.cross * links[1 - k] + self.lin
+
+    def value(self, links: list[np.ndarray]) -> np.ndarray:
+        """Its value at each row of the (starts × links) link flows of all blocks;
+        the social cost as ``model._social_cost`` sums it."""
+        if self.cross is None:
+            return 0.5 * np.vecdot(self.quad[0], links[0] * links[0]) + np.vecdot(self.lin, links[0])
+        return np.vecdot(links[0] + links[1], self.instance.link_latencies(*links))
+
+    def path_form(self) -> tuple[np.ndarray, np.ndarray, list[range], np.ndarray]:
+        """``_face_minimum``'s arguments: P and q of 1/2 z'Pz + q'z over the path
+        flows z of all blocks in turn, one group per block and O/D pair, and
+        the groups' demands."""
+        A, n = self.instance.incidence, self.instance.n_paths
+        q = A.T @ self.lin
+        slices = self.instance.paths.od_slices
+        groups = [range(k * n + s, k * n + e) for k in range(len(self.quad)) for s, e in slices]
+        if self.cross is None:
+            return _path_form(A, self.quad[0]), q, groups, self.demands[0]
+        P = np.empty((2 * n, 2 * n))
+        P[:n, :n] = _path_form(A, self.quad[0])
+        P[:n, n:] = P[n:, :n] = _path_form(A, self.cross)
+        P[n:, n:] = _path_form(A, self.quad[1])
+        return P, np.concatenate([q, q]), groups, np.concatenate(self.demands)
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
@@ -246,7 +307,7 @@ def _block_step(
     return np.logical_or.reduce(x != x_entry, axis=1)
 
 
-def _class_swap(instance: GameInstance) -> _Swap:
+def _class_swap(instance: GameInstance) -> Callable[..., np.ndarray]:
     """The exact class-swap move of the social cost on ``instance``, for ``_descend``.
 
     On a link the social cost is ``h x^2 + (a-h) f x + b x``, with x the total and
@@ -306,39 +367,34 @@ def _class_swap(instance: GameInstance) -> _Swap:
 
 
 def _descend(
-    instance: GameInstance,
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...],
-    flows: tuple[np.ndarray, ...],
-    lin: Callable[[int, list[np.ndarray]], np.ndarray],
-    objective: Callable[[list[np.ndarray]], np.ndarray],
-    tol: float,
-    max_iterations: int,
-    swap: _Swap | None = None,
+    objective: _Quadratic, flows: tuple[np.ndarray, ...], config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
-    """Block-coordinate descent from a batch of starts, in place on the
-    (starts × paths) path flows ``flows[k]`` of each block ``blocks[k] =
-    (demands, quad)``.
+    """Block-coordinate descent of ``objective`` from a batch of starts, in
+    place on the (starts × paths) path flows ``flows[k]`` of each block.
 
-    Block k minimizes sum_l [quad_l x_l^2 / 2 + lin(k, links)_l x_l] over its
-    path polytope, where ``links`` holds the (starts × links) link flows of all
-    blocks and ``lin`` and ``objective`` work row by row. Every round runs all
-    live starts at once. In a round, each block in turn measures the gap of
-    each start (``_block_gap``) and steps the starts (``_block_step``) whose
-    gap is not within ``tol``, that have not yet spent ``max_iterations``
-    rounds that tried a step, and whose gap is not NaN at a non-finite
-    gradient. After the blocks, ``swap`` (if given) moves the path flows and
-    link flows of all blocks in place on the starts that tried a step this
-    round, and returns which of them it moved; that is no extra round. A
-    start leaves the batch after a round that changes none of its path flows,
-    since every later round would repeat it; the gaps of that round are
-    therefore measured at its returned point. So each start runs as it would
-    alone, up to the last bits of the batched products.
+    Block k minimizes sum_l [quad_l x_l^2 / 2 + lin_l x_l] over its path
+    polytope, with ``quad = objective.quad[k]`` and ``lin`` its
+    ``block_lin`` at the link flows of all blocks. Every round runs all live
+    starts at once. In a round, each block in turn measures the gap of each
+    start (``_block_gap``) and steps the starts (``_block_step``) whose gap
+    is not within the tolerance, that have not yet spent
+    ``config.max_iterations`` rounds that tried a step, and whose gap is not
+    NaN at a non-finite gradient. After the blocks of a two-block objective,
+    ``_class_swap`` moves the path flows and link flows of both in place on
+    the starts that tried a step this round; that is no extra round. A start
+    leaves the batch after a round that changes none of its path flows, since
+    every later round would repeat it; the gaps of that round are therefore
+    measured at its returned point. So each start runs as it would alone, up
+    to the last bits of the batched products.
 
     Returns per start the largest block gap (NaN if any is NaN), the number
-    of rounds that tried a step, and the trace of ``objective`` at the start
-    of each of its rounds. The objectives of a round are kept for the live
-    starts only, and appended to their traces whenever the batch shrinks.
+    of rounds that tried a step, and the trace of the objective's value at
+    the start of each of its rounds. The values of a round are kept for the
+    live starts only, and appended to their traces whenever the batch
+    shrinks.
     """
+    instance = objective.instance
+    swap = _class_swap(instance) if len(objective.quad) == 2 else None
     inc = instance.incidence
     n_starts = len(flows[0])
     live = np.arange(n_starts)
@@ -348,23 +404,23 @@ def _descend(
     links = [x @ inc.T for x in xs]
     # one row per start: numpy multiplies arrays of equal shape faster than it
     # broadcasts a vector over rows
-    quads = [quad[None].repeat(n_starts, 0) for _, quad in blocks]
+    quads = [quad[None].repeat(n_starts, 0) for quad in objective.quad]
     iterations = np.zeros(n_starts, dtype=int)
     gap_out = np.empty(n_starts)
     iterations_out = np.empty(n_starts, dtype=int)
     traces: list[list[float]] = [[] for _ in range(n_starts)]
     rounds: list[np.ndarray] = []
     while True:
-        rounds.append(objective(links))
-        budget_left = iterations < max_iterations
+        rounds.append(objective.value(links))
+        budget_left = iterations < config.max_iterations
         tried = moved = np.zeros(len(live), dtype=bool)
         gaps = []
-        for k, ((demands, _), quad) in enumerate(zip(blocks, quads)):
-            lin_k = lin(k, links)
+        for k, (demands, quad) in enumerate(zip(objective.demands, quads)):
+            lin_k = objective.block_lin(k, links)
             g = quad * links[k] + lin_k
             gap, y = _block_gap(instance, demands, g, links[k])
             gaps.append(gap)
-            step = budget_left & ~(gap <= tol)
+            step = budget_left & ~(gap <= config.relative_gap_tol)
             if not any(step):
                 continue
             nan = gap != gap
@@ -398,53 +454,6 @@ def _descend(
         quads = [quad[: len(live)] for quad in quads]
         iterations = iterations[moved]
     return gap_out, iterations_out, [tuple(t) for t in traces]
-
-
-def _block_form(demands: np.ndarray, quad: np.ndarray, lin: np.ndarray):
-    """The one block sum_l [quad_l x_l^2 / 2 + lin_l x_l] as ``_descend`` takes it:
-    its blocks, ``lin`` and ``objective``."""
-    return (
-        ((demands, quad),),
-        lambda k, links: lin,
-        lambda links: 0.5 * np.vecdot(quad, links[0] * links[0]) + np.vecdot(lin, links[0]),
-    )
-
-
-def _descend_block(
-    instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray, x: np.ndarray,
-    config: SolverConfig,
-) -> tuple[float, int, tuple[float, ...]]:
-    """``_descend`` on the one block sum_l [quad_l x_l^2 / 2 + lin_l x_l], in place
-    from the one start ``x`` (path flows): its gap, iterations and trace."""
-    blocks, lin_k, objective = _block_form(demands, quad, lin)
-    gaps, iterations, traces = _descend(
-        instance, blocks, (x[None],), lin_k, objective, config.relative_gap_tol, config.max_iterations,
-    )
-    return float(gaps[0]), int(iterations[0]), traces[0]
-
-
-def _social_cost_form(instance: GameInstance):
-    """The social cost as ``_descend`` takes it: the autonomous and the human
-    block (class-a gradient 2 a fa + (a+h) fh + b, symmetrically for class h),
-    ``lin`` and ``objective``."""
-    ah, b = instance.a + instance.h, instance.b
-    return (
-        ((instance.auto_demands, 2.0 * instance.a), (instance.human_demands, 2.0 * instance.h)),
-        lambda k, links: ah * links[1 - k] + b,
-        lambda links: np.vecdot(links[0] + links[1], instance.link_latencies(*links)),
-    )
-
-
-def _descend_optimum(
-    instance: GameInstance, flows: tuple[np.ndarray, np.ndarray], config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
-    """``_descend`` on the social cost, as ``system_optimal`` runs it, in place on
-    the (starts × paths) autonomous and human path flows ``flows``."""
-    blocks, lin, objective = _social_cost_form(instance)
-    return _descend(
-        instance, blocks, flows, lin, objective, config.relative_gap_tol, config.max_iterations,
-        _class_swap(instance),
-    )
 
 
 # --- the exact solve within the face budget -----------------------------------------
@@ -546,33 +555,6 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.T @ (v[:, None] * A)
 
 
-def _social_cost_quadratic(
-    instance: GameInstance,
-) -> tuple[np.ndarray, np.ndarray, list[range], list[float]]:
-    """The social cost as 1/2 z'Pz + q'z over the path flows z = (autonomous, human),
-    with its simplices (one per class and O/D pair) and their demands, on any network.
-
-    On a link the social cost is a fa^2 + h fh^2 + (a + h) fa fh + b (fa + fh)
-    with (fa, fh) = (A za, A zh) for the incidence A.
-    """
-    A, a, h, n = instance.incidence, instance.a, instance.h, instance.n_paths
-    P = np.empty((2 * n, 2 * n))
-    P[:n, :n] = _path_form(A, 2.0 * a)
-    P[:n, n:] = P[n:, :n] = _path_form(A, a + h)
-    P[n:, n:] = _path_form(A, 2.0 * h)
-    q = A.T @ instance.b
-    slices = instance.paths.od_slices
-    groups = [range(s, e) for s, e in slices] + [range(n + s, n + e) for s, e in slices]
-    return P, np.concatenate([q, q]), groups, [*instance.auto_demands, *instance.human_demands]
-
-
-def _face_count(instance: GameInstance, classes: int) -> int:
-    """Faces of the product of simplices of ``classes`` classes, one simplex per
-    class and O/D pair: prod_w (2^n_w - 1)^classes over the pairs w with n_w
-    paths, counted, not enumerated."""
-    return math.prod((2 ** (end - start) - 1) ** classes for start, end in instance.paths.od_slices)
-
-
 def _face_point(
     P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float]
 ) -> np.ndarray:
@@ -593,19 +575,19 @@ def _face_point(
     return z
 
 
-def _exact_report(
-    instance: GameInstance, form, flows: tuple[np.ndarray, ...]
-) -> tuple[float, int, tuple[float, ...]]:
-    """What ``_descend`` reports, for the path flows ``flows`` of the blocks of
-    ``form`` that one exact solve found: the largest block gap there (NaN if any
-    is NaN), one iteration, and a trace of the objective there."""
-    blocks, lin, objective = form
+def _exact(objective: _Quadratic) -> tuple[list[np.ndarray], tuple[float, int, tuple[float, ...]]]:
+    """The ``_face_point`` of ``objective``: its path flows per block, and what
+    ``_descend`` reports for them: the largest block gap there (NaN if any is
+    NaN), one iteration, and a trace of the value there."""
+    instance, n = objective.instance, objective.instance.n_paths
+    z = _face_point(*objective.path_form())
+    flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
     links = [(instance.incidence @ f)[None] for f in flows]
     gaps = [
-        _block_gap(instance, demands, quad * links[k] + lin(k, links), links[k])[0]
-        for k, (demands, quad) in enumerate(blocks)
+        _block_gap(instance, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
+        for k, (demands, quad) in enumerate(zip(objective.demands, objective.quad))
     ]
-    return float(functools.reduce(np.maximum, gaps)[0]), 1, (float(objective(links)[0]),)
+    return flows, (float(functools.reduce(np.maximum, gaps)[0]), 1, (float(objective.value(links)[0]),))
 
 
 # --- the solvers ---------------------------------------------------------------------
@@ -615,12 +597,12 @@ def _follower_by_descent(
     instance: GameInstance, s: np.ndarray, config: SolverConfig
 ) -> EquilibriumResult:
     """``follower_equilibrium`` above the face budget, at checked leader link
-    flows ``s``: ``_descend_block`` from the all-or-nothing load at the
-    latencies of zero human flow."""
-    lin = instance.a * s + instance.b
-    t = _all_or_nothing(instance, (instance.incidence.T @ lin)[None], instance.human_demands)[0][0]
-    descent = _descend_block(instance, instance.human_demands, instance.h, lin, t, config)
-    return _result(instance, np.zeros(instance.n_paths), t, *descent, config.relative_gap_tol)
+    flows ``s``: ``_descend`` on the potential from the all-or-nothing load at
+    the latencies of zero human flow."""
+    objective = _Quadratic.potential(instance, s)
+    t = _all_or_nothing(instance, (instance.incidence.T @ objective.lin)[None], instance.human_demands)[0][0]
+    (gap,), (iterations,), (trace,) = _descend(objective, (t[None],), config)
+    return _result(instance, np.zeros(instance.n_paths), t, gap, iterations, trace, config.relative_gap_tol)
 
 
 def follower_equilibrium(
@@ -629,27 +611,24 @@ def follower_equilibrium(
     """Wardrop equilibrium of the human class under a fixed leader link flow,
     exact within the face budget.
 
-    Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l] over
-    the human feasibility polytope. Within ``_FACE_BUDGET`` faces
-    (``_face_count`` of one class) the result is the ``_face_point`` of the
-    potential in the path flows t, with quadratic form A' diag(h) A and linear
-    term A'(a s + b) for the incidence A: one solve, counted as one iteration,
-    to which ``config.max_iterations`` does not apply, with ``exact`` set.
-    Above the budget it is ``_follower_by_descent``. Either way
-    ``relative_gap`` is the Wardrop gap at the returned point, and a human
-    class of zero demand gets exactly zero flow. Link flows at the optimum
-    are unique (h_l > 0); the path decomposition is the solver's. Raises on
-    a leader flow that is not a finite nonnegative link vector
-    (``check_leader_flows``), but never on non-convergence: the result then
-    carries its point with ``converged=False``.
+    Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l]
+    (``_Quadratic.potential``) over the human feasibility polytope. Within
+    ``_FACE_BUDGET`` faces the result is its ``_exact`` solve: one solve,
+    counted as one iteration, to which ``config.max_iterations`` does not
+    apply, with ``exact`` set. Above the budget it is
+    ``_follower_by_descent``. Either way ``relative_gap`` is the Wardrop gap
+    at the returned point, and a human class of zero demand gets exactly
+    zero flow. Link flows at the optimum are unique (h_l > 0); the path
+    decomposition is the solver's. Raises on a leader flow that is not a
+    finite nonnegative link vector (``check_leader_flows``), but never on
+    non-convergence: the result then carries its point with
+    ``converged=False``.
     """
     s = check_leader_flows(instance, s)
-    if _face_count(instance, 1) > _FACE_BUDGET:
+    objective = _Quadratic.potential(instance, s)
+    if objective.faces > _FACE_BUDGET:
         return _follower_by_descent(instance, s, config)
-    A, lin = instance.incidence, instance.a * s + instance.b
-    groups = [range(start, end) for start, end in instance.paths.od_slices]
-    t = _face_point(_path_form(A, instance.h), A.T @ lin, groups, instance.human_demands)
-    report = _exact_report(instance, _block_form(instance.human_demands, instance.h, lin), (t,))
+    (t,), report = _exact(objective)
     return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol, exact=True)
 
 
@@ -697,7 +676,7 @@ def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, n
 def _optimum_by_descent(instance: GameInstance, config: SolverConfig) -> EquilibriumResult:
     """``system_optimal`` above the face budget: the multistart descent.
 
-    One ``_descend_optimum`` call runs from all distinct points among 15
+    One ``_descend`` of the social cost runs from all distinct points among 15
     fixed start draws seeded by ``config.seed`` (``_multistart_points``) at
     once: each round steps the autonomous block of every live start at its
     current human flow, then the human block at the new autonomous flow,
@@ -709,8 +688,8 @@ def _optimum_by_descent(instance: GameInstance, config: SolverConfig) -> Equilib
     on near-ties; ``relative_gap`` is the larger of the two block gaps at that
     point, so convergence certifies block-wise optimality only.
     """
-    flows = _multistart_points(instance, config.seed)  # _descend_optimum moves them in place
-    gaps, iterations, traces = _descend_optimum(instance, flows, config)
+    flows = _multistart_points(instance, config.seed)  # _descend moves them in place
+    gaps, iterations, traces = _descend(_Quadratic.social_cost(instance), flows, config)
     best = 0
     for i, trace in enumerate(traces):
         if trace[-1] < traces[best][-1] - 1e-15:
@@ -726,17 +705,16 @@ def system_optimal(
 ) -> EquilibriumResult:
     """Two-class flow minimizing the social cost, exact within the face budget.
 
-    Within ``_FACE_BUDGET`` faces (``_face_count`` of two classes) the result
-    is the ``_face_point`` of ``_social_cost_quadratic``, the global minimum:
-    one solve, counted as one iteration, to which ``config.max_iterations``
-    and ``config.seed`` do not apply, with ``exact`` set; a class of zero
-    demand gets exactly zero flow. Above the budget it is
-    ``_optimum_by_descent``, whose convergence certifies block-wise
-    optimality only. Either way ``relative_gap`` is the larger of the two
-    block gaps at the returned point.
+    Within ``_FACE_BUDGET`` faces the result is the ``_exact`` solve of
+    ``_Quadratic.social_cost``, the global minimum: one solve, counted as
+    one iteration, to which ``config.max_iterations`` and ``config.seed`` do
+    not apply, with ``exact`` set; a class of zero demand gets exactly zero
+    flow. Above the budget it is ``_optimum_by_descent``, whose convergence
+    certifies block-wise optimality only. Either way ``relative_gap`` is the
+    larger of the two block gaps at the returned point.
     """
-    if _face_count(instance, 2) > _FACE_BUDGET:
+    objective = _Quadratic.social_cost(instance)
+    if objective.faces > _FACE_BUDGET:
         return _optimum_by_descent(instance, config)
-    fa, fh = np.split(_face_point(*_social_cost_quadratic(instance)), 2)
-    report = _exact_report(instance, _social_cost_form(instance), (fa, fh))
+    (fa, fh), report = _exact(objective)
     return _result(instance, fa, fh, *report, config.relative_gap_tol, exact=True)

@@ -23,7 +23,7 @@ from scaleroute.harness import (
     region_alpha_intervals,
     report_to_csv,
 )
-from scaleroute.solvers import _face_count, _face_minimum, _optimum_by_descent, _social_cost_quadratic
+from scaleroute.solvers import _face_minimum, _optimum_by_descent, _Quadratic
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
 from test_solvers import optimal_grid_two_links
@@ -179,9 +179,9 @@ class TestFaceMinimum:
 
 
 class TestSystemOptimumIsExact:
-    """The descent alone, the best start of ``_descend_optimum``, against the
-    exact minimum on general networks: ``system_optimal`` is that minimum
-    within the face budget, so it would be compared with itself."""
+    """The descent alone, the best start of the social cost's ``_descend``,
+    against the exact minimum on general networks: ``system_optimal`` is that
+    minimum within the face budget, so it would be compared with itself."""
 
     MAX_FACES = 11025
 
@@ -192,7 +192,7 @@ class TestSystemOptimumIsExact:
         else:
             instance = make_braess()
         assert not sr.is_parallel_link(instance)
-        _, exact = _face_minimum(*_social_cost_quadratic(instance))
+        _, exact = _face_minimum(*_Quadratic.social_cost(instance).path_form())
         solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
         assert abs(solved - exact) <= 1e-12 * abs(exact)
 
@@ -200,9 +200,10 @@ class TestSystemOptimumIsExact:
         checked = general = 0
         for seed in range(200):
             instance = sr.random_instance(seed, sr.ShapeConfig())
-            if _face_count(instance, 2) > self.MAX_FACES:
+            objective = _Quadratic.social_cost(instance)
+            if objective.faces > self.MAX_FACES:
                 continue
-            _, exact = _face_minimum(*_social_cost_quadratic(instance))
+            _, exact = _face_minimum(*objective.path_form())
             solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
             assert abs(solved - exact) <= 1e-12 * abs(exact), seed
             checked += 1
@@ -260,6 +261,31 @@ class TestOracleProperties:
         used = t > 0.0
         if used.any():  # no link is cheaper than a used one
             assert lat[used].max() <= lat.min() * (1.0 + 1e-12)
+
+
+class TestOraclesShareTheSolve:
+    """The oracles and the exact solvers run one face solve on one statement of
+    each objective, bit for bit: ``certify_outcome``'s reuse of an exact
+    optimum rests on it."""
+
+    def test_parallel_batch(self, parallel_batch):
+        for row in parallel_batch:
+            opt, follower = row["opt"], row["follower"]
+            assert opt.exact and follower.exact
+            assert np.array_equal(row["oracle_flow"].path_flows_a, opt.flow.path_flows_a)
+            assert np.array_equal(row["oracle_flow"].path_flows_h, opt.flow.path_flows_h)
+            assert np.array_equal(row["oracle_t"], follower.flow.link_flows_h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=parallel_instances())
+    def test_parallel_instances(self, instance):
+        opt = sr.system_optimal(instance)
+        flow, _ = sr.oracle_optimal(instance)
+        assert np.array_equal(flow.path_flows_a, opt.flow.path_flows_a)
+        assert np.array_equal(flow.path_flows_h, opt.flow.path_flows_h)
+        s = instance.od_pairs[0].alpha * opt.flow.total_link_flows  # the SCALE leader's link flows
+        t, _ = sr.oracle_nash(instance, s)
+        assert np.array_equal(t, sr.follower_equilibrium(instance, s).flow.link_flows_h)
 
 
 def steep_pair(h: float) -> sr.GameInstance:

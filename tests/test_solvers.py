@@ -21,16 +21,14 @@ from scaleroute.solvers import (
     _block_gap,
     _cheapest,
     _class_swap,
-    _descend_block,
-    _descend_optimum,
-    _face_count,
+    _descend,
     _face_layout,
     _face_minimum,
     _follower_by_descent,
     _multistart_points,
     _optimum_by_descent,
+    _Quadratic,
     _relative_gap,
-    _social_cost_quadratic,
 )
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
@@ -70,6 +68,11 @@ def optimal_grid_two_links(instance, resolution=1e-3):
     cost = ((FA + FH) * lat).sum(axis=0)
     j = int(np.argmin(cost))
     return FA[:, j], FH[:, j], float(cost[j])
+
+
+def potential(instance, s=None):
+    """The follower's potential at leader link flows ``s``, zero by default."""
+    return _Quadratic.potential(instance, np.zeros(instance.n_links) if s is None else s)
 
 
 def make_two_pairs():
@@ -171,7 +174,8 @@ class TestFollowerEquilibrium:
         x0 = _all_or_nothing(pigou, pigou.b[None], demands)[0][0]
         x = x0.copy()
         config = sr.SolverConfig()
-        gap, iterations, _ = _descend_block(pigou, demands, pigou.h, np.array([np.nan, 1.0]), x, config)
+        objective = _Quadratic(pigou, (demands,), (pigou.h,), np.array([np.nan, 1.0]))
+        (gap,), (iterations,), _ = _descend(objective, (x[None],), config)
         assert iterations == 0
         assert math.isnan(gap)
         assert not gap <= config.relative_gap_tol
@@ -388,18 +392,18 @@ class TestFaceBudget:
     """Both solvers solve exactly within ``_FACE_BUDGET`` faces and descend above it."""
 
     def test_face_count(self):
-        assert [_face_count(parallel_links(n), 2) for n in (3, 4, 5, 8)] == [49, 225, 961, 65025]
-        assert [_face_count(parallel_links(n), 1) for n in (7, 8)] == [127, 255]
-        assert _face_count(make_two_pairs(), 2) == 9 * 9
+        assert [_Quadratic.social_cost(parallel_links(n)).faces for n in (3, 4, 5, 8)] == [49, 225, 961, 65025]
+        assert [potential(parallel_links(n)).faces for n in (7, 8)] == [127, 255]
+        assert _Quadratic.social_cost(make_two_pairs()).faces == 9 * 9
         # a count, not an enumeration: 2^184 - 1 faces per class on a 4x4 grid
-        assert _face_count(grid_instance(1, 4), 1) == 2**184 - 1
+        assert potential(grid_instance(1, 4)).faces == 2**184 - 1
 
     def test_optimum_at_and_over_the_budget(self):
         at, over = parallel_links(4), parallel_links(5)
-        assert _face_count(at, 2) == _FACE_BUDGET < _face_count(over, 2)
+        assert _Quadratic.social_cost(at).faces == _FACE_BUDGET < _Quadratic.social_cost(over).faces
         exact = sr.system_optimal(at)
         assert exact.exact and exact.converged and exact.iterations == 1
-        z, value = _face_minimum(*_social_cost_quadratic(at))
+        z, value = _face_minimum(*_Quadratic.social_cost(at).path_form())
         assert np.array_equal(np.concatenate([exact.flow.path_flows_a, exact.flow.path_flows_h]), z)
         assert exact.trace == (exact.potential_or_cost,)
         assert exact.potential_or_cost == pytest.approx(value, rel=1e-14)
@@ -411,7 +415,7 @@ class TestFaceBudget:
 
     def test_follower_at_and_over_the_budget(self):
         at, over = parallel_links(7, alpha=0.0), parallel_links(8, alpha=0.0)
-        assert _face_count(at, 1) <= _FACE_BUDGET < _face_count(over, 1)
+        assert potential(at).faces <= _FACE_BUDGET < potential(over).faces
         s = np.full(7, 0.25)
         exact = sr.follower_equilibrium(at, s)
         assert exact.exact and exact.converged and exact.iterations == 1 and len(exact.trace) == 1
@@ -487,6 +491,42 @@ class TestFaceBudget:
         assert info.hits > 0 and info.misses == info.currsize
 
 
+class TestQuadratic:
+    """Each objective's two views: the descent's link-wise blocks and value, and
+    the exact solve's path form and face count. An edit to one view only
+    fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 999), parallel=st.booleans(), draw=st.integers(0, 2**32 - 1))
+    def test_views_agree(self, seed, parallel, draw):
+        instance = sr.random_instance(seed, sr.ShapeConfig(parallel_probability=float(parallel)))
+        rng = np.random.default_rng(draw)
+        inc, n = instance.incidence, instance.n_paths
+        starts, ends = np.array(instance.paths.od_slices).T
+        s = rng.uniform(0.0, 2.0, instance.n_links)
+        for objective in (_Quadratic.social_cost(instance), potential(instance, s)):
+            flows = []
+            for demands in objective.demands:  # a random point of the block's polytope
+                f = rng.random(n) * (rng.random(n) < 0.5)
+                f[starts] += 1e-3
+                f *= np.repeat(demands / od_sums(instance, f), ends - starts)
+                flows.append(f)
+            z, links = np.concatenate(flows), [inc @ f for f in flows]
+            P, q, groups, demands = objective.path_form()
+            assert [z[g].sum() for g in groups] == pytest.approx(demands, rel=1e-14)
+            assert z @ (0.5 * (P @ z) + q) == pytest.approx(objective.value(links), rel=1e-12, abs=0.0)
+            grad = P @ z + q
+            for k, x in enumerate(links):
+                block = inc.T @ (objective.quad[k] * x + objective.block_lin(k, links))
+                assert grad[k * n : (k + 1) * n] == pytest.approx(block, rel=1e-12, abs=1e-14)
+            if objective.faces <= _FACE_BUDGET:
+                masks, _, _ = _face_layout(tuple(map(tuple, groups)), len(z))
+                assert len(masks) == objective.faces
+            if objective.cross is None:  # the potential's gradient is the link latency at s
+                g = objective.quad[0] * links[0] + objective.block_lin(0, links)
+                assert g == pytest.approx(instance.link_latencies(s, links[0]), rel=1e-14)
+
+
 class TestBatchedStarts:
     @pytest.mark.parametrize(
         "make",
@@ -503,10 +543,11 @@ class TestBatchedStarts:
         # each start of the batch against the same start as a batch of one
         instance = make()
         fa, fh = _multistart_points(instance, config.seed)
-        gaps, iterations, traces = _descend_optimum(instance, (fa.copy(), fh.copy()), config)
+        objective = _Quadratic.social_cost(instance)
+        gaps, iterations, traces = _descend(objective, (fa.copy(), fh.copy()), config)
         tol = config.relative_gap_tol
         for i in range(len(fa)):
-            (gap,), (alone,), (trace,) = _descend_optimum(instance, (fa[i : i + 1].copy(), fh[i : i + 1].copy()), config)
+            (gap,), (alone,), (trace,) = _descend(objective, (fa[i : i + 1].copy(), fh[i : i + 1].copy()), config)
             assert traces[i][-1] == pytest.approx(trace[-1], rel=1e-12, abs=0.0)
             assert (gaps[i] <= tol) == (gap <= tol)
             assert (iterations[i] == config.max_iterations) == (alone == config.max_iterations)
@@ -516,7 +557,7 @@ class TestBatchedStarts:
         # after the batch was compacted
         instance = sr.random_instance(171, sr.ShapeConfig())
         fa, fh = _multistart_points(instance, 0)
-        _, iterations, traces = _descend_optimum(instance, (fa, fh), sr.SolverConfig())
+        _, iterations, traces = _descend(_Quadratic.social_cost(instance), (fa, fh), sr.SolverConfig())
         assert len(set(iterations.tolist())) > 2  # starts finish at different rounds
         # each start's rounds and trace stay its own across the compactions
         assert iterations.tolist() == [11, 11, 11, 11, 8, 10, 11, 11]
@@ -688,7 +729,7 @@ class TestSolverProperties:
         vertex[2] = braess.human_demands[0]
         config = sr.SolverConfig()
         for t in (uniform, vertex):
-            gap, _, _ = _descend_block(braess, braess.human_demands, braess.h, braess.b, t, config)
+            (gap,), _, _ = _descend(potential(braess), (t[None],), config)
             assert gap <= config.relative_gap_tol
             assert np.max(np.abs(r1.flow.link_flows_h - braess.incidence @ t)) <= 1e-6
 
@@ -699,9 +740,11 @@ class TestSolverProperties:
         base = result.potential_or_cost
         # re-solving either class block must not improve the cost materially
         xa, xh = fa.copy(), fh.copy()
-        ah, b, inc = pigou.a + pigou.h, pigou.b, pigou.incidence
-        _descend_block(pigou, pigou.auto_demands, 2.0 * pigou.a, ah * (inc @ fh) + b, xa, config)
-        _descend_block(pigou, pigou.human_demands, 2.0 * pigou.h, ah * (inc @ fa) + b, xh, config)
+        objective = _Quadratic.social_cost(pigou)
+        links = [pigou.incidence @ fa, pigou.incidence @ fh]
+        for k, x in enumerate((xa, xh)):
+            lin = objective.block_lin(k, links)
+            _descend(_Quadratic(pigou, (objective.demands[k],), (objective.quad[k],), lin), (x[None],), config)
         for flow in (sr.ClassFlow.from_path_flows(pigou, xa, fh), sr.ClassFlow.from_path_flows(pigou, fa, xh)):
             assert sr.social_cost(pigou, flow) >= base - config.relative_gap_tol * base
 

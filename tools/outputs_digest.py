@@ -1,0 +1,89 @@
+"""Print one SHA-256 over every output of the benchmark's instances.
+
+From the root of a checkout:
+
+    python3 tools/outputs_digest.py
+
+The instances are the 255 of the three workloads in
+``benchmarks/workloads.py`` (read, not changed). For each one the digest takes
+everything ``play`` returns: flows, costs, PoA, Wardrop gap, and for the
+optimum and the follower their iterations, traces, gaps, convergence and
+``exact`` flag, or the result a ``NotConverged`` carries. For each instance
+in its workload's oracle scope it also takes ``oracle_optimal``,
+``oracle_nash`` at the leader's link flows and the flag ``certify_outcome``
+sets. Two checkouts whose digests agree produce bit-identical outputs on all
+of them; a refactor that must change no output is checked that way.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+from scaleroute import NotConverged, is_parallel_link, oracle_nash, oracle_optimal, play  # noqa: E402
+from scaleroute.harness import certify_outcome  # noqa: E402
+from workloads import SOLVER, WORKLOADS  # noqa: E402
+
+
+def _feed(digest, *values) -> None:
+    """Add each value, an array by its bytes and anything else by its repr."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value, dtype=float)
+            digest.update(repr(value.shape).encode() + value.tobytes())
+        else:
+            digest.update(repr(value).encode())
+        digest.update(b";")
+
+
+def _feed_result(digest, result) -> None:
+    flow = result.flow
+    _feed(
+        digest, flow.path_flows_a, flow.path_flows_h, flow.link_flows_a, flow.link_flows_h,
+        result.potential_or_cost, result.relative_gap, result.iterations, result.converged,
+        result.trace, result.exact,
+    )
+
+
+def outputs_digest() -> tuple[str, int, int]:
+    """The hex digest, the number of instances and of oracle problems."""
+    digest = hashlib.sha256()
+    instances = oracle_problems = 0
+    for workload in WORKLOADS.values():
+        for iid, make in workload.instances:
+            instance = make()
+            instances += 1
+            _feed(digest, workload.name, iid)
+            try:
+                outcome = play(instance, SOLVER)
+            except NotConverged as exc:
+                _feed(digest, "not converged", str(exc))
+                _feed_result(digest, exc.result)
+                continue
+            _feed(
+                digest, outcome.alpha, outcome.optimal_cost, outcome.induced_cost,
+                outcome.empirical_poa, outcome.wardrop_gap, outcome.leader_path_flows,
+                outcome.leader_link_flows,
+            )
+            _feed_result(digest, outcome.optimal_result)
+            _feed_result(digest, outcome.follower_result)
+            oracle = workload.oracle
+            if oracle is None or not is_parallel_link(instance, oracle.max_links):
+                continue
+            flow, cost = oracle_optimal(instance, oracle)
+            t, gap = oracle_nash(instance, outcome.leader_link_flows, oracle)
+            certified = certify_outcome(instance, outcome, oracle).optimum_certified
+            _feed(digest, flow.path_flows_a, flow.path_flows_h, cost, t, gap, certified)
+            oracle_problems += 2
+    return digest.hexdigest(), instances, oracle_problems
+
+
+if __name__ == "__main__":
+    hexdigest, instances, oracle_problems = outputs_digest()
+    print(f"{hexdigest}  {instances} instances, {oracle_problems} oracle problems")
