@@ -14,11 +14,15 @@ Both solvers are exact within a face budget. Each face of the product fixes
 a nonempty support per simplex, and its KKT system gives its stationary
 point; ``_face_minimum`` solves the systems of all faces of the path form
 1/2 z'Pz + q'z in one stacked solve and keeps the lowest feasible stationary
-point, the global minimum even where the social cost is not convex. The face
-count (``_Quadratic.faces``) grows exponentially with the path count
+point, the global minimum even where the social cost is not convex. For the
+social cost it solves only the faces whose autonomous and human supports
+share at most one path per O/D pair, which loses no minimum, since the cost
+is linear along a class swap (``_face_layout``). The face count
+(``_Quadratic.faces``) still grows exponentially with the path count
 (Pardalos and Vavasis, 1991), so the exact solve (``_exact``) runs only
-within ``_FACE_BUDGET`` faces; one solve counts as one iteration, and its
-trace holds the objective at its point.
+within the objective's ``budget``, set near where it costs as much as the
+descent; one solve counts as one iteration, and its trace holds the
+objective at its point.
 
 Above the budget both solvers run one loop (``_descend``): block-coordinate
 descent over the enumerated path polytope of each class block, where block k
@@ -74,8 +78,14 @@ from .model import ClassFlow, GameInstance, check_leader_flows
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
 _MULTISTARTS = 15  # optimum start draws (all-or-nothing, then vertices), before repeats are dropped
-#: the most faces (``_Quadratic.faces``) a solver enumerates exactly; above it, it descends
-_FACE_BUDGET = 225
+#: the most faces (``_Quadratic.faces``) each solver enumerates exactly; above it, it
+#: descends. The optimum's 15-start descent costs as much as the face solve between 585
+#: faces (verify-default rows with 312 and 585 faces: 20 ms exact against 44 ms of
+#: descent over all 8) and 1,264 (7.2-8.6 ms exact against 1.9-6.6 ms per row), and no
+#: social-cost face count lies in between. The follower's one-start convex descent is
+#: cheaper: at 465 faces it took 0.19-0.58 ms against 1.1-2.7 ms exact (Xeon, 2 CPUs)
+_OPTIMUM_FACE_BUDGET = 585
+_FOLLOWER_FACE_BUDGET = 225
 
 #: a face's KKT solution is stationary up to this residual relative to the right-hand side
 _KKT_RTOL = 1e-9
@@ -165,10 +175,20 @@ class _Quadratic:
 
     @property
     def faces(self) -> int:
-        """Faces of its product of simplices, prod_w (2^n_w - 1)^blocks over the
-        O/D pairs w with n_w paths: counted, not enumerated."""
-        blocks = len(self.quad)
-        return math.prod((2 ** (end - start) - 1) ** blocks for start, end in self.instance.paths.od_slices)
+        """Faces its exact solve enumerates, a product over the O/D pairs w with
+        n_w paths, counted, not enumerated: 2^n_w - 1 supports for one block;
+        for the two blocks of the social cost, the 3^n - 2^(n+1) + 1 pairs of
+        nonempty supports that share no path and the n 3^(n-1) that share one
+        (``_face_layout``)."""
+        sizes = [end - start for start, end in self.instance.paths.od_slices]
+        if self.cross is None:
+            return math.prod(2**n - 1 for n in sizes)
+        return math.prod(3**n - 2 ** (n + 1) + 1 + n * 3 ** (n - 1) for n in sizes)
+
+    @property
+    def budget(self) -> int:
+        """The most ``faces`` at which its solver solves exactly."""
+        return _FOLLOWER_FACE_BUDGET if self.cross is None else _OPTIMUM_FACE_BUDGET
 
     def block_lin(self, k: int, links: list[np.ndarray]) -> np.ndarray:
         """Block k's linear term at the (starts × links) link flows of all blocks."""
@@ -181,21 +201,22 @@ class _Quadratic:
             return 0.5 * np.vecdot(self.quad[0], links[0] * links[0]) + np.vecdot(self.lin, links[0])
         return np.vecdot(links[0] + links[1], self.instance.link_latencies(*links))
 
-    def path_form(self) -> tuple[np.ndarray, np.ndarray, list[range], np.ndarray]:
+    def path_form(self) -> tuple[np.ndarray, np.ndarray, list[range], np.ndarray, bool]:
         """``_face_minimum``'s arguments: P and q of 1/2 z'Pz + q'z over the path
-        flows z of all blocks in turn, one group per block and O/D pair, and
-        the groups' demands."""
+        flows z of all blocks in turn, one group per block and O/D pair, the
+        groups' demands, and whether to prune the faces by class overlap, which
+        is exact for the two blocks of the social cost."""
         A, n = self.instance.incidence, self.instance.n_paths
         q = A.T @ self.lin
         slices = self.instance.paths.od_slices
         groups = [range(k * n + s, k * n + e) for k in range(len(self.quad)) for s, e in slices]
         if self.cross is None:
-            return _path_form(A, self.quad[0]), q, groups, self.demands[0]
+            return _path_form(A, self.quad[0]), q, groups, self.demands[0], False
         P = np.empty((2 * n, 2 * n))
         P[:n, :n] = _path_form(A, self.quad[0])
         P[:n, n:] = P[n:, :n] = _path_form(A, self.cross)
         P[n:, n:] = _path_form(A, self.quad[1])
-        return P, np.concatenate([q, q]), groups, np.concatenate(self.demands)
+        return P, np.concatenate([q, q]), groups, np.concatenate(self.demands), True
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
@@ -307,12 +328,13 @@ def _block_step(
     return np.logical_or.reduce(x != x_entry, axis=1)
 
 
-def _class_swap(instance: GameInstance) -> Callable[..., np.ndarray]:
-    """The exact class-swap move of the social cost on ``instance``, for ``_descend``.
+def _class_swap(objective: _Quadratic) -> Callable[..., np.ndarray]:
+    """The exact class-swap move of the social cost ``objective``, for ``_descend``.
 
     On a link the social cost is ``h x^2 + (a-h) f x + b x``, with x the total and
     f the autonomous flow, so at fixed total path flows it is linear in the class
-    split, with path prices ``c = ((a-h) x) @ incidence``. Per O/D pair, let q be
+    split, with path prices ``c = ((a-h) x) @ incidence``; a - h is half the
+    difference of its two block weights, 2a and 2h. Per O/D pair, let q be
     the used autonomous path with the largest c and p the used human path with the
     smallest. Where c_q > c_p, the move trades delta = min(fa_q, fh_p) of
     autonomous flow from q to p for as much human flow from p to q: every path
@@ -325,15 +347,12 @@ def _class_swap(instance: GameInstance) -> Callable[..., np.ndarray]:
     changes x and so no price: in place on the path flows, and on the link flows
     by the path change times the incidence. Returns per row whether it moved.
     """
-    inc = instance.incidence
-    a_minus_h = instance.a - instance.h
-    slices = instance.paths.od_slices
+    inc = objective.instance.incidence
+    a_minus_h = 0.5 * (objective.quad[0] - objective.quad[1])
+    slices = objective.instance.paths.od_slices
     offsets = np.array([start for start, _ in slices])
     sizes = np.array([end - start for start, end in slices])
-    used_a, used_h = (
-        np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes)
-        for demands in (instance.auto_demands, instance.human_demands)
-    )
+    used_a, used_h = (np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes) for demands in objective.demands)
 
     def swap(xs: list[np.ndarray], links: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         fa, fh = xs
@@ -394,7 +413,7 @@ def _descend(
     shrinks.
     """
     instance = objective.instance
-    swap = _class_swap(instance) if len(objective.quad) == 2 else None
+    swap = _class_swap(objective) if len(objective.quad) == 2 else None
     inc = instance.incidence
     n_starts = len(flows[0])
     live = np.arange(n_starts)
@@ -459,18 +478,36 @@ def _descend(
 # --- the exact solve within the face budget -----------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=48)
 def _face_layout(
-    groups: tuple[tuple[int, ...], ...], n: int
+    groups: tuple[tuple[int, ...], ...], n: int, pruned: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The faces of the product of simplices over n variables with these
     groups, as read-only arrays: their supports, a (faces, n) mask; the
     support pairs, a (faces, n, n) mask of the entries of P that each face
     keeps; and the part of their KKT systems that P does not fill, a (faces,
-    n + k, n + k) stack with the group sums over each support and a unit
-    diagonal that pins each variable off the support at 0. A face takes one
-    nonempty subset per group, the subsets of a group by size and then
-    lexicographically, and the faces come in ``itertools.product`` order."""
+    n + k, n + k) boolean stack, an eighth of its float size, with the group
+    sums over each support and a unit diagonal that pins each variable off
+    the support at 0. A face takes one nonempty subset per group, the
+    subsets of a group by size and then lexicographically, and the faces
+    come in ``itertools.product`` order.
+
+    ``pruned`` keeps, in that order, only the faces of the class-overlap
+    family, for the two blocks of the social cost: the groups are then the
+    O/D pairs of the autonomous block over the first n/2 variables and then
+    the same pairs of the human block over the last n/2, and a face is kept
+    when the two supports of each pair share at most one path. The family
+    holds a global minimum. Along a class swap, which moves autonomous flow
+    from path q to path p of a pair and as much human flow from p to q, every
+    path total and so every link total stays fixed, and the social cost is
+    linear in the class split at fixed totals. Where a minimiser's two
+    supports of a pair share paths p and q, the swap is feasible both ways,
+    so the cost is constant along it; swapping until one of the four flows
+    is empty gives a minimiser with a smaller support, and repeating gives
+    one in the family, in the relative interior of one of its faces. The
+    singular-face skip of ``_face_minimum`` moves a minimiser to a face with
+    smaller supports, which share no more paths, so it stays in the family
+    too."""
     masks = np.zeros((1, n), dtype=bool)
     for g in groups:
         subsets = [s for size in range(1, len(g) + 1) for s in itertools.combinations(g, size)]
@@ -478,33 +515,39 @@ def _face_layout(
         for row, s in zip(sub, subsets):
             row[list(s)] = True
         masks = (masks[:, None, :] | sub[None, :, :]).reshape(-1, n)
+    if pruned:
+        shared = masks[:, : n // 2] & masks[:, n // 2 :]
+        masks = masks[np.logical_and.reduce([shared[:, list(g)].sum(1) <= 1 for g in groups[: len(groups) // 2]])]
     pairs = masks[:, :, None] & masks[:, None, :]
     k = len(groups)
-    member = np.zeros((k, n))
+    member = np.zeros((k, n), dtype=bool)
     for j, g in enumerate(groups):
-        member[j, list(g)] = 1.0
-    K = np.zeros((len(masks), n + k, n + k))
-    K[:, :n, :n] = np.eye(n) * ~masks[:, None, :]
-    K[:, n:, :n] = member * masks[:, None, :]  # one sum per group
+        member[j, list(g)] = True
+    K = np.zeros((len(masks), n + k, n + k), dtype=bool)
+    K[:, :n, :n] = np.eye(n, dtype=bool) & ~masks[:, None, :]
+    K[:, n:, :n] = member & masks[:, None, :]  # one sum per group
     K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
     masks.flags.writeable = pairs.flags.writeable = K.flags.writeable = False
     return masks, pairs, K
 
 
 def _face_minimum(
-    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float]
+    P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float],
+    pruned: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group.
 
     The feasible set is a product of simplices. Each face fixes a nonempty
     support per group, and the minimum is a stationary point in the relative
-    interior of some face. P is first replaced by its symmetric part, which
-    has the same quadratic form. The KKT systems of all faces form one
-    stack (``_face_layout``) with P restricted to each support, and one
-    batched LU solve covers them all. The stack holds P and q divided by s,
-    the larger of max|P| and 1, which leaves every minimiser in place and
-    keeps the slopes on the scale of the unit constraint rows however
-    large they are. A face's point is kept if its residual is small and it
+    interior of some face. With ``pruned``, only the faces of the
+    class-overlap family are solved, which is exact for the path form of the
+    social cost but not in general (``_face_layout``). P is first replaced
+    by its symmetric part, which has the same quadratic form. The KKT
+    systems of the faces form one stack (``_face_layout``) with P restricted
+    to each support, and one batched LU solve covers them all. The stack
+    holds P and q divided by s, the larger of max|P| and 1, which leaves
+    every minimiser in place and keeps the slopes on the scale of the unit
+    constraint rows however large they are. A face's point is kept if its residual is small and it
     is feasible; a point that overflows fails one of the two tests.
 
     A face whose KKT matrix LU finds exactly singular is skipped, and the
@@ -522,8 +565,8 @@ def _face_minimum(
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
     n = q.size
-    masks, pairs, template = _face_layout(tuple(map(tuple, groups)), n)
-    K = template.copy()
+    masks, pairs, template = _face_layout(tuple(map(tuple, groups)), n, pruned)
+    K = template.astype(float)
     K[:, :n, :n] += (P / scale) * pairs
     rhs = np.empty((len(masks), K.shape[1], 1))
     np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
@@ -556,7 +599,7 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _face_point(
-    P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float]
+    P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float], pruned: bool
 ) -> np.ndarray:
     """The minimiser of ``_face_minimum``, each group's flows scaled to sum to
     its demand, so a group of zero demand gets exactly zero flow.
@@ -566,7 +609,7 @@ def _face_point(
     demand is small against the latencies (a human demand of 1e-5 at
     latencies near 1/3 left a Wardrop gap of 5.6e-12).
     """
-    z, _ = _face_minimum(P, q, groups, demands)
+    z, _ = _face_minimum(P, q, groups, demands, pruned)
     for g, d in zip(groups, demands):
         group = z[g.start : g.stop]
         total = group.sum()
@@ -613,20 +656,20 @@ def follower_equilibrium(
 
     Minimizes the potential sum_l [h_l t_l^2/2 + (a_l s_l + b_l) t_l]
     (``_Quadratic.potential``) over the human feasibility polytope. Within
-    ``_FACE_BUDGET`` faces the result is its ``_exact`` solve: one solve,
-    counted as one iteration, to which ``config.max_iterations`` does not
-    apply, with ``exact`` set. Above the budget it is
-    ``_follower_by_descent``. Either way ``relative_gap`` is the Wardrop gap
-    at the returned point, and a human class of zero demand gets exactly
-    zero flow. Link flows at the optimum are unique (h_l > 0); the path
-    decomposition is the solver's. Raises on a leader flow that is not a
+    the potential's ``budget`` of 225 faces the result is its ``_exact``
+    solve: one solve, counted as one iteration, to which
+    ``config.max_iterations`` does not apply, with ``exact`` set. Above the
+    budget it is ``_follower_by_descent``. Either way ``relative_gap`` is
+    the Wardrop gap at the returned point, and a human class of zero demand
+    gets exactly zero flow. Link flows at the optimum are unique (h_l > 0);
+    the path decomposition is the solver's. Raises on a leader flow that is not a
     finite nonnegative link vector (``check_leader_flows``), but never on
     non-convergence: the result then carries its point with
     ``converged=False``.
     """
     s = check_leader_flows(instance, s)
     objective = _Quadratic.potential(instance, s)
-    if objective.faces > _FACE_BUDGET:
+    if objective.faces > objective.budget:
         return _follower_by_descent(instance, s, config)
     (t,), report = _exact(objective)
     return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol, exact=True)
@@ -705,16 +748,17 @@ def system_optimal(
 ) -> EquilibriumResult:
     """Two-class flow minimizing the social cost, exact within the face budget.
 
-    Within ``_FACE_BUDGET`` faces the result is the ``_exact`` solve of
-    ``_Quadratic.social_cost``, the global minimum: one solve, counted as
-    one iteration, to which ``config.max_iterations`` and ``config.seed`` do
-    not apply, with ``exact`` set; a class of zero demand gets exactly zero
-    flow. Above the budget it is ``_optimum_by_descent``, whose convergence
-    certifies block-wise optimality only. Either way ``relative_gap`` is the
-    larger of the two block gaps at the returned point.
+    Within the social cost's ``budget`` of 585 faces the result is the
+    ``_exact`` solve of ``_Quadratic.social_cost``, the global minimum: one
+    solve, counted as one iteration, to which ``config.max_iterations`` and
+    ``config.seed`` do not apply, with ``exact`` set; a class of zero demand
+    gets exactly zero flow. Above the budget it is ``_optimum_by_descent``,
+    whose convergence certifies block-wise optimality only. Either way
+    ``relative_gap`` is the larger of the two block gaps at the returned
+    point.
     """
     objective = _Quadratic.social_cost(instance)
-    if objective.faces > _FACE_BUDGET:
+    if objective.faces > objective.budget:
         return _optimum_by_descent(instance, config)
     (fa, fh), report = _exact(objective)
     return _result(instance, fa, fh, *report, config.relative_gap_tol, exact=True)

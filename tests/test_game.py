@@ -172,7 +172,7 @@ def result_bits(result):
 
 
 def eight_links(b: float) -> sr.GameInstance:
-    """Eight parallel links, over both face budgets (65,025 optimum faces, 255
+    """Eight parallel links, over both face budgets (23,546 optimum faces, 255
     follower faces), so both solvers descend: e1, e2 and e8 are free of
     free-flow time, the five between have free-flow time ``b``."""
     slopes = [(1.0, 1.0), (0.5, 0.5)] + [(1.0, 1.0)] * 6

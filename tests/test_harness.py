@@ -183,7 +183,9 @@ class TestSystemOptimumIsExact:
     against the exact minimum on general networks: ``system_optimal`` is that
     minimum within the face budget, so it would be compared with itself."""
 
-    MAX_FACES = 11025
+    #: pruned faces (``_Quadratic.faces``): 6,162 is (3, 4) or (4, 3) paths on two
+    #: pairs, 11,025 faces before class-overlap pruning
+    MAX_FACES = 6162
 
     @pytest.mark.parametrize("source", ["conftest", "file"])
     def test_braess(self, source):

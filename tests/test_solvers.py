@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
 from scaleroute.model import social_cost_links
 from scaleroute.solvers import (
-    _FACE_BUDGET,
+    _FOLLOWER_FACE_BUDGET,
     _MULTISTARTS,
+    _OPTIMUM_FACE_BUDGET,
     _all_or_nothing,
     _block_gap,
     _cheapest,
@@ -326,11 +328,11 @@ class TestSystemOptimal:
         [
             (make_braess, sr.SolverConfig()),
             (lambda: sr.random_instance(118, sr.ShapeConfig()), sr.SolverConfig()),
-            # the budget, not convergence, ends every start
-            (lambda: sr.random_instance(15, sr.ShapeConfig()),
+            # the budget, not convergence, ends every start (1,264 faces, so it descends)
+            (lambda: sr.random_instance(55, sr.ShapeConfig()),
              sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)),
         ],
-        ids=["braess", "seed118", "seed15-budget"],
+        ids=["braess", "seed118", "seed55-budget"],
     )
     def test_gap_is_block_gap_at_result(self, make, config):
         instance = make()
@@ -363,7 +365,7 @@ class TestSystemOptimal:
         # seed 15: 13 distinct starts, none of which reaches a zero gap in 3 iterations
         instance = sr.random_instance(15, sr.ShapeConfig())
         config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
-        result = sr.system_optimal(instance, config)
+        result = _optimum_by_descent(instance, config)
         assert result.iterations == 3 * len(_multistart_points(instance, config.seed)[0])
         # the start's cost, three stepping rounds, and the round that finds the budget spent
         assert len(result.trace) == 4
@@ -389,18 +391,24 @@ def with_alpha(instance: sr.GameInstance, alpha: float) -> sr.GameInstance:
 
 
 class TestFaceBudget:
-    """Both solvers solve exactly within ``_FACE_BUDGET`` faces and descend above it."""
+    """Both solvers solve exactly within their objective's ``budget`` of faces
+    and descend above it."""
 
     def test_face_count(self):
-        assert [_Quadratic.social_cost(parallel_links(n)).faces for n in (3, 4, 5, 8)] == [49, 225, 961, 65025]
+        # pruned by class overlap: 3^n - 2^(n+1) + 1 + n 3^(n-1) of the (2^n - 1)^2 faces
+        assert [_Quadratic.social_cost(parallel_links(n)).faces for n in (3, 4, 5, 8)] == [39, 158, 585, 23546]
         assert [potential(parallel_links(n)).faces for n in (7, 8)] == [127, 255]
-        assert _Quadratic.social_cost(make_two_pairs()).faces == 9 * 9
+        assert _Quadratic.social_cost(make_two_pairs()).faces == 8 * 8
         # a count, not an enumeration: 2^184 - 1 faces per class on a 4x4 grid
         assert potential(grid_instance(1, 4)).faces == 2**184 - 1
 
+    def test_budgets(self):
+        assert _Quadratic.social_cost(parallel_links(2)).budget == _OPTIMUM_FACE_BUDGET == 585
+        assert potential(parallel_links(2)).budget == _FOLLOWER_FACE_BUDGET == 225
+
     def test_optimum_at_and_over_the_budget(self):
-        at, over = parallel_links(4), parallel_links(5)
-        assert _Quadratic.social_cost(at).faces == _FACE_BUDGET < _Quadratic.social_cost(over).faces
+        at, over = parallel_links(5), parallel_links(6)
+        assert _Quadratic.social_cost(at).faces == _OPTIMUM_FACE_BUDGET < _Quadratic.social_cost(over).faces
         exact = sr.system_optimal(at)
         assert exact.exact and exact.converged and exact.iterations == 1
         z, value = _face_minimum(*_Quadratic.social_cost(at).path_form())
@@ -415,7 +423,7 @@ class TestFaceBudget:
 
     def test_follower_at_and_over_the_budget(self):
         at, over = parallel_links(7, alpha=0.0), parallel_links(8, alpha=0.0)
-        assert potential(at).faces <= _FACE_BUDGET < potential(over).faces
+        assert potential(at).faces <= _FOLLOWER_FACE_BUDGET < potential(over).faces
         s = np.full(7, 0.25)
         exact = sr.follower_equilibrium(at, s)
         assert exact.exact and exact.converged and exact.iterations == 1 and len(exact.trace) == 1
@@ -491,6 +499,63 @@ class TestFaceBudget:
         assert info.hits > 0 and info.misses == info.currsize
 
 
+SHAPES = {
+    "default": sr.ShapeConfig(),
+    "lowmu-parallel": sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05),
+    "mu1": sr.ShapeConfig(mu_min=1.0),
+}
+
+
+@st.composite
+def small_two_class_instances(draw):
+    """A random instance of one of ``SHAPES`` with at most 6 paths (12 path flow
+    variables), some of its links set to a = h."""
+    instance = sr.random_instance(draw(st.integers(0, 9999)), SHAPES[draw(st.sampled_from(sorted(SHAPES)))])
+    assume(instance.n_paths <= 6)
+    even = draw(st.lists(st.booleans(), min_size=instance.n_links, max_size=instance.n_links))
+    links = [dataclasses.replace(link, a=link.h) if e else link for link, e in zip(instance.links, even)]
+    return sr.build_instance(instance.nodes, links, instance.od_pairs)
+
+
+class TestClassOverlapPruning:
+    """The social cost's exact solve enumerates only the faces whose two class
+    supports share at most one path per O/D pair, and loses no minimum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=small_two_class_instances())
+    def test_pruned_minimum_is_the_full_minimum(self, instance):
+        P, q, groups, demands, pruned = _Quadratic.social_cost(instance).path_form()
+        assert pruned
+        z, value = _face_minimum(P, q, groups, demands, pruned=True)
+        _, full = _face_minimum(P, q, groups, demands, pruned=False)
+        # the minimum over every face, up to rounding in either direction: a
+        # subset's minimum is never lower, and here it is never higher either
+        # (the full minimum, at a face outside the family, can round lower)
+        assert value == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert z.min() >= 0.0 and [z[g].sum() for g in groups] == pytest.approx(demands, rel=1e-12)
+        assert z @ (0.5 * (P @ z) + q) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "instance",
+        [parallel_links(n) for n in range(1, 7)] + [make_two_pairs(), sr.random_instance(15, sr.ShapeConfig())],
+        ids=[f"{n}-paths" for n in range(1, 7)] + ["two-pairs-2-2", "seed15-2-3"],
+    )
+    def test_count_is_the_enumerated_count(self, instance):
+        objective = _Quadratic.social_cost(instance)
+        P, q, groups, demands, pruned = objective.path_form()
+        masks, _, _ = _face_layout(tuple(map(tuple, groups)), len(q), pruned)
+        # pairs of nonempty supports sharing at most one path, counted by brute force
+        per_pair = []
+        for start, end in instance.paths.od_slices:
+            subsets = [set(c) for k in range(1, end - start + 1) for c in itertools.combinations(range(start, end), k)]
+            per_pair.append(sum(len(a & h) <= 1 for a in subsets for h in subsets))
+        assert objective.faces == len(masks) == math.prod(per_pair)
+        n = instance.n_paths
+        for mask in masks:
+            for start, end in instance.paths.od_slices:
+                assert (mask[start:end] & mask[n + start : n + end]).sum() <= 1
+
+
 class TestQuadratic:
     """Each objective's two views: the descent's link-wise blocks and value, and
     the exact solve's path form and face count. An edit to one view only
@@ -512,15 +577,16 @@ class TestQuadratic:
                 f *= np.repeat(demands / od_sums(instance, f), ends - starts)
                 flows.append(f)
             z, links = np.concatenate(flows), [inc @ f for f in flows]
-            P, q, groups, demands = objective.path_form()
+            P, q, groups, demands, pruned = objective.path_form()
             assert [z[g].sum() for g in groups] == pytest.approx(demands, rel=1e-14)
             assert z @ (0.5 * (P @ z) + q) == pytest.approx(objective.value(links), rel=1e-12, abs=0.0)
             grad = P @ z + q
             for k, x in enumerate(links):
                 block = inc.T @ (objective.quad[k] * x + objective.block_lin(k, links))
                 assert grad[k * n : (k + 1) * n] == pytest.approx(block, rel=1e-12, abs=1e-14)
-            if objective.faces <= _FACE_BUDGET:
-                masks, _, _ = _face_layout(tuple(map(tuple, groups)), len(z))
+            assert pruned == (objective.cross is not None)
+            if objective.faces <= objective.budget:
+                masks, _, _ = _face_layout(tuple(map(tuple, groups)), len(z), pruned)
                 assert len(masks) == objective.faces
             if objective.cross is None:  # the potential's gradient is the link latency at s
                 g = objective.quad[0] * links[0] + objective.block_lin(0, links)
@@ -576,13 +642,16 @@ def two_parallel_links():
     )
 
 
-def swap_once(instance, fa, fh, rows=None):
-    """One class-swap move on the ``rows`` (default: all) of the (starts × paths)
-    flows, in place: the moved mask and the link flows the move kept up to date."""
+def swap_once(instance, fa, fh, rows=None, objective=None):
+    """One class-swap move of ``objective`` (default: the social cost) on the
+    ``rows`` (default: all) of the (starts × paths) flows, in place: the moved
+    mask and the link flows the move kept up to date."""
     links = [fa @ instance.incidence.T, fh @ instance.incidence.T]
     if rows is None:
         rows = np.ones(len(fa), dtype=bool)
-    return _class_swap(instance)([fa, fh], links, rows), links
+    if objective is None:
+        objective = _Quadratic.social_cost(instance)
+    return _class_swap(objective)([fa, fh], links, rows), links
 
 
 def social_costs(instance, fa, fh):
@@ -612,6 +681,19 @@ class TestClassSwap:
         moved, links = swap_once(instance, fa, fh)
         assert moved.tolist() == [False]
         assert np.array_equal(fa, kept[0]) and np.array_equal(fh, kept[1])
+
+    def test_prices_come_from_the_objective(self):
+        # the flows that move above, under a social cost object whose autonomous
+        # weight 2a is set to the human one 2h: a - h = 0 prices every split
+        # alike, so an edit to the object's coefficients reaches the swap
+        instance = two_parallel_links()
+        fa, fh = np.array([[0.75, 0.25]]), np.array([[0.125, 0.875]])
+        objective = _Quadratic.social_cost(instance)
+        even = dataclasses.replace(objective, quad=(objective.quad[1], objective.quad[1]))
+        moved, _ = swap_once(instance, fa, fh, objective=even)
+        assert moved.tolist() == [False]
+        assert fa.tolist() == [[0.75, 0.25]] and fh.tolist() == [[0.125, 0.875]]
+        assert swap_once(instance, fa, fh, objective=objective)[0].tolist() == [True]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 199), draw=st.integers(0, 2**32 - 1))

@@ -2,7 +2,8 @@
 
 From the root of a checkout:
 
-    python3 tools/outputs_digest.py
+    python3 tools/outputs_digest.py          # one hash over all instances
+    python3 tools/outputs_digest.py --each   # and one line per instance first
 
 The instances are the 255 of the three workloads in
 ``benchmarks/workloads.py`` (read, not changed). For each one the digest takes
@@ -12,7 +13,10 @@ optimum and the follower their iterations, traces, gaps, convergence and
 in its workload's oracle scope it also takes ``oracle_optimal``,
 ``oracle_nash`` at the leader's link flows and the flag ``certify_outcome``
 sets. Two checkouts whose digests agree produce bit-identical outputs on all
-of them; a refactor that must change no output is checked that way.
+of them; a refactor that must change no output is checked that way. With
+``--each``, each instance first prints a line ``workload id sha256`` over its
+own outputs, so that ``diff`` of two checkouts' outputs names the instances
+that changed; the last line is the same as without it.
 """
 
 from __future__ import annotations
@@ -31,59 +35,71 @@ from scaleroute.harness import certify_outcome  # noqa: E402
 from workloads import SOLVER, WORKLOADS  # noqa: E402
 
 
-def _feed(digest, *values) -> None:
+def _feed(out: bytearray, *values) -> None:
     """Add each value, an array by its bytes and anything else by its repr."""
     for value in values:
         if isinstance(value, np.ndarray):
             value = np.ascontiguousarray(value, dtype=float)
-            digest.update(repr(value.shape).encode() + value.tobytes())
+            out += repr(value.shape).encode() + value.tobytes()
         else:
-            digest.update(repr(value).encode())
-        digest.update(b";")
+            out += repr(value).encode()
+        out += b";"
 
 
-def _feed_result(digest, result) -> None:
+def _feed_result(out: bytearray, result) -> None:
     flow = result.flow
     _feed(
-        digest, flow.path_flows_a, flow.path_flows_h, flow.link_flows_a, flow.link_flows_h,
+        out, flow.path_flows_a, flow.path_flows_h, flow.link_flows_a, flow.link_flows_h,
         result.potential_or_cost, result.relative_gap, result.iterations, result.converged,
         result.trace, result.exact,
     )
 
 
-def outputs_digest() -> tuple[str, int, int]:
-    """The hex digest, the number of instances and of oracle problems."""
+def _instance_outputs(workload, iid: str, instance) -> tuple[bytearray, int]:
+    """The bytes of one instance's outputs, and its number of oracle problems."""
+    out = bytearray()
+    _feed(out, workload.name, iid)
+    try:
+        outcome = play(instance, SOLVER)
+    except NotConverged as exc:
+        _feed(out, "not converged", str(exc))
+        _feed_result(out, exc.result)
+        return out, 0
+    _feed(
+        out, outcome.alpha, outcome.optimal_cost, outcome.induced_cost,
+        outcome.empirical_poa, outcome.wardrop_gap, outcome.leader_path_flows,
+        outcome.leader_link_flows,
+    )
+    _feed_result(out, outcome.optimal_result)
+    _feed_result(out, outcome.follower_result)
+    oracle = workload.oracle
+    if oracle is None or not is_parallel_link(instance, oracle.max_links):
+        return out, 0
+    flow, cost = oracle_optimal(instance, oracle)
+    t, gap = oracle_nash(instance, outcome.leader_link_flows, oracle)
+    certified = certify_outcome(instance, outcome, oracle).optimum_certified
+    _feed(out, flow.path_flows_a, flow.path_flows_h, cost, t, gap, certified)
+    return out, 2
+
+
+def outputs_digest() -> tuple[str, int, int, list[tuple[str, str, str]]]:
+    """The hex digest, the number of instances and of oracle problems, and per
+    instance its workload, id and the hex digest of its own outputs."""
     digest = hashlib.sha256()
-    instances = oracle_problems = 0
+    oracle_problems = 0
+    rows = []
     for workload in WORKLOADS.values():
         for iid, make in workload.instances:
-            instance = make()
-            instances += 1
-            _feed(digest, workload.name, iid)
-            try:
-                outcome = play(instance, SOLVER)
-            except NotConverged as exc:
-                _feed(digest, "not converged", str(exc))
-                _feed_result(digest, exc.result)
-                continue
-            _feed(
-                digest, outcome.alpha, outcome.optimal_cost, outcome.induced_cost,
-                outcome.empirical_poa, outcome.wardrop_gap, outcome.leader_path_flows,
-                outcome.leader_link_flows,
-            )
-            _feed_result(digest, outcome.optimal_result)
-            _feed_result(digest, outcome.follower_result)
-            oracle = workload.oracle
-            if oracle is None or not is_parallel_link(instance, oracle.max_links):
-                continue
-            flow, cost = oracle_optimal(instance, oracle)
-            t, gap = oracle_nash(instance, outcome.leader_link_flows, oracle)
-            certified = certify_outcome(instance, outcome, oracle).optimum_certified
-            _feed(digest, flow.path_flows_a, flow.path_flows_h, cost, t, gap, certified)
-            oracle_problems += 2
-    return digest.hexdigest(), instances, oracle_problems
+            out, problems = _instance_outputs(workload, iid, make())
+            digest.update(out)
+            oracle_problems += problems
+            rows.append((workload.name, iid, hashlib.sha256(out).hexdigest()))
+    return digest.hexdigest(), len(rows), oracle_problems, rows
 
 
 if __name__ == "__main__":
-    hexdigest, instances, oracle_problems = outputs_digest()
+    hexdigest, instances, oracle_problems, rows = outputs_digest()
+    if "--each" in sys.argv[1:]:
+        for row in rows:
+            print(*row)
     print(f"{hexdigest}  {instances} instances, {oracle_problems} oracle problems")
