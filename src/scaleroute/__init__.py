@@ -39,7 +39,6 @@ from .harness import (
     curve_tables,
     is_parallel_link,
     oracle_nash,
-    oracle_optimal,
     random_instance,
     report_to_csv,
     verify_bounds,

@@ -27,9 +27,9 @@ class StackelbergOutcome:
     ``empirical_poa`` is induced over optimal social cost; it is only a
     certified lower bound of 1 when ``optimum_certified`` is set. ``play``
     never sets it; ``harness.certify_outcome`` does, when the optimum agrees
-    with the exact one: ``optimal_result`` itself where it is exact, else
-    the ``oracle_optimal`` of a parallel-link instance, since the descent
-    certifies block-wise optimality only.
+    with the exact one on a parallel-link instance: ``optimal_result``
+    itself where it is exact, else a fresh ``system_optimal``, exact there,
+    since the descent certifies block-wise optimality only.
     """
 
     instance: GameInstance

@@ -1,21 +1,20 @@
-"""Exact oracles, random instances, batch verification, figure data and CSV.
+"""Exact oracle, random instances, batch verification, figure data and CSV.
 
-The oracles solve the social cost and the follower's Beckmann potential, as
-``solvers._Quadratic`` states them, exactly by the face enumeration of
-``solvers._face_point``: the solve that ``system_optimal`` and
-``follower_equilibrium`` run on the same statements within their face
-budget, bit for bit. The oracles run it at any face count, which grows
-exponentially with the path count, so they are scoped to one O/D pair of at
-most three parallel links (``is_parallel_link``).
+The oracle scope is one O/D pair of at most three parallel links
+(``is_parallel_link``). Within it the social cost has at most 39 faces, well
+within the face budget of ``system_optimal``, so its optimum there is the
+exact face solve. ``oracle_nash`` solves the follower's Beckmann potential,
+as ``solvers._Quadratic`` states it, exactly by the face enumeration of
+``solvers._face_point``, at any face count: the solve that
+``follower_equilibrium`` runs within its face budget, bit for bit.
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
 parallel-link instances are additionally certified against the exact
-optimum (``certify_outcome``). Every instance in the oracle scope is within
-the solvers' face budget, so that optimum is the one ``system_optimal`` has
-already solved, and ``oracle_optimal`` runs only for an optimum that was not
-exact. Curve tables reproduce the characteristic plots (certificate
-functions, region boundaries, bound curves) as labeled CSV series.
+optimum (``certify_outcome``), which is the one ``play`` has already solved
+unless the outcome's optimum is not exact. Curve tables reproduce the
+characteristic plots (certificate functions, region boundaries, bound
+curves) as labeled CSV series.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .bounds import (
 from .errors import DomainError, NotConverged
 from .game import StackelbergOutcome, play
 from .model import (
-    ClassFlow,
     GameInstance,
     Link,
     ODPair,
@@ -44,7 +42,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _face_point, _Quadratic, wardrop_gap
+from .solvers import SolverConfig, _face_point, _Quadratic, system_optimal, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -79,8 +77,9 @@ class OracleConfig:
     """Scope of the exact oracles.
 
     ``max_links`` in [1, 3] is the largest number of parallel links an
-    instance may have to be certified; it keeps the face count, (2^n - 1)^2
-    for n paths, small.
+    instance may have to be certified; it keeps the face counts small: at
+    three links, 39 for the social cost (``solvers._Quadratic.faces``) and
+    7 for the follower's potential.
     """
 
     max_links: int = 3
@@ -103,19 +102,6 @@ def _check_scope(instance: GameInstance, config: OracleConfig) -> None:
         raise DomainError(f"oracle scope: one O/D pair, at most {config.max_links} parallel links")
 
 
-def oracle_optimal(
-    instance: GameInstance, config: OracleConfig = OracleConfig()
-) -> tuple[ClassFlow, float]:
-    """Exact system optimum, the ``_face_point`` of ``_Quadratic.social_cost``.
-    Raises DomainError outside the oracle scope (``is_parallel_link``).
-    Returns the flow and its social cost.
-    """
-    _check_scope(instance, config)
-    z = _face_point(*_Quadratic.social_cost(instance).path_form())
-    flow = ClassFlow.from_path_flows(instance, *np.split(z, 2))
-    return flow, social_cost(instance, flow)
-
-
 def oracle_nash(
     instance: GameInstance, s: np.ndarray, config: OracleConfig = OracleConfig()
 ) -> tuple[np.ndarray, float]:
@@ -123,9 +109,9 @@ def oracle_nash(
 
     The ``_face_point`` of the human path flows t under ``_Quadratic.potential``
     at s, the Beckmann potential with the leader fixed. ``s`` is checked as
-    ``follower_equilibrium`` checks it, and the scope as in ``oracle_optimal``.
-    Returns the human link flows A t and their relative Wardrop gap
-    (``wardrop_gap``).
+    ``follower_equilibrium`` checks it. Raises DomainError outside the oracle
+    scope (``is_parallel_link``). Returns the human link flows A t and their
+    relative Wardrop gap (``wardrop_gap``).
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
@@ -316,24 +302,21 @@ def certify_outcome(
 ) -> StackelbergOutcome:
     """Mark the outcome oracle-certified if the exact optimum agrees.
 
-    The exact optimum is the outcome's own optimum result when that is exact
-    (``EquilibriumResult.exact``: the same face solve ``oracle_optimal``
-    would repeat), with its social cost; otherwise it is ``oracle_optimal``.
+    The exact optimum is the outcome's ``optimal_result`` where that is
+    ``exact``, else ``system_optimal``, exact throughout the oracle scope.
     Certification requires total link flows within ``ORACLE_FLOW_TOL`` of the
     exact optimum's (the class split is not unique when a link has equal
     slopes) and a solver cost at most 1e-3 * (1 + |exact cost|) above its
-    cost, so an outcome whose flow or cost was changed after the solve is
-    not certified. Raises DomainError outside the oracle scope
+    cost, so an outcome whose flow or cost was changed after the solve is not
+    certified. Raises DomainError outside the oracle scope
     (``is_parallel_link``) or when the outcome was played on another instance.
     """
     if outcome.instance is not instance:
         raise DomainError("the outcome was played on another instance")
     _check_scope(instance, oracle_config)
     result = outcome.optimal_result
-    if result.exact:
-        exact_flow, exact_cost = result.flow, social_cost(instance, result.flow)
-    else:
-        exact_flow, exact_cost = oracle_optimal(instance, oracle_config)
+    exact_flow = (result if result.exact else system_optimal(instance)).flow
+    exact_cost = social_cost(instance, exact_flow)
     flows_close = bool(
         np.max(
             np.abs(outcome.optimal_flow.total_link_flows - exact_flow.total_link_flows)

@@ -19,15 +19,16 @@ social cost it solves only the faces whose autonomous and human supports
 share at most one path per O/D pair, which loses no minimum, since the cost
 is linear along a class swap (``_face_layout``). The face count
 (``_Quadratic.faces``) still grows exponentially with the path count
-(Pardalos and Vavasis, 1991), so the exact solve (``_exact``) runs only
-within the objective's ``budget``, set near where it costs as much as the
-descent; one solve counts as one iteration, and its trace holds the
-objective at its point.
+(Pardalos and Vavasis, 1991), so both solvers dispatch through ``_solve``,
+which runs the exact solve (``_exact``) only within the objective's
+``budget``, set near where it costs as much as the descent; one solve counts
+as one iteration, and its trace holds the objective at its point.
 
-Above the budget both solvers run one loop (``_descend``): block-coordinate
-descent over the enumerated path polytope of each class block, where block k
-minimizes ``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by
-the other block. The loop runs a batch of starts at once: the path flows of
+Above the budget both solvers run one loop (``_descend``, from the
+objective's ``_starts`` in ``_by_descent``): block-coordinate descent over
+the enumerated path polytope of each class block, where block k minimizes
+``sum_l [ quad_l x_l^2 / 2 + lin_l x_l ]`` with ``lin`` fixed by the other
+block. The loop runs a batch of starts at once: the path flows of
 a block are a (starts × paths) array, and every numpy call of a round serves
 all live starts, so a batch takes as many rounds as its longest start, not
 the sum of their rounds. A round gives each block of each start in turn one
@@ -43,11 +44,11 @@ none of its path flows. Each start keeps its own round budget, and an
 iteration is a round in which it tried a step; its trace holds the objective
 at the start of each of its rounds, so the last entry is its returned point.
 
-The human equilibrium is the loop with one block. The system optimum is
-nonconvex in the joint class flows whenever a_l != h_l, but strictly convex
-in each class separately; it runs the loop once, with both blocks, from all
-its distinct multistart points. A round of the optimum is the autonomous
-block, then the human block, then one exact class-swap move
+The human equilibrium is the loop with one block, from one start. The system
+optimum is nonconvex in the joint class flows whenever a_l != h_l, but
+strictly convex in each class separately; it runs the loop once, with both
+blocks, from all its distinct starts. A round of the optimum is the
+autonomous block, then the human block, then one exact class-swap move
 (``_class_swap``) on the starts that tried a step: at fixed total path flows
 the social cost is linear in the class split, which the blocks, each moving
 one class and so the total flow, only reach by zigzagging.
@@ -77,7 +78,7 @@ from .model import ClassFlow, GameInstance, check_leader_flows
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
-_MULTISTARTS = 15  # optimum start draws (all-or-nothing, then vertices), before repeats are dropped
+_MULTISTARTS = 15  # social-cost start draws of _starts, before repeats are dropped
 #: the most faces (``_Quadratic.faces``) each solver enumerates exactly; above it, it
 #: descends. The optimum's 15-start descent costs as much as the face solve between 585
 #: faces (verify-default rows with 312 and 585 faces: 20 ms exact against 44 ms of
@@ -141,13 +142,18 @@ class EquilibriumResult:
 
 
 def _result(
-    instance: GameInstance, fa: np.ndarray, fh: np.ndarray, gap: float, iterations: int,
-    trace: tuple[float, ...], tol: float, exact: bool = False,
+    objective: _Quadratic, flows: Sequence[np.ndarray], gap: float, iterations: int,
+    trace: tuple[float, ...], config: SolverConfig, exact: bool = False,
 ) -> EquilibriumResult:
-    """Both solvers' result: path flows ``fa`` and ``fh`` and their descent or
-    exact solve, against ``tol``."""
-    flow = ClassFlow.from_path_flows(instance, fa, fh)
-    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), bool(gap <= tol), trace, exact)
+    """Both solvers' result: the path flows of each block of ``objective`` and
+    their descent or exact solve, against ``config.relative_gap_tol``. The
+    potential's one block is the human class, beside zero autonomous flow."""
+    instance = objective.instance
+    if len(flows) == 1:
+        flows = [np.zeros(instance.n_paths), *flows]
+    flow = ClassFlow.from_path_flows(instance, *flows)
+    converged = bool(gap <= config.relative_gap_tol)
+    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), converged, trace, exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,10 +624,10 @@ def _face_point(
     return z
 
 
-def _exact(objective: _Quadratic) -> tuple[list[np.ndarray], tuple[float, int, tuple[float, ...]]]:
-    """The ``_face_point`` of ``objective``: its path flows per block, and what
-    ``_descend`` reports for them: the largest block gap there (NaN if any is
-    NaN), one iteration, and a trace of the value there."""
+def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
+    """The ``_face_point`` of ``objective``, reported as ``_descend`` reports an
+    end point: the largest block gap there (NaN if any is NaN), one iteration,
+    and a trace of the value there; with ``exact`` set."""
     instance, n = objective.instance, objective.instance.n_paths
     z = _face_point(*objective.path_form())
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
@@ -630,22 +636,71 @@ def _exact(objective: _Quadratic) -> tuple[list[np.ndarray], tuple[float, int, t
         _block_gap(instance, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
         for k, (demands, quad) in enumerate(zip(objective.demands, objective.quad))
     ]
-    return flows, (float(functools.reduce(np.maximum, gaps)[0]), 1, (float(objective.value(links)[0]),))
+    gap = functools.reduce(np.maximum, gaps)[0]
+    trace = (float(objective.value(links)[0]),)
+    return _result(objective, flows, gap, 1, trace, config, exact=True)
+
+
+# --- the descent above the face budget ------------------------------------------------
+
+
+def _starts(objective: _Quadratic, seed: int) -> tuple[np.ndarray, ...]:
+    """The start points of ``_by_descent``, as (starts × paths) path flows per block.
+
+    Row 0 loads each block's demands all-or-nothing at its gradient at zero
+    flow, A' lin: the free-flow times for the social cost, the latencies of
+    zero human flow for the potential. The potential is convex and starts
+    there alone. The nonconvex social cost adds ``_MULTISTARTS`` - 1 random
+    vertices seeded by ``seed``, each loading one path per O/D pair and class
+    (vertices, since the pairwise sweep empties at most one path per pair and
+    round), and keeps the distinct rows in first-draw order.
+    """
+    instance = objective.instance
+    at_zero = (instance.incidence.T @ objective.lin)[None]
+    draws = [_all_or_nothing(instance, at_zero, demands)[0] for demands in objective.demands]
+    if objective.cross is None:
+        return tuple(draws)
+    slices = instance.paths.od_slices
+    offsets = np.array([start for start, _ in slices])
+    sizes = np.array([end - start for start, end in slices])
+    n_random = _MULTISTARTS - 1
+    # one vertex per O/D pair and class, drawn in the order draw, pair, class
+    vertices = np.random.default_rng(seed).integers(np.tile(np.repeat(sizes, 2), n_random))
+    vertices = vertices.reshape(n_random, len(sizes), 2)
+    for c, demands in enumerate(objective.demands):
+        f = np.zeros((n_random, instance.n_paths))
+        f[np.arange(n_random)[:, None], offsets + vertices[:, :, c]] = demands
+        draws[c] = np.vstack([draws[c], f])
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(np.hstack(draws)):
+        first.setdefault(row.tobytes(), i)
+    keep = list(first.values())
+    return tuple(draw[keep] for draw in draws)
+
+
+def _by_descent(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
+    """Either solver above the face budget: one ``_descend`` of ``objective``
+    from all its ``_starts`` at once, seeded by ``config.seed``. Returns the
+    lowest end point, the first start on near-ties, with ``iterations`` summed
+    over the starts."""
+    flows = _starts(objective, config.seed)  # _descend moves them in place
+    gaps, iterations, traces = _descend(objective, flows, config)
+    best = 0
+    for i, trace in enumerate(traces):
+        if trace[-1] < traces[best][-1] - 1e-15:
+            best = i
+    return _result(objective, [f[best] for f in flows], gaps[best], iterations.sum(), traces[best], config)
 
 
 # --- the solvers ---------------------------------------------------------------------
 
 
-def _follower_by_descent(
-    instance: GameInstance, s: np.ndarray, config: SolverConfig
-) -> EquilibriumResult:
-    """``follower_equilibrium`` above the face budget, at checked leader link
-    flows ``s``: ``_descend`` on the potential from the all-or-nothing load at
-    the latencies of zero human flow."""
-    objective = _Quadratic.potential(instance, s)
-    t = _all_or_nothing(instance, (instance.incidence.T @ objective.lin)[None], instance.human_demands)[0][0]
-    (gap,), (iterations,), (trace,) = _descend(objective, (t[None],), config)
-    return _result(instance, np.zeros(instance.n_paths), t, gap, iterations, trace, config.relative_gap_tol)
+def _solve(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
+    """Both solvers: the ``_exact`` solve within the objective's face ``budget``,
+    else ``_by_descent``."""
+    if objective.faces <= objective.budget:
+        return _exact(objective, config)
+    return _by_descent(objective, config)
 
 
 def follower_equilibrium(
@@ -659,20 +714,15 @@ def follower_equilibrium(
     the potential's ``budget`` of 225 faces the result is its ``_exact``
     solve: one solve, counted as one iteration, to which
     ``config.max_iterations`` does not apply, with ``exact`` set. Above the
-    budget it is ``_follower_by_descent``. Either way ``relative_gap`` is
-    the Wardrop gap at the returned point, and a human class of zero demand
-    gets exactly zero flow. Link flows at the optimum are unique (h_l > 0);
-    the path decomposition is the solver's. Raises on a leader flow that is not a
-    finite nonnegative link vector (``check_leader_flows``), but never on
-    non-convergence: the result then carries its point with
-    ``converged=False``.
+    budget it is ``_by_descent`` from one start, which reads no seed. Either
+    way ``relative_gap`` is the Wardrop gap at the returned point, and a
+    human class of zero demand gets exactly zero flow. Link flows at the
+    optimum are unique (h_l > 0); the path decomposition is the solver's.
+    Raises on a leader flow that is not a finite nonnegative link vector
+    (``check_leader_flows``), but never on non-convergence: the result then
+    carries its point with ``converged=False``.
     """
-    s = check_leader_flows(instance, s)
-    objective = _Quadratic.potential(instance, s)
-    if objective.faces > objective.budget:
-        return _follower_by_descent(instance, s, config)
-    (t,), report = _exact(objective)
-    return _result(instance, np.zeros(instance.n_paths), t, *report, config.relative_gap_tol, exact=True)
+    return _solve(_Quadratic.potential(instance, check_leader_flows(instance, s)), config)
 
 
 def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
@@ -690,59 +740,6 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
     return float(_block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0][0])
 
 
-def _multistart_points(instance: GameInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows among ``_MULTISTARTS`` start draws, in first-draw order, as
-    (starts × paths) arrays of autonomous and human path flows: per-class
-    all-or-nothing at free flow, then seeded random vertices, each on one path per
-    O/D pair, since the pairwise sweep empties at most one path per pair and round."""
-    slices = instance.paths.od_slices
-    offsets = np.array([start for start, _ in slices])
-    sizes = np.array([end - start for start, end in slices])
-    free_flow = (instance.incidence.T @ instance.b)[None]
-    n_random = _MULTISTARTS - 1
-    # one vertex per O/D pair and class, drawn in the order draw, pair, class
-    vertices = np.random.default_rng(seed).integers(np.tile(np.repeat(sizes, 2), n_random))
-    vertices = vertices.reshape(n_random, len(sizes), 2)
-    draws = []
-    for c, demands in enumerate((instance.auto_demands, instance.human_demands)):
-        f = np.zeros((_MULTISTARTS, instance.n_paths))
-        f[0] = _all_or_nothing(instance, free_flow, demands)[0][0]
-        f[np.arange(1, _MULTISTARTS)[:, None], offsets + vertices[:, :, c]] = demands
-        draws.append(f)
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(np.hstack(draws)):
-        first.setdefault(row.tobytes(), i)
-    keep = list(first.values())
-    return draws[0][keep], draws[1][keep]
-
-
-def _optimum_by_descent(instance: GameInstance, config: SolverConfig) -> EquilibriumResult:
-    """``system_optimal`` above the face budget: the multistart descent.
-
-    One ``_descend`` of the social cost runs from all distinct points among 15
-    fixed start draws seeded by ``config.seed`` (``_multistart_points``) at
-    once: each round steps the autonomous block of every live start at its
-    current human flow, then the human block at the new autonomous flow,
-    skipping a block whose gap is within tolerance, and then, on the starts
-    that tried a block step, the exact class swap of ``_class_swap``, which the
-    two blocks alone only approach by zigzagging. ``config.max_iterations``
-    bounds the rounds of each start that try a step, and ``iterations`` sums
-    them over the starts. Returns the lowest-cost end point, the first start
-    on near-ties; ``relative_gap`` is the larger of the two block gaps at that
-    point, so convergence certifies block-wise optimality only.
-    """
-    flows = _multistart_points(instance, config.seed)  # _descend moves them in place
-    gaps, iterations, traces = _descend(_Quadratic.social_cost(instance), flows, config)
-    best = 0
-    for i, trace in enumerate(traces):
-        if trace[-1] < traces[best][-1] - 1e-15:
-            best = i
-    return _result(
-        instance, flows[0][best], flows[1][best], gaps[best], iterations.sum(), traces[best],
-        config.relative_gap_tol,
-    )
-
-
 def system_optimal(
     instance: GameInstance, config: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
@@ -752,13 +749,9 @@ def system_optimal(
     ``_exact`` solve of ``_Quadratic.social_cost``, the global minimum: one
     solve, counted as one iteration, to which ``config.max_iterations`` and
     ``config.seed`` do not apply, with ``exact`` set; a class of zero demand
-    gets exactly zero flow. Above the budget it is ``_optimum_by_descent``,
-    whose convergence certifies block-wise optimality only. Either way
-    ``relative_gap`` is the larger of the two block gaps at the returned
-    point.
+    gets exactly zero flow. Above the budget it is ``_by_descent`` from the
+    distinct ``_starts``, whose convergence certifies block-wise optimality
+    only. Either way ``relative_gap`` is the larger of the two block gaps at
+    the returned point.
     """
-    objective = _Quadratic.social_cost(instance)
-    if objective.faces > objective.budget:
-        return _optimum_by_descent(instance, config)
-    (fa, fh), report = _exact(objective)
-    return _result(instance, fa, fh, *report, config.relative_gap_tol, exact=True)
+    return _solve(_Quadratic.social_cost(instance), config)

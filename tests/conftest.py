@@ -14,7 +14,6 @@ from scaleroute import (
     SolverConfig,
     build_instance,
     oracle_nash,
-    oracle_optimal,
     play,
     random_instance,
     verify_bounds,
@@ -96,22 +95,20 @@ def verification_report():
 
 @pytest.fixture(scope="session")
 def parallel_batch():
-    """50 parallel-link instances with solver and oracle solutions (criterion 10)."""
+    """50 parallel-link instances with their played optimum and follower, and the
+    oracle's follower at the leader's link flows (criterion 10)."""
     shape = ShapeConfig(parallel_probability=1.0)
     oracle_cfg = OracleConfig()
     rows = []
     for seed in range(1000, 1050):
         instance = random_instance(seed, shape)
         outcome = play(instance, BATCH_SOLVER)
-        oracle_flow, oracle_cost = oracle_optimal(instance, oracle_cfg)
         oracle_t, oracle_gap = oracle_nash(instance, outcome.leader_link_flows, oracle_cfg)
         rows.append(
             {
                 "seed": seed,
                 "instance": instance,
                 "opt": outcome.optimal_result,
-                "oracle_flow": oracle_flow,
-                "oracle_cost": oracle_cost,
                 "s_link": outcome.leader_link_flows,
                 "follower": outcome.follower_result,
                 "oracle_t": oracle_t,

@@ -12,9 +12,10 @@ import pytest
 import scaleroute as sr
 from scaleroute import harness
 from scaleroute.harness import ORACLE_FLOW_TOL, certify_outcome
-from scaleroute.solvers import _multistart_points, _optimum_by_descent
+from scaleroute.solvers import _by_descent, _Quadratic, _starts
 
 from conftest import make_pigou, make_two_identical, od_sums
+from test_solvers import optimal_grid_two_links
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -118,9 +119,10 @@ class TestPlay:
         # each condition alone keeps an outcome uncertified
         outcome = sr.play(pigou)
         assert certify_outcome(pigou, outcome).optimum_certified
-        _, oracle_cost = sr.oracle_optimal(pigou)
+        # the grid's best split costs no less than the exact optimum
+        grid_cost = optimal_grid_two_links(pigou)[2]
         if disagreement == "cost":
-            off = dataclasses.replace(outcome, optimal_cost=oracle_cost + 2e-3 * (1.0 + abs(oracle_cost)))
+            off = dataclasses.replace(outcome, optimal_cost=grid_cost + 2e-3 * (1.0 + abs(grid_cost)))
         else:
             opt = outcome.optimal_flow
             fh = opt.path_flows_h + np.array([2.0 * ORACLE_FLOW_TOL, 0.0])
@@ -130,20 +132,20 @@ class TestPlay:
         assert not certify_outcome(pigou, off).optimum_certified
 
     def test_exact_optimum_is_reused(self, pigou, monkeypatch):
-        # the exact optimum is the solve oracle_optimal would repeat; a descent
-        # optimum still needs the oracle, and is certified only where it agrees
+        # an exact optimum is reused without a solve; a descent optimum needs
+        # one exact solve, and is certified only where it agrees
         calls = []
 
-        def oracle(instance, config=sr.OracleConfig()):
+        def solve(instance, config=sr.SolverConfig()):
             calls.append(instance)
-            return sr.oracle_optimal(instance, config)
+            return sr.system_optimal(instance, config)
 
-        monkeypatch.setattr(harness, "oracle_optimal", oracle)
+        monkeypatch.setattr(harness, "system_optimal", solve)
         outcome = sr.play(pigou)
         assert outcome.optimal_result.exact
         assert certify_outcome(pigou, outcome).optimum_certified
         assert calls == []
-        descent = _optimum_by_descent(pigou, sr.SolverConfig())
+        descent = _by_descent(_Quadratic.social_cost(pigou), sr.SolverConfig())
         cost = sr.social_cost(pigou, descent.flow)
         agreeing = dataclasses.replace(
             outcome, optimal_result=descent, optimal_flow=descent.flow, optimal_cost=cost
@@ -195,7 +197,7 @@ class TestNotConverged:
         assert result.converged is False
         assert result_bits(result) == result_bits(sr.system_optimal(instance, self.CONFIG))
         # each of the 14 distinct starts spends its one-round budget
-        assert len(_multistart_points(instance, self.CONFIG.seed)[0]) == result.iterations == 14
+        assert len(_starts(_Quadratic.social_cost(instance), self.CONFIG.seed)[0]) == result.iterations == 14
 
     def test_induced_equilibrium_gate(self):
         # the optimum (total flows 1/4, 1/2 and 1/4 on e1, e2 and e8) is

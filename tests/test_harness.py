@@ -19,18 +19,19 @@ from scaleroute.harness import (
     MAX_LINKS,
     MAX_NODES,
     MAX_OD_PAIRS,
+    certify_outcome,
     format_float,
     region_alpha_intervals,
     report_to_csv,
 )
-from scaleroute.solvers import _face_minimum, _optimum_by_descent, _Quadratic
+from scaleroute.solvers import _by_descent, _face_minimum, _Quadratic
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
 from test_solvers import optimal_grid_two_links
 
 LOWMU_SHAPE = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
 
-#: oracle_optimal's total link flows and cost on LOWMU_SHAPE seeds
+#: the exact optimum's total link flows and social cost on LOWMU_SHAPE seeds
 EXACT_THREE_LINK_OPTIMA = {
     1000: ([0.7623661549856844, 0.45018494975183265, 0.7634422681007413], 2.3173589196197018),
     1002: ([0.22206373219439068, 0.6846379265077468, 0.017913181994395178], 0.9888659497441059),
@@ -195,7 +196,7 @@ class TestSystemOptimumIsExact:
             instance = make_braess()
         assert not sr.is_parallel_link(instance)
         _, exact = _face_minimum(*_Quadratic.social_cost(instance).path_form())
-        solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
+        solved = sr.social_cost(instance, _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig()).flow)
         assert abs(solved - exact) <= 1e-12 * abs(exact)
 
     def test_verify_default_seeds(self):
@@ -206,7 +207,7 @@ class TestSystemOptimumIsExact:
             if objective.faces > self.MAX_FACES:
                 continue
             _, exact = _face_minimum(*objective.path_form())
-            solved = sr.social_cost(instance, _optimum_by_descent(instance, sr.SolverConfig()).flow)
+            solved = sr.social_cost(instance, _by_descent(objective, sr.SolverConfig()).flow)
             assert abs(solved - exact) <= 1e-12 * abs(exact), seed
             checked += 1
             general += not sr.is_parallel_link(instance)
@@ -232,11 +233,13 @@ class TestOracleProperties:
     @settings(max_examples=60, deadline=None)
     @given(instance=parallel_instances())
     def test_optimal_is_feasible_and_lowest(self, instance):
-        flow, cost = sr.oracle_optimal(instance)
+        # the exact optimum of the oracle scope against the descent alone and the grid
+        flow = sr.system_optimal(instance).flow
+        cost = sr.social_cost(instance, flow)
         assert np.abs(od_sums(instance, flow.path_flows_a) - instance.auto_demands).max() <= 1e-14
         assert np.abs(od_sums(instance, flow.path_flows_h) - instance.human_demands).max() <= 1e-14
         assert flow.path_flows_a.min() >= 0.0 and flow.path_flows_h.min() >= 0.0
-        solved = _optimum_by_descent(instance, sr.SolverConfig()).potential_or_cost
+        solved = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig()).potential_or_cost
         assert cost <= solved * (1.0 + 1e-12)
         if instance.n_links == 2:
             assert cost <= optimal_grid_two_links(instance, resolution=1e-2)[2] + 1e-12
@@ -252,8 +255,7 @@ class TestOracleProperties:
     ))
     def test_nash_is_an_equilibrium(self, instance):
         od = instance.od_pairs[0]
-        flow, _ = sr.oracle_optimal(instance)
-        s = od.alpha * flow.total_link_flows  # the SCALE leader's link flows
+        s = od.alpha * sr.system_optimal(instance).flow.total_link_flows  # the SCALE leader's link flows
         t, gap = sr.oracle_nash(instance, s)
         human = (1.0 - od.alpha) * od.demand
         assert t.min() >= 0.0
@@ -266,28 +268,30 @@ class TestOracleProperties:
 
 
 class TestOraclesShareTheSolve:
-    """The oracles and the exact solvers run one face solve on one statement of
-    each objective, bit for bit: ``certify_outcome``'s reuse of an exact
-    optimum rests on it."""
+    """Within the oracle scope both solvers are exact, and ``oracle_nash`` and the
+    exact follower run one face solve on one statement of the potential, bit
+    for bit: ``certify_outcome``'s reuse of an exact optimum, and its fallback
+    to ``system_optimal``, rest on it."""
 
     def test_parallel_batch(self, parallel_batch):
         for row in parallel_batch:
             opt, follower = row["opt"], row["follower"]
             assert opt.exact and follower.exact
-            assert np.array_equal(row["oracle_flow"].path_flows_a, opt.flow.path_flows_a)
-            assert np.array_equal(row["oracle_flow"].path_flows_h, opt.flow.path_flows_h)
+            # no lower than the descent alone, the independent reference
+            descent = _by_descent(_Quadratic.social_cost(row["instance"]), sr.SolverConfig())
+            assert opt.potential_or_cost <= descent.potential_or_cost * (1.0 + 1e-12)
             assert np.array_equal(row["oracle_t"], follower.flow.link_flows_h)
 
     @settings(max_examples=60, deadline=None)
     @given(instance=parallel_instances())
     def test_parallel_instances(self, instance):
         opt = sr.system_optimal(instance)
-        flow, _ = sr.oracle_optimal(instance)
-        assert np.array_equal(flow.path_flows_a, opt.flow.path_flows_a)
-        assert np.array_equal(flow.path_flows_h, opt.flow.path_flows_h)
+        assert opt.exact
         s = instance.od_pairs[0].alpha * opt.flow.total_link_flows  # the SCALE leader's link flows
         t, _ = sr.oracle_nash(instance, s)
-        assert np.array_equal(t, sr.follower_equilibrium(instance, s).flow.link_flows_h)
+        follower = sr.follower_equilibrium(instance, s)
+        assert follower.exact
+        assert np.array_equal(t, follower.flow.link_flows_h)
 
 
 def steep_pair(h: float) -> sr.GameInstance:
@@ -301,20 +305,23 @@ STEEP_SLOPES = [1e5, 1e6, 1e8, 1e12]
 
 
 class TestOracleOptimal:
+    """The exact optimum that ``certify_outcome`` checks against: the outcome's own
+    where it is exact, else ``system_optimal``, exact throughout the oracle scope."""
+
     @pytest.mark.parametrize("h", STEEP_SLOPES)
     def test_exact_at_steep_slopes(self, h):
         instance = steep_pair(h)
-        _, cost = sr.oracle_optimal(instance)
-        optimum = sr.system_optimal(instance).potential_or_cost
+        cost = sr.system_optimal(instance).potential_or_cost
+        optimum = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig()).potential_or_cost
         assert abs(cost - optimum) <= 1e-12 * optimum
 
     def test_pigou_cost(self, pigou):
-        _, cost = sr.oracle_optimal(pigou)
+        cost = sr.system_optimal(pigou).potential_or_cost
         assert cost == pytest.approx(0.75, abs=1e-2)
 
     def test_identical_links_split_evenly(self):
         instance = make_two_identical(alpha=0.5)
-        flow, _ = sr.oracle_optimal(instance)
+        flow = sr.system_optimal(instance).flow
         assert flow.total_link_flows == pytest.approx([0.5, 0.5], abs=1e-3)
 
     def test_single_link_unique_point(self):
@@ -323,14 +330,17 @@ class TestOracleOptimal:
             [sr.Link("e", "1", "2", 0.5, 1.0, 1.0)],
             [sr.ODPair("1", "2", 2.0, 0.25)],
         )
-        flow, cost = sr.oracle_optimal(instance)
+        result = sr.system_optimal(instance)
+        flow, cost = result.flow, result.potential_or_cost
         assert flow.total_link_flows == pytest.approx([2.0])
         expected = 2.0 * (0.5 * 0.5 + 1.0 * 1.5 + 1.0)
         assert cost == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_parallel(self, braess):
         with pytest.raises(sr.DomainError, match="oracle scope"):
-            sr.oracle_optimal(braess)
+            certify_outcome(braess, sr.play(braess))
+        with pytest.raises(sr.DomainError, match="oracle scope"):
+            sr.oracle_nash(braess, np.zeros(braess.n_links))
 
     def test_rejects_too_many_links(self):
         instance = sr.build_instance(
@@ -339,7 +349,9 @@ class TestOracleOptimal:
             [sr.ODPair("1", "2", 1.0, 0.5)],
         )
         with pytest.raises(sr.DomainError, match="oracle scope"):
-            sr.oracle_optimal(instance)
+            certify_outcome(instance, sr.play(instance))
+        with pytest.raises(sr.DomainError, match="oracle scope"):
+            sr.oracle_nash(instance, np.zeros(instance.n_links))
 
     @pytest.mark.parametrize(
         "seed, totals, cost",
@@ -353,7 +365,8 @@ class TestOracleOptimal:
         # point, so the exact optimum costs no more and lies within its flow error
         instance = sr.random_instance(seed, LOWMU_SHAPE)
         assert instance.n_links == 3
-        flow, got = sr.oracle_optimal(instance)
+        flow = sr.system_optimal(instance).flow
+        got = sr.social_cost(instance, flow)
         assert got <= cost
         assert np.abs(flow.total_link_flows - totals).max() <= 1e-5
         exact_totals, exact_cost = EXACT_THREE_LINK_OPTIMA[seed]

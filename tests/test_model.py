@@ -244,7 +244,8 @@ class TestSocialCost:
         assert sr.social_cost(instance, flow) == pytest.approx(1.0)
 
     def test_pigou_optimum_near_three_quarters(self, pigou):
-        flow, cost = sr.oracle_optimal(pigou)
+        result = sr.system_optimal(pigou)
+        flow, cost = result.flow, result.potential_or_cost
         assert cost == pytest.approx(0.75, abs=1e-2)
         assert sr.social_cost(pigou, flow) == pytest.approx(cost, abs=1e-9)
 

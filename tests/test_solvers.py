@@ -21,16 +21,15 @@ from scaleroute.solvers import (
     _OPTIMUM_FACE_BUDGET,
     _all_or_nothing,
     _block_gap,
+    _by_descent,
     _cheapest,
     _class_swap,
     _descend,
     _face_layout,
     _face_minimum,
-    _follower_by_descent,
-    _multistart_points,
-    _optimum_by_descent,
     _Quadratic,
     _relative_gap,
+    _starts,
 )
 
 from conftest import make_braess, make_pigou, make_two_identical, od_sums
@@ -146,7 +145,7 @@ class TestFollowerEquilibrium:
             [sr.ODPair("1", "2", 1.0, 0.0)],
         )
         config = sr.SolverConfig(max_iterations=2, relative_gap_tol=1e-16)
-        result = _follower_by_descent(instance, np.zeros(3), config)
+        result = _by_descent(_Quadratic.potential(instance, np.zeros(3)), config)
         assert not result.converged
         assert result.iterations == 2
         assert result.flow.path_flows_h.sum() == pytest.approx(1.0)
@@ -188,7 +187,8 @@ class TestFollowerEquilibrium:
         # g.x overflows at the all-or-nothing start, so its gap is NaN, but the
         # latencies are finite and the first step brings g.x back in range
         with np.errstate(over="ignore", invalid="ignore"):
-            result = _follower_by_descent(make_pigou(alpha=0.0, demand=1e155), np.zeros(2), sr.SolverConfig())
+            objective = _Quadratic.potential(make_pigou(alpha=0.0, demand=1e155), np.zeros(2))
+            result = _by_descent(objective, sr.SolverConfig())
         assert result.converged
         assert result.iterations >= 1
 
@@ -204,7 +204,7 @@ class TestFollowerEquilibrium:
         # pinned results of the follower's step: an edit to _block_step that
         # changes the follower fails here
         instance = make()
-        result = _follower_by_descent(instance, 0.1 * np.ones(instance.n_links), sr.SolverConfig())
+        result = _by_descent(_Quadratic.potential(instance, 0.1 * np.ones(instance.n_links)), sr.SolverConfig())
         assert result.iterations == iterations
         assert result.relative_gap == gap
         assert len(result.trace) == trace_length
@@ -213,7 +213,8 @@ class TestFollowerEquilibrium:
         # every iterate overflows, so no gap is a number; the second step
         # leaves the path flows unchanged, which ends the solve
         with np.errstate(over="ignore", invalid="ignore"):
-            result = _follower_by_descent(make_pigou(alpha=0.0, demand=1e160), np.zeros(2), sr.SolverConfig())
+            objective = _Quadratic.potential(make_pigou(alpha=0.0, demand=1e160), np.zeros(2))
+            result = _by_descent(objective, sr.SolverConfig())
         assert result.iterations == 2
         assert math.isnan(result.relative_gap)
         assert not result.converged
@@ -296,7 +297,7 @@ class TestSystemOptimal:
         # and each start ends after its second round, which moves no flow,
         # instead of spending the budget
         with np.errstate(over="ignore", invalid="ignore"):
-            result = _optimum_by_descent(make_pigou(alpha=alpha, demand=1e160), sr.SolverConfig())
+            result = _by_descent(_Quadratic.social_cost(make_pigou(alpha=alpha, demand=1e160)), sr.SolverConfig())
         assert not result.converged
         assert math.isnan(result.relative_gap)
         assert len(result.trace) == 2
@@ -308,7 +309,7 @@ class TestSystemOptimal:
     )
     def test_trace_nonincreasing(self, make):
         # each iteration steps both class blocks downhill on the shared flows
-        trace = np.array(_optimum_by_descent(make(), sr.SolverConfig()).trace)
+        trace = np.array(_by_descent(_Quadratic.social_cost(make()), sr.SolverConfig()).trace)
         assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
     @pytest.mark.parametrize(
@@ -318,7 +319,7 @@ class TestSystemOptimal:
     )
     def test_pinned_runs(self, make, iterations, trace_length):
         # pinned rounds of the shared descent: an edit to its round rule fails here
-        result = _optimum_by_descent(make(), sr.SolverConfig())
+        result = _by_descent(_Quadratic.social_cost(make()), sr.SolverConfig())
         assert result.converged
         assert result.iterations == iterations
         assert len(result.trace) == trace_length
@@ -347,10 +348,8 @@ class TestSystemOptimal:
     def test_rounds_over_random_seeds(self):
         # pinned total rounds: the two blocks alone zigzag along the class split and
         # took 2,677; a change that brings that back fails here
-        total = sum(
-            _optimum_by_descent(sr.random_instance(seed, sr.ShapeConfig()), sr.SolverConfig()).iterations
-            for seed in range(50)
-        )
+        objectives = (_Quadratic.social_cost(sr.random_instance(seed, sr.ShapeConfig())) for seed in range(50))
+        total = sum(_by_descent(objective, sr.SolverConfig()).iterations for objective in objectives)
         assert total == 1088
 
     def test_path_heavy_grid(self):
@@ -365,8 +364,8 @@ class TestSystemOptimal:
         # seed 15: 13 distinct starts, none of which reaches a zero gap in 3 iterations
         instance = sr.random_instance(15, sr.ShapeConfig())
         config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
-        result = _optimum_by_descent(instance, config)
-        assert result.iterations == 3 * len(_multistart_points(instance, config.seed)[0])
+        result = _by_descent(_Quadratic.social_cost(instance), config)
+        assert result.iterations == 3 * len(_starts(_Quadratic.social_cost(instance), config.seed)[0])
         # the start's cost, three stepping rounds, and the round that finds the budget spent
         assert len(result.trace) == 4
         assert not result.converged
@@ -417,7 +416,7 @@ class TestFaceBudget:
         assert exact.potential_or_cost == pytest.approx(value, rel=1e-14)
         descent = sr.system_optimal(over)
         assert not descent.exact and descent.converged and descent.iterations > 1
-        by_descent = [_optimum_by_descent(instance, sr.SolverConfig()) for instance in (at, over)]
+        by_descent = [_by_descent(_Quadratic.social_cost(instance), sr.SolverConfig()) for instance in (at, over)]
         assert not any(result.exact for result in by_descent)
         assert same_result(descent, by_descent[1])
 
@@ -427,7 +426,7 @@ class TestFaceBudget:
         s = np.full(7, 0.25)
         exact = sr.follower_equilibrium(at, s)
         assert exact.exact and exact.converged and exact.iterations == 1 and len(exact.trace) == 1
-        assert not _follower_by_descent(at, s, sr.SolverConfig()).exact
+        assert not _by_descent(_Quadratic.potential(at, s), sr.SolverConfig()).exact
         # the true Wardrop gap at the returned point, not a written 0
         t_link = exact.flow.link_flows_h[None]
         (gap,), _ = _block_gap(at, at.human_demands, at.h * t_link + (at.a * s + at.b), t_link)
@@ -435,7 +434,7 @@ class TestFaceBudget:
         s = np.full(8, 0.25)
         descent = sr.follower_equilibrium(over, s)
         assert not descent.exact and descent.converged and descent.iterations > 1
-        by_descent = _follower_by_descent(over, s, sr.SolverConfig())
+        by_descent = _by_descent(_Quadratic.potential(over, s), sr.SolverConfig())
         assert not by_descent.exact and same_result(descent, by_descent)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -608,7 +607,7 @@ class TestBatchedStarts:
     def test_start_runs_as_it_would_alone(self, make, config):
         # each start of the batch against the same start as a batch of one
         instance = make()
-        fa, fh = _multistart_points(instance, config.seed)
+        fa, fh = _starts(_Quadratic.social_cost(instance), config.seed)
         objective = _Quadratic.social_cost(instance)
         gaps, iterations, traces = _descend(objective, (fa.copy(), fh.copy()), config)
         tol = config.relative_gap_tol
@@ -622,7 +621,7 @@ class TestBatchedStarts:
         # the returned rows are the end points, also for starts that finish
         # after the batch was compacted
         instance = sr.random_instance(171, sr.ShapeConfig())
-        fa, fh = _multistart_points(instance, 0)
+        fa, fh = _starts(_Quadratic.social_cost(instance), 0)
         _, iterations, traces = _descend(_Quadratic.social_cost(instance), (fa, fh), sr.SolverConfig())
         assert len(set(iterations.tolist())) > 2  # starts finish at different rounds
         # each start's rounds and trace stay its own across the compactions
@@ -734,7 +733,7 @@ class TestClassSwap:
     def test_one_class_limits(self, name, alpha, cost, iterations):
         # one class is empty, so the move never fires: the two-block descent's values
         instance = with_alpha(sr.load_instance(INSTANCES / f"{name}.json"), alpha)
-        result = _optimum_by_descent(instance, sr.SolverConfig())
+        result = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig())
         assert result.converged
         assert result.potential_or_cost == cost
         assert result.iterations == iterations
@@ -747,11 +746,11 @@ class TestMultistartPoints:
             [sr.Link("e", "1", "2", 0.5, 1.0, 2.0)],
             [sr.ODPair("1", "2", 2.0, 0.25)],
         )
-        fa, fh = _multistart_points(instance, 0)
+        fa, fh = _starts(_Quadratic.social_cost(instance), 0)
         assert fa.shape == fh.shape == (1, 1)
 
     def test_pigou_starts_are_distinct(self, pigou):
-        fa, fh = _multistart_points(pigou, 0)
+        fa, fh = _starts(_Quadratic.social_cost(pigou), 0)
         # at most the 2 x 2 vertex pairs, the all-or-nothing row among them
         assert len(fa) == len(fh) <= 4
         keys = {(a.tobytes(), h.tobytes()) for a, h in zip(fa, fh)}
@@ -781,25 +780,38 @@ class TestMultistartPoints:
         # row, then the distinct seeded vertices in draw order; a change to the
         # random stream or to the order of its draws fails here
         instance = make()
-        fa, fh = _multistart_points(instance, 0)
+        fa, fh = _starts(_Quadratic.social_cost(instance), 0)
         assert [(tuple(np.flatnonzero(a)), tuple(np.flatnonzero(h))) for a, h in zip(fa, fh)] == loaded
         for f, demands in ((fa, instance.auto_demands), (fh, instance.human_demands)):
             assert od_sums(instance, f) == pytest.approx(np.broadcast_to(demands, (len(f), len(demands))), rel=1e-15)
             # every vertex row loads exactly one path per O/D pair
             assert (od_sums(instance, f[1:] > 0) == 1).all()
 
+    def test_follower_reads_no_seed(self):
+        # the convex potential starts alone at the all-or-nothing load under the
+        # latencies of zero human flow, so its descent over the budget is the
+        # same at every seed
+        instance, s = parallel_links(8), np.full(8, 0.25)
+        objective = potential(instance, s)
+        assert objective.faces == 255 > objective.budget
+        (t,) = _starts(objective, 7)
+        zero_flow = instance.link_latencies(s, np.zeros(8)) @ instance.incidence
+        assert np.array_equal(t, _all_or_nothing(instance, zero_flow[None], instance.human_demands)[0])
+        at_0, at_7 = (_by_descent(objective, sr.SolverConfig(seed=seed)) for seed in (0, 7))
+        assert same_result(at_0, at_7)
+
     def test_repeated_draws_change_no_answer(self):
         # seed 118 draws repeated vertices; every start reaches this cost
         instance = sr.random_instance(118, sr.ShapeConfig())
-        assert len(_multistart_points(instance, 0)[0]) < _MULTISTARTS
-        result = _optimum_by_descent(instance, sr.SolverConfig())
+        assert len(_starts(_Quadratic.social_cost(instance), 0)[0]) < _MULTISTARTS
+        result = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig())
         assert result.converged
         assert result.potential_or_cost == pytest.approx(6.6296571191, abs=1e-9)
 
 
 class TestSolverProperties:
     def test_potential_descent(self, braess):
-        result = _follower_by_descent(braess, 0.1 * np.ones(5), sr.SolverConfig())
+        result = _by_descent(_Quadratic.potential(braess, 0.1 * np.ones(5)), sr.SolverConfig())
         trace = np.array(result.trace)
         assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -853,6 +865,6 @@ class TestSolverProperties:
         for seed in (7, 8, 9):
             instance = sr.random_instance(seed, shape)
             result = sr.system_optimal(instance)
-            _, oracle_cost = sr.oracle_optimal(instance)
-            assert result.potential_or_cost <= oracle_cost + 1e-3
-            assert result.potential_or_cost >= oracle_cost - 1e-3
+            descent_cost = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig()).potential_or_cost
+            assert result.potential_or_cost <= descent_cost + 1e-3
+            assert result.potential_or_cost >= descent_cost - 1e-3

@@ -10,13 +10,14 @@ The instances are the 255 of the three workloads in
 everything ``play`` returns: flows, costs, PoA, Wardrop gap, and for the
 optimum and the follower their iterations, traces, gaps, convergence and
 ``exact`` flag, or the result a ``NotConverged`` carries. For each instance
-in its workload's oracle scope it also takes ``oracle_optimal``,
-``oracle_nash`` at the leader's link flows and the flag ``certify_outcome``
-sets. Two checkouts whose digests agree produce bit-identical outputs on all
-of them; a refactor that must change no output is checked that way. With
-``--each``, each instance first prints a line ``workload id sha256`` over its
-own outputs, so that ``diff`` of two checkouts' outputs names the instances
-that changed; the last line is the same as without it.
+in its workload's oracle scope it also takes the flow and social cost of
+``system_optimal``, ``oracle_nash`` at the leader's link flows and the flag
+``certify_outcome`` sets. Two checkouts whose digests agree produce
+bit-identical outputs on all of them; a refactor that must change no output
+is checked that way. With ``--each``, each instance first prints a line
+``workload id sha256`` over its own outputs, so that ``diff`` of two
+checkouts' outputs names the instances that changed; the last line is the
+same as without it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from scaleroute import NotConverged, is_parallel_link, oracle_nash, oracle_optimal, play  # noqa: E402
+from scaleroute import (  # noqa: E402
+    NotConverged, is_parallel_link, oracle_nash, play, social_cost, system_optimal,
+)
 from scaleroute.harness import certify_outcome  # noqa: E402
 from workloads import SOLVER, WORKLOADS  # noqa: E402
 
@@ -75,7 +78,8 @@ def _instance_outputs(workload, iid: str, instance) -> tuple[bytearray, int]:
     oracle = workload.oracle
     if oracle is None or not is_parallel_link(instance, oracle.max_links):
         return out, 0
-    flow, cost = oracle_optimal(instance, oracle)
+    flow = system_optimal(instance).flow
+    cost = social_cost(instance, flow)
     t, gap = oracle_nash(instance, outcome.leader_link_flows, oracle)
     certified = certify_outcome(instance, outcome, oracle).optimum_certified
     _feed(out, flow.path_flows_a, flow.path_flows_h, cost, t, gap, certified)
