@@ -228,6 +228,11 @@ def alpha_thresholds(mu: float) -> AlphaThresholds:
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"mu = {mu} must lie in (0, 1]")
+    return _alpha_thresholds(mu)
+
+
+def _alpha_thresholds(mu: float) -> AlphaThresholds:
+    """``alpha_thresholds`` at a checked mu."""
     if mu == 1.0:
         ninf = float("-inf")
         return AlphaThresholds(mu=mu, alpha0=ninf, alpha1=ninf, alpha2=ninf, alpha_tilde=ninf)
@@ -244,7 +249,11 @@ def alpha_thresholds(mu: float) -> AlphaThresholds:
 def classify_region(alpha: float, mu: float) -> Region:
     """Map (alpha, mu) to the region that selects the bound expression."""
     _check_alpha_mu(alpha, mu)
-    t = alpha_thresholds(mu)
+    return _region(alpha, _alpha_thresholds(mu))
+
+
+def _region(alpha: float, t: AlphaThresholds) -> Region:
+    """``classify_region`` at a checked (alpha, mu), given its thresholds t."""
     if alpha <= t.alpha0:
         return Region.A0
     if alpha < t.alpha1:
@@ -303,8 +312,9 @@ def poa_bound(alpha: float, mu: float) -> BoundResult:
     lambda = 1 expression, the interior-stationary expression
     (1 - alpha(1-mu))/mu, and the lambda_plus expression from alpha2 on.
     """
-    region = classify_region(alpha, mu)
-    thresholds = alpha_thresholds(mu)
+    _check_alpha_mu(alpha, mu)
+    thresholds = _alpha_thresholds(mu)
+    region = _region(alpha, thresholds)
     if region is Region.A0:
         bound, expr = float("inf"), "inf"
     elif region is Region.A1:

@@ -76,13 +76,18 @@ def scale_strategy(optimal_flow: ClassFlow, alpha: float) -> np.ndarray:
 
 
 def _uniform_alpha(instance: GameInstance) -> float:
+    """The instance's one O/D autonomy fraction; raises unless the fractions
+    are uniform and lie in (0, 1)."""
     alphas = instance.alphas
     if alphas.max() - alphas.min() > _ALPHA_UNIFORM_TOL:
         raise DomainError(
             f"O/D autonomy fractions must be uniform, got range "
             f"[{alphas.min()}, {alphas.max()}]"
         )
-    return float(alphas[0])
+    alpha = float(alphas[0])
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha = {alpha} must lie in (0, 1)")
+    return alpha
 
 
 def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> StackelbergOutcome:
@@ -93,9 +98,6 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     misses its gap tolerance; deterministic given (instance, config.seed).
     """
     alpha = _uniform_alpha(instance)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha = {alpha} must lie in (0, 1)")
-
     opt = system_optimal(instance, config)
     if not opt.converged:
         raise NotConverged(

@@ -4,9 +4,10 @@ The oracle scope is one O/D pair of at most three parallel links
 (``is_parallel_link``). Within it the social cost has at most 39 faces, well
 within the face budget of ``system_optimal``, so its optimum there is the
 exact face solve. ``oracle_nash`` solves the follower's Beckmann potential,
-as ``solvers._Quadratic`` states it, exactly by the face enumeration of
-``solvers._face_point``, at any face count: the solve that
-``follower_equilibrium`` runs within its face budget, bit for bit.
+as ``solvers._Quadratic`` states it, exactly by ``_Quadratic.point``, at
+any face count: the demands on one link, else the face enumeration of
+``solvers._face_point``; the solve that ``follower_equilibrium`` runs
+within its face budget, bit for bit.
 
 Batch verification plays the SCALE game on seeded random instances and
 compares the empirical price of anarchy against the closed-form bound;
@@ -42,7 +43,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _face_point, _Quadratic, system_optimal, wardrop_gap
+from .solvers import SolverConfig, _Quadratic, system_optimal, wardrop_gap
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -107,15 +108,16 @@ def oracle_nash(
 ) -> tuple[np.ndarray, float]:
     """Exact induced human equilibrium given leader link flows s.
 
-    The ``_face_point`` of the human path flows t under ``_Quadratic.potential``
-    at s, the Beckmann potential with the leader fixed. ``s`` is checked as
-    ``follower_equilibrium`` checks it. Raises DomainError outside the oracle
-    scope (``is_parallel_link``). Returns the human link flows A t and their
-    relative Wardrop gap (``wardrop_gap``).
+    The exact minimiser (``_Quadratic.point``) of the human path flows t
+    under ``_Quadratic.potential`` at s, the Beckmann potential with the
+    leader fixed: the human demand on one link, else its ``_face_point``.
+    ``s`` is checked as ``follower_equilibrium`` checks it. Raises
+    DomainError outside the oracle scope (``is_parallel_link``). Returns the
+    human link flows A t and their relative Wardrop gap (``wardrop_gap``).
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    t = _face_point(*_Quadratic.potential(instance, s).path_form())
+    t = _Quadratic.potential(instance, s).point()
     return instance.incidence @ t, wardrop_gap(instance, s, t)
 
 

@@ -13,8 +13,12 @@ Wardrop relative gap.
 Both solvers are exact within a face budget. Each face of the product fixes
 a nonempty support per simplex, and its KKT system gives its stationary
 point; ``_face_minimum`` solves the systems of all faces of the path form
-1/2 z'Pz + q'z in one stacked solve and keeps the lowest feasible stationary
-point, the global minimum even where the social cost is not convex. For the
+1/2 z'Pz + q'z in one stacked solve, built by scattering the entries of P
+that each face keeps into a cached template (``_face_layout``), and keeps
+the lowest feasible stationary point, the global minimum even where the
+social cost is not convex. An objective with one face, where every O/D pair
+has one path, has one feasible point, the demands, which
+``_Quadratic.point`` returns with no path form and no solve. For the
 social cost it solves only the faces whose autonomous and human supports
 share at most one path per O/D pair, which loses no minimum, since the cost
 is linear along a class swap (``_face_layout``). The face count
@@ -223,6 +227,15 @@ class _Quadratic:
         P[:n, n:] = P[n:, :n] = _path_form(A, self.cross)
         P[n:, n:] = _path_form(A, self.quad[1])
         return P, np.concatenate([q, q]), groups, np.concatenate(self.demands), True
+
+    def point(self) -> np.ndarray:
+        """Its exact minimiser, the path flows of all blocks in turn. With one
+        face, every O/D pair has one path and the demands are the only feasible
+        point, so they are returned as they are, with no path form and no face
+        solve; otherwise it is the ``_face_point`` of its ``path_form``."""
+        if self.faces == 1:
+            return np.concatenate(self.demands)
+        return _face_point(*self.path_form())
 
 
 def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
@@ -487,16 +500,19 @@ def _descend(
 @functools.lru_cache(maxsize=48)
 def _face_layout(
     groups: tuple[tuple[int, ...], ...], n: int, pruned: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The faces of the product of simplices over n variables with these
-    groups, as read-only arrays: their supports, a (faces, n) mask; the
-    support pairs, a (faces, n, n) mask of the entries of P that each face
-    keeps; and the part of their KKT systems that P does not fill, a (faces,
-    n + k, n + k) boolean stack, an eighth of its float size, with the group
-    sums over each support and a unit diagonal that pins each variable off
-    the support at 0. A face takes one nonempty subset per group, the
-    subsets of a group by size and then lexicographically, and the faces
-    come in ``itertools.product`` order.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The faces of the product of simplices over n variables with k groups,
+    as read-only arrays: their supports, a (faces, n) mask; the entries of P
+    that each face keeps, the (f, i, j) with i and j in the support of face
+    f, as a pair of flat index maps, into the (faces, n + k, n + k) stack and
+    into the (n, n) matrix P, in the smallest unsigned dtype that holds
+    faces (n + k)^2; and the part of their KKT systems that P does not fill,
+    a (faces, n + k, n + k) boolean stack, an eighth of its float size, with
+    the group sums over each support and a unit diagonal that pins each
+    variable off the support at 0. That stack is 0 wherever the index maps
+    write. A face takes one nonempty subset per group, the subsets of a
+    group by size and then lexicographically, and the faces come in
+    ``itertools.product`` order.
 
     ``pruned`` keeps, in that order, only the faces of the class-overlap
     family, for the two blocks of the social cost: the groups are then the
@@ -524,17 +540,21 @@ def _face_layout(
     if pruned:
         shared = masks[:, : n // 2] & masks[:, n // 2 :]
         masks = masks[np.logical_and.reduce([shared[:, list(g)].sum(1) <= 1 for g in groups[: len(groups) // 2]])]
-    pairs = masks[:, :, None] & masks[:, None, :]
     k = len(groups)
+    m = n + k
+    face, row, col = np.nonzero(masks[:, :, None] & masks[:, None, :])
+    index = np.min_scalar_type(len(masks) * m * m)
+    into_K, from_P = ((face * m + row) * m + col).astype(index), (row * n + col).astype(index)
     member = np.zeros((k, n), dtype=bool)
     for j, g in enumerate(groups):
         member[j, list(g)] = True
-    K = np.zeros((len(masks), n + k, n + k), dtype=bool)
+    K = np.zeros((len(masks), m, m), dtype=bool)
     K[:, :n, :n] = np.eye(n, dtype=bool) & ~masks[:, None, :]
     K[:, n:, :n] = member & masks[:, None, :]  # one sum per group
     K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
-    masks.flags.writeable = pairs.flags.writeable = K.flags.writeable = False
-    return masks, pairs, K
+    for array in (masks, into_K, from_P, K):
+        array.flags.writeable = False
+    return masks, (into_K, from_P), K
 
 
 def _face_minimum(
@@ -571,9 +591,11 @@ def _face_minimum(
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
     n = q.size
-    masks, pairs, template = _face_layout(tuple(map(tuple, groups)), n, pruned)
+    masks, (into_K, from_P), template = _face_layout(tuple(map(tuple, groups)), n, pruned)
     K = template.astype(float)
-    K[:, :n, :n] += (P / scale) * pairs
+    # numpy indexes by intp: a narrower index array, cast explicitly, scatters
+    # about 1.5x faster than one passed as it is (Xeon, 2 CPUs)
+    K.reshape(-1)[into_K.astype(np.intp)] = (P / scale).reshape(-1)[from_P.astype(np.intp)]
     rhs = np.empty((len(masks), K.shape[1], 1))
     np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
     rhs[:, n:, 0] = demands
@@ -625,11 +647,12 @@ def _face_point(
 
 
 def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
-    """The ``_face_point`` of ``objective``, reported as ``_descend`` reports an
-    end point: the largest block gap there (NaN if any is NaN), one iteration,
-    and a trace of the value there; with ``exact`` set."""
+    """The exact minimiser of ``objective`` (``_Quadratic.point``: the demands
+    where it has one face, else its ``_face_point``), reported as ``_descend``
+    reports an end point: the largest block gap there (NaN if any is NaN), one
+    iteration, and a trace of the value there; with ``exact`` set."""
     instance, n = objective.instance, objective.instance.n_paths
-    z = _face_point(*objective.path_form())
+    z = objective.point()
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
     links = [(instance.incidence @ f)[None] for f in flows]
     gaps = [

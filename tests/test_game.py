@@ -75,6 +75,15 @@ class TestPlay:
         with pytest.raises(sr.DomainError, match=r"alpha = 0.0 must lie in \(0, 1\)"):
             sr.play(make_pigou(alpha=0.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_endpoint_alpha_rejected_before_any_solve(self, alpha, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("play solved before it checked alpha")
+
+        monkeypatch.setattr(sr.game, "system_optimal", no_solve)
+        with pytest.raises(sr.DomainError, match=rf"alpha = {alpha} must lie in \(0, 1\)"):
+            sr.play(make_pigou(alpha=alpha))
+
     def test_heterogeneous_alpha_rejected(self):
         instance = sr.build_instance(
             ("1", "2"),

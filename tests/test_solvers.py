@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scaleroute as sr
+from scaleroute import solvers
 from scaleroute.model import social_cost_links
 from scaleroute.solvers import (
     _FOLLOWER_FACE_BUDGET,
@@ -497,6 +498,15 @@ class TestFaceBudget:
         info = _face_layout.cache_info()
         assert info.hits > 0 and info.misses == info.currsize
 
+    def test_layout_footprint(self):
+        # the largest layout within the budget, 585 faces of 10 path flows in 2
+        # groups: the masks, the boolean KKT template, and the index maps of its
+        # 11,670 kept entries of P in uint32; a change of dtype or layout shows here
+        P, q, groups, demands, pruned = _Quadratic.social_cost(parallel_links(5)).path_form()
+        masks, (into_K, from_P), template = _face_layout(tuple(map(tuple, groups)), len(q), pruned)
+        assert len(masks) == 585 and into_K.dtype == from_P.dtype == np.uint32
+        assert masks.nbytes + into_K.nbytes + from_P.nbytes + template.nbytes == 183_450
+
 
 SHAPES = {
     "default": sr.ShapeConfig(),
@@ -553,6 +563,98 @@ class TestClassOverlapPruning:
         for mask in masks:
             for start, end in instance.paths.od_slices:
                 assert (mask[start:end] & mask[n + start : n + end]).sum() <= 1
+
+
+def assembled_stack(P, q, groups, demands, pruned=False) -> np.ndarray:
+    """The KKT stack that ``_face_minimum`` hands to its first batched solve."""
+    stacks = []
+    solve = np.linalg.solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", lambda K, rhs: stacks.append(K.copy()) or solve(K, rhs))
+        _face_minimum(P, q, groups, demands, pruned)
+    return stacks[0]
+
+
+def check_assembled_stack(P, q, groups, demands, pruned=False) -> None:
+    """The stack scattered through the layout's index maps is, bit for bit, the
+    template plus the scaled symmetric P masked to each face's support pairs."""
+    S = 0.5 * (P + P.T)
+    scale = max(np.abs(S).max(), 1.0)
+    n = len(q)
+    masks, _, template = _face_layout(tuple(map(tuple, groups)), n, pruned)
+    expected = template.astype(float)
+    expected[:, :n, :n] += (S / scale) * (masks[:, :, None] & masks[:, None, :])
+    assert np.array_equal(assembled_stack(P, q, groups, demands, pruned), expected)
+
+
+class TestFaceStack:
+    """``_face_minimum`` writes only the entries of P that each face keeps."""
+
+    def test_benchmark_layouts(self):
+        lowmu = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
+        instances = [sr.random_instance(seed, sr.ShapeConfig()) for seed in range(200)]
+        instances += [sr.random_instance(seed, lowmu) for seed in range(1000, 1050)]
+        solved = 0
+        for instance in instances:
+            for objective in (_Quadratic.social_cost(instance), potential(instance)):
+                if 1 < objective.faces <= objective.budget:  # the layouts the exact solve reaches
+                    check_assembled_stack(*objective.path_form())
+                    solved += 1
+        assert solved > 200
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        pruned=st.booleans(),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_random_groups(self, sizes, pruned, draw):
+        if pruned:  # the same O/D pairs for the autonomous and the human block, at most 1,521 faces
+            sizes = sizes[:2] + sizes[:2]
+        ends = np.cumsum(sizes).tolist()
+        groups = [range(end - size, end) for size, end in zip(sizes, ends)]
+        rng = np.random.default_rng(draw)
+        n = ends[-1]
+        P = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-2, 4)
+        check_assembled_stack(P, rng.normal(size=n), groups, rng.uniform(0.5, 2.0, len(groups)), pruned)
+
+
+class TestOneFace:
+    """An objective with one face, where every O/D pair has one path, has one
+    feasible point, the demands: both solvers return them as they are, and
+    build no path form and no face layout."""
+
+    def test_verify_default_rows(self, monkeypatch):
+        instances = [sr.random_instance(seed, sr.ShapeConfig()) for seed in range(200)]
+        one_face = [instance for instance in instances if _Quadratic.social_cost(instance).faces == 1]
+        assert len(one_face) == 58
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("a one-face objective reached the face solve")
+
+        monkeypatch.setattr(_Quadratic, "path_form", untouched)
+        monkeypatch.setattr(solvers, "_face_layout", untouched)
+        for instance in one_face:
+            a, h, b = instance.a, instance.h, instance.b
+            assert potential(instance).faces == 1
+            opt = sr.system_optimal(instance)
+            assert np.array_equal(opt.flow.path_flows_a, instance.auto_demands)
+            assert np.array_equal(opt.flow.path_flows_h, instance.human_demands)
+            assert opt.exact and opt.iterations == 1 and opt.trace == (opt.potential_or_cost,)
+            fa, fh = opt.flow.link_flows_a[None], opt.flow.link_flows_h[None]
+            (gap_a,), _ = _block_gap(instance, instance.auto_demands, 2.0 * a * fa + ((a + h) * fh + b), fa)
+            (gap_h,), _ = _block_gap(instance, instance.human_demands, 2.0 * h * fh + ((a + h) * fa + b), fh)
+            assert opt.relative_gap == max(gap_a, gap_h)
+
+            s = instance.link_flows(sr.scale_strategy(opt.flow, instance.alphas[0]))  # the SCALE leader
+            follower = sr.follower_equilibrium(instance, s)
+            assert np.array_equal(follower.flow.path_flows_h, instance.human_demands)
+            assert not follower.flow.path_flows_a.any()
+            assert follower.exact and follower.iterations == 1
+            assert follower.trace == (follower.potential_or_cost,)
+            t = follower.flow.link_flows_h[None]
+            (gap,), _ = _block_gap(instance, instance.human_demands, h * t + (a * s + b), t)
+            assert follower.relative_gap == gap
 
 
 class TestQuadratic:
@@ -739,7 +841,7 @@ class TestClassSwap:
         assert result.iterations == iterations
 
 
-class TestMultistartPoints:
+class TestStarts:
     def test_single_link_has_one_start(self):
         instance = sr.build_instance(
             ("1", "2"),
