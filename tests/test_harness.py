@@ -304,7 +304,7 @@ def steep_pair(h: float) -> sr.GameInstance:
 STEEP_SLOPES = [1e5, 1e6, 1e8, 1e12]
 
 
-class TestCertifyingOptimum:
+class TestOracleOptimal:
     """The exact optimum that ``certify_outcome`` checks against: the outcome's own
     where it is exact, else ``system_optimal``, exact throughout the oracle scope."""
 
