@@ -48,6 +48,22 @@ none of its path flows. Each start keeps its own round budget, and an
 iteration is a round in which it tried a step; its trace holds the objective
 at the start of each of its rounds, so the last entry is its returned point.
 
+Each ``_Quadratic`` owns the paths and the incidence it is stated over, and
+its ``restrict`` to a sorted subset of its paths is another ``_Quadratic``.
+An objective with more enumerated paths than links plus O/D pairs, the most
+that a basic path decomposition of a block's link flow needs, descends on a
+working set of paths, a restricted path set grown by column generation
+(Leventhal, Nemhauser and Trotter, 1973): the paths its starts load, plus
+the all-or-nothing paths of each round. The gap still prices every
+enumerated path in every round, so each step heads for the all-or-nothing
+load over all paths and the reported gap is the certificate over all of
+them. Each block of each start exchanges flow only to paths of its own set,
+the paths it started on and those its own all-or-nothing steps loaded, so
+every start still runs as it would alone. On the 4×4 grids of 184-368
+paths the optimum's working set ends at 37-88 paths, of which its starts'
+end points use 7-28; on the 5×5 grid it ends at 97 of 8,512. An objective
+with at most that many paths keeps every path.
+
 The human equilibrium is the loop with one block, from one start. The system
 optimum is nonconvex in the joint class flows whenever a_l != h_l, but
 strictly convex in each class separately; it runs the loop once, with both
@@ -69,6 +85,7 @@ its two block gaps.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -78,7 +95,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import ClassFlow, GameInstance, check_leader_flows
+from .model import ClassFlow, GameInstance, PathSet, check_leader_flows
 
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
@@ -164,13 +181,22 @@ def _result(
 class _Quadratic:
     """A link-separable quadratic over the path flows of one class block, or of
     two coupled by ``cross`` (see the module docstring), with per-block O/D
-    demands and link weights ``quad[k]`` and the linear term ``lin``."""
+    demands and link weights ``quad[k]`` and the linear term ``lin``. It is
+    stated over ``paths`` with link-path ``incidence``: every path of
+    ``instance`` by default, or a sorted subset of them (``restrict``)."""
 
     instance: GameInstance
     demands: tuple[np.ndarray, ...]
     quad: tuple[np.ndarray, ...]
     lin: np.ndarray
     cross: np.ndarray | None = None
+    paths: PathSet | None = None
+    incidence: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.paths is None:
+            object.__setattr__(self, "paths", self.instance.paths)
+            object.__setattr__(self, "incidence", self.instance.incidence)
 
     @classmethod
     def social_cost(cls, instance: GameInstance) -> _Quadratic:
@@ -190,7 +216,7 @@ class _Quadratic:
         for the two blocks of the social cost, the 3^n - 2^(n+1) + 1 pairs of
         nonempty supports that share no path and the n 3^(n-1) that share one
         (``_face_layout``)."""
-        sizes = [end - start for start, end in self.instance.paths.od_slices]
+        sizes = [end - start for start, end in self.paths.od_slices]
         if self.cross is None:
             return math.prod(2**n - 1 for n in sizes)
         return math.prod(3**n - 2 ** (n + 1) + 1 + n * 3 ** (n - 1) for n in sizes)
@@ -199,6 +225,23 @@ class _Quadratic:
     def budget(self) -> int:
         """The most ``faces`` at which its solver solves exactly."""
         return _FOLLOWER_FACE_BUDGET if self.cross is None else _OPTIMUM_FACE_BUDGET
+
+    @property
+    def path_heavy(self) -> bool:
+        """Whether it has more paths than links plus O/D pairs, the most that a
+        basic path decomposition of a block's link flow uses; its descent then
+        runs on a working set of paths (``_descend``)."""
+        n_links, n_paths = self.incidence.shape
+        return n_paths > n_links + len(self.paths.od_slices)
+
+    def restrict(self, columns: np.ndarray) -> _Quadratic:
+        """The same objective over its paths at the sorted indices ``columns``
+        only, each O/D pair keeping those of its paths that they hold."""
+        starts = [start for start, _ in self.paths.od_slices]
+        bounds = np.searchsorted(columns, [*starts, len(self.paths)]).tolist()
+        all_paths = self.paths.all_paths
+        paths = PathSet(tuple(all_paths[j] for j in columns.tolist()), tuple(zip(bounds[:-1], bounds[1:])))
+        return dataclasses.replace(self, paths=paths, incidence=self.incidence.take(columns, 1))
 
     def block_lin(self, k: int, links: list[np.ndarray]) -> np.ndarray:
         """Block k's linear term at the (starts × links) link flows of all blocks."""
@@ -216,9 +259,9 @@ class _Quadratic:
         flows z of all blocks in turn, one group per block and O/D pair, the
         groups' demands, and whether to prune the faces by class overlap, which
         is exact for the two blocks of the social cost."""
-        A, n = self.instance.incidence, self.instance.n_paths
+        A, n = self.incidence, len(self.paths)
         q = A.T @ self.lin
-        slices = self.instance.paths.od_slices
+        slices = self.paths.od_slices
         groups = [range(k * n + s, k * n + e) for k in range(len(self.quad)) for s, e in slices]
         if self.cross is None:
             return _path_form(A, self.quad[0]), q, groups, self.demands[0], False
@@ -238,17 +281,19 @@ class _Quadratic:
         return _face_point(*self.path_form())
 
 
-def _cheapest(instance: GameInstance, path_costs: np.ndarray) -> list[np.ndarray]:
-    """Per O/D pair, the global index of its cheapest path in each row of the
-    (starts × paths) ``path_costs``; ties go to the first."""
-    return [start + path_costs[:, start:end].argmin(1) for start, end in instance.paths.od_slices]
+def _cheapest(over: GameInstance | _Quadratic, path_costs: np.ndarray) -> list[np.ndarray]:
+    """Per O/D pair, the index of its cheapest path in each row of the (starts ×
+    paths) ``path_costs`` over the ``paths`` of ``over``, an instance or an
+    objective; ties go to the first."""
+    return [start + path_costs[:, start:end].argmin(1) for start, end in over.paths.od_slices]
 
 
 def _all_or_nothing(
-    instance: GameInstance, path_costs: np.ndarray, demands: np.ndarray
+    over: GameInstance | _Quadratic, path_costs: np.ndarray, demands: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each O/D demand loaded on its cheapest path, row by row of the
-    (starts × paths) ``path_costs``: path flows and their cost per row.
+    (starts × paths) ``path_costs`` over the paths of ``over``: path flows and
+    their cost per row.
 
     The cost is summed pair by pair in O/D order; a dot product would fuse
     multiply-adds and change its last bits on multi-pair instances.
@@ -258,7 +303,7 @@ def _all_or_nothing(
     flat_costs = path_costs.reshape(-1)
     y = np.zeros(n_rows * n_paths)
     cost = 0.0
-    for d, j in zip(demands.tolist(), _cheapest(instance, path_costs)):
+    for d, j in zip(demands.tolist(), _cheapest(over, path_costs)):
         j += row_start
         y[j] = d
         cost = cost + d * flat_costs[j]
@@ -274,12 +319,12 @@ def _relative_gap(total: float, aon_cost: float) -> float:
 
 
 def _block_gap(
-    instance: GameInstance, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
+    over: GameInstance | _Quadratic, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative gap of each row of a block with link gradients ``grad`` at link
     flows ``x_link`` (both starts × links), and the all-or-nothing path flows it
-    is measured against."""
-    y, aon_cost = _all_or_nothing(instance, grad @ instance.incidence, demands)
+    is measured against, priced over every path of ``over``."""
+    y, aon_cost = _all_or_nothing(over, grad @ over.incidence, demands)
     totals = np.vecdot(grad, x_link).tolist()
     # a loop over the rows on purpose: at 1-16 rows it takes 1.2-3.7 us a call,
     # a masked np.divide plus np.where 4.2-5.1 us (Xeon, 2 CPUs)
@@ -287,16 +332,19 @@ def _block_gap(
 
 
 def _block_step(
-    instance: GameInstance, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
+    objective: _Quadratic, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
     x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray, step: np.ndarray,
+    own: np.ndarray | None = None,
 ) -> np.ndarray:
     """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l] in each row
-    of the (starts × paths) path flows ``x`` where ``step`` holds, in place, with link
-    flows ``x_link``, gradients ``g`` and all-or-nothing loads ``y`` (``_block_gap``):
-    a conditional-gradient step with exact line search, then one pairwise-exchange
-    sweep. Neither raises the block objective, and a row outside ``step`` keeps its
-    flows. Returns, per row, whether any path flow changed, bit for bit."""
-    inc = instance.incidence
+    of the (starts × paths) path flows ``x`` over the paths of ``objective`` where
+    ``step`` holds, in place, with link flows ``x_link``, gradients ``g`` and
+    all-or-nothing loads ``y`` (``_block_gap``): a conditional-gradient step with
+    exact line search, then one pairwise-exchange sweep, which moves flow only to
+    paths of the row's ``own`` set (starts × paths) where one is given. Neither
+    raises the block objective, and a row outside ``step`` keeps its flows.
+    Returns, per row, whether any path flow changed, bit for bit."""
+    inc = objective.incidence
     n_rows, n_paths = x.shape
     x_entry = x.copy()
     d = y - x
@@ -316,7 +364,7 @@ def _block_step(
     flat = x.reshape(-1)
     rows = np.arange(n_rows)
     row_start = rows * n_paths  # flat index of each row's first path
-    slices = instance.paths.od_slices
+    slices = objective.paths.od_slices
     g = quad * x_link + lin
     for w, (start, end) in enumerate(slices):
         if demands[w] <= 0.0 or end - start < 2:
@@ -325,7 +373,10 @@ def _block_step(
         path_g_w = g @ inc[:, start:end]
         worst_used = np.where(used, path_g_w, -np.inf)  # -inf on a row with no used path
         jw = worst_used.argmax(1)
-        jb = path_g_w.argmin(1)
+        if own is None:
+            jb = path_g_w.argmin(1)
+        else:
+            jb = np.where(own[:, start:end], path_g_w, np.inf).argmin(1)
         drop = worst_used[rows, jw] - path_g_w[rows, jb]
         exchange = step & (drop > 0.0)  # jw == jb gives drop == 0
         if not any(exchange):
@@ -366,9 +417,9 @@ def _class_swap(objective: _Quadratic) -> Callable[..., np.ndarray]:
     changes x and so no price: in place on the path flows, and on the link flows
     by the path change times the incidence. Returns per row whether it moved.
     """
-    inc = objective.instance.incidence
+    inc = objective.incidence
     a_minus_h = 0.5 * (objective.quad[0] - objective.quad[1])
-    slices = objective.instance.paths.od_slices
+    slices = objective.paths.od_slices
     offsets = np.array([start for start, _ in slices])
     sizes = np.array([end - start for start, end in slices])
     used_a, used_h = (np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes) for demands in objective.demands)
@@ -422,8 +473,20 @@ def _descend(
     the starts that tried a step this round; that is no extra round. A start
     leaves the batch after a round that changes none of its path flows, since
     every later round would repeat it; the gaps of that round are therefore
-    measured at its returned point. So each start runs as it would alone, up
-    to the last bits of the batched products.
+    measured at its returned point.
+
+    A ``path_heavy`` objective, with more paths than links plus O/D pairs,
+    runs on a working set of its paths: the objective ``restrict``-ed to the
+    paths that its starts load, widened by the all-or-nothing paths of each
+    round. ``_block_gap`` still prices every path, so each
+    conditional-gradient step heads for the all-or-nothing load over all
+    paths, and each gap is the certificate over all of them. Each block of
+    each start keeps its own set, the paths it started on and those its own
+    all-or-nothing steps loaded, and its pairwise exchange moves flow only to
+    paths of that set, never to a path that only another start loaded. Any
+    other objective keeps every path and runs with no working set. So each
+    start runs as it would alone, up to the last bits of the batched
+    products.
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of the objective's value at
@@ -431,14 +494,27 @@ def _descend(
     live starts only, and appended to their traces whenever the batch
     shrinks.
     """
-    instance = objective.instance
-    swap = _class_swap(objective) if len(objective.quad) == 2 else None
-    inc = instance.incidence
     n_starts = len(flows[0])
+    working = objective.path_heavy
+    if working:
+        # the working set, as a mask over every path and as sorted columns, the
+        # objective over those columns, and the own sets of each block among them
+        owns = [f != 0.0 for f in flows]
+        member = np.logical_or.reduce(functools.reduce(np.logical_or, owns), axis=0)
+        columns = np.flatnonzero(member)
+        owns = [own.take(columns, 1) for own in owns]
+        part = objective.restrict(columns)
+        # C-contiguous, as below: take copies in C order, where f[:, columns]
+        # would return an F-ordered copy
+        xs = [f.take(columns, 1) for f in flows]
+    else:
+        part, owns = objective, [None] * len(flows)
+        # C-contiguous, since _block_step updates them through flat views;
+        # compacted to the live starts once one finishes
+        xs = [np.ascontiguousarray(f) for f in flows]
+    swap = _class_swap(part) if len(objective.quad) == 2 else None
+    inc = part.incidence
     live = np.arange(n_starts)
-    # C-contiguous, since _block_step updates them through flat views; compacted
-    # to the live starts once one finishes
-    xs = [np.ascontiguousarray(f) for f in flows]
     links = [x @ inc.T for x in xs]
     # one row per start: numpy multiplies arrays of equal shape faster than it
     # broadcasts a vector over rows
@@ -456,7 +532,7 @@ def _descend(
         for k, (demands, quad) in enumerate(zip(objective.demands, quads)):
             lin_k = objective.block_lin(k, links)
             g = quad * links[k] + lin_k
-            gap, y = _block_gap(instance, demands, g, links[k])
+            gap, y = _block_gap(objective, demands, g, links[k])
             gaps.append(gap)
             step = budget_left & ~(gap <= config.relative_gap_tol)
             if not any(step):
@@ -465,7 +541,23 @@ def _descend(
             if any(nan):  # no later gap can be a number at a non-finite gradient
                 step &= ~(nan & ~np.logical_and.reduce(np.isfinite(g), axis=1))
             tried = tried | step
-            moved_k = _block_step(instance, demands, quad, lin_k, xs[k], links[k], g, y, step)
+            if working:
+                y_all, y = y, y.take(columns, 1)
+                # each row loads one path per O/D pair of nonzero demand, so a
+                # load outside the working set shows in the count
+                if np.count_nonzero(y) < len(y) * np.count_nonzero(demands):
+                    member |= np.logical_or.reduce(y_all != 0.0, axis=0)
+                    kept, columns = columns, np.flatnonzero(member)
+                    at = np.searchsorted(columns, kept)
+                    xs = [_widen(x, at, len(columns)) for x in xs]
+                    owns = [_widen(own, at, len(columns)) for own in owns]
+                    part = objective.restrict(columns)
+                    if swap is not None:
+                        swap = _class_swap(part)
+                    inc = part.incidence
+                    y = y_all.take(columns, 1)
+                owns[k] |= (y != 0.0) & step[:, None]
+            moved_k = _block_step(part, demands, quad, lin_k, xs[k], links[k], g, y, step, owns[k])
             if any(moved_k):
                 moved = moved | moved_k
                 links[k] = xs[k] @ inc.T
@@ -482,7 +574,10 @@ def _descend(
         gap_out[finished] = functools.reduce(np.maximum, gaps)[done]
         iterations_out[finished] = iterations[done]
         for f, x in zip(flows, xs):
-            if x is not f:
+            if working:
+                f[finished] = 0.0
+                f[finished[:, None], columns] = x[done]
+            elif x is not f:
                 f[finished] = x[done]
         if not any(moved):
             break
@@ -491,7 +586,17 @@ def _descend(
         links = [link[moved] for link in links]
         quads = [quad[: len(live)] for quad in quads]
         iterations = iterations[moved]
+        if working:
+            owns = [own[moved] for own in owns]
     return gap_out, iterations_out, [tuple(t) for t in traces]
+
+
+def _widen(x: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """The rows of ``x`` spread onto n columns, column j of ``x`` to column
+    ``at[j]``, with zeros elsewhere."""
+    out = np.zeros((len(x), n), dtype=x.dtype)
+    out[:, at] = x
+    return out
 
 
 # --- the exact solve within the face budget -----------------------------------------
@@ -651,17 +756,23 @@ def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     where it has one face, else its ``_face_point``), reported as ``_descend``
     reports an end point: the largest block gap there (NaN if any is NaN), one
     iteration, and a trace of the value there; with ``exact`` set."""
-    instance, n = objective.instance, objective.instance.n_paths
+    n = len(objective.paths)
     z = objective.point()
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
-    links = [(instance.incidence @ f)[None] for f in flows]
-    gaps = [
-        _block_gap(instance, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
-        for k, (demands, quad) in enumerate(zip(objective.demands, objective.quad))
-    ]
-    gap = functools.reduce(np.maximum, gaps)[0]
+    links = [(objective.incidence @ f)[None] for f in flows]
+    gap = _point_gap(objective, links)
     trace = (float(objective.value(links)[0]),)
     return _result(objective, flows, gap, 1, trace, config, exact=True)
+
+
+def _point_gap(objective: _Quadratic, links: list[np.ndarray]) -> float:
+    """The largest block gap of ``objective`` (NaN if any is NaN) at the (1 ×
+    links) link flows of each block, as ``EquilibriumResult`` reports it."""
+    gaps = [
+        _block_gap(objective, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
+        for k, (demands, quad) in enumerate(zip(objective.demands, objective.quad))
+    ]
+    return functools.reduce(np.maximum, gaps)[0]
 
 
 # --- the descent above the face budget ------------------------------------------------
@@ -678,12 +789,11 @@ def _starts(objective: _Quadratic, seed: int) -> tuple[np.ndarray, ...]:
     (vertices, since the pairwise sweep empties at most one path per pair and
     round), and keeps the distinct rows in first-draw order.
     """
-    instance = objective.instance
-    at_zero = (instance.incidence.T @ objective.lin)[None]
-    draws = [_all_or_nothing(instance, at_zero, demands)[0] for demands in objective.demands]
+    at_zero = (objective.incidence.T @ objective.lin)[None]
+    draws = [_all_or_nothing(objective, at_zero, demands)[0] for demands in objective.demands]
     if objective.cross is None:
         return tuple(draws)
-    slices = instance.paths.od_slices
+    slices = objective.paths.od_slices
     offsets = np.array([start for start, _ in slices])
     sizes = np.array([end - start for start, end in slices])
     n_random = _MULTISTARTS - 1
@@ -691,7 +801,7 @@ def _starts(objective: _Quadratic, seed: int) -> tuple[np.ndarray, ...]:
     vertices = np.random.default_rng(seed).integers(np.tile(np.repeat(sizes, 2), n_random))
     vertices = vertices.reshape(n_random, len(sizes), 2)
     for c, demands in enumerate(objective.demands):
-        f = np.zeros((n_random, instance.n_paths))
+        f = np.zeros((n_random, len(objective.paths)))
         f[np.arange(n_random)[:, None], offsets + vertices[:, :, c]] = demands
         draws[c] = np.vstack([draws[c], f])
     first: dict[bytes, int] = {}
@@ -705,14 +815,19 @@ def _by_descent(objective: _Quadratic, config: SolverConfig) -> EquilibriumResul
     """Either solver above the face budget: one ``_descend`` of ``objective``
     from all its ``_starts`` at once, seeded by ``config.seed``. Returns the
     lowest end point, the first start on near-ties, with ``iterations`` summed
-    over the starts."""
+    over the starts. A ``path_heavy`` objective's gap is measured once more,
+    at the link flows that the result reports, since its descent summed them
+    over its working set."""
     flows = _starts(objective, config.seed)  # _descend moves them in place
     gaps, iterations, traces = _descend(objective, flows, config)
     best = 0
     for i, trace in enumerate(traces):
         if trace[-1] < traces[best][-1] - 1e-15:
             best = i
-    return _result(objective, [f[best] for f in flows], gaps[best], iterations.sum(), traces[best], config)
+    point, gap = [f[best] for f in flows], gaps[best]
+    if objective.path_heavy:
+        gap = _point_gap(objective, [(objective.incidence @ f)[None] for f in point])
+    return _result(objective, point, gap, iterations.sum(), traces[best], config)
 
 
 # --- the solvers ---------------------------------------------------------------------

@@ -223,10 +223,14 @@ class TestFollowerEquilibrium:
 
 class TestWardropGap:
     def test_converged_solution_certifies(self, braess):
-        result = sr.follower_equilibrium(braess, np.zeros(5))
-        assert result.converged
-        gap = sr.wardrop_gap(braess, np.zeros(5), result.flow.path_flows_h)
-        assert gap <= 1e-8
+        # the 4x4 grid's 184 paths exceed its 48 links and one pair, so its
+        # follower descends on a working set and is still certified over all
+        for instance in (braess, grid_instance(1, 4)):
+            s = np.zeros(instance.n_links)
+            result = sr.follower_equilibrium(instance, s)
+            assert result.converged
+            gap = sr.wardrop_gap(instance, s, result.flow.path_flows_h)
+            assert gap <= 1e-8
 
     def test_all_flow_on_worse_link(self):
         instance = sr.build_instance(
@@ -333,8 +337,10 @@ class TestSystemOptimal:
             # the budget, not convergence, ends every start (1,264 faces, so it descends)
             (lambda: sr.random_instance(55, sr.ShapeConfig()),
              sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)),
+            # 368 paths on two crossing pairs: a working set, priced over every path
+            (lambda: grid_instance(3, 4, True), sr.SolverConfig()),
         ],
-        ids=["braess", "seed118", "seed55-budget"],
+        ids=["braess", "seed118", "seed55-budget", "grid3-2od"],
     )
     def test_gap_is_block_gap_at_result(self, make, config):
         instance = make()
@@ -358,8 +364,16 @@ class TestSystemOptimal:
         # 140 rounds where the longest vertex start takes 46 (644 in all)
         result = sr.system_optimal(grid_instance(1, 4))
         assert result.converged
-        assert result.iterations == 504
+        assert result.iterations == 530
         assert result.potential_or_cost == 4.218187927203374
+
+    def test_five_by_five_grid(self):
+        # 8,512 corner paths against 80 links: the descent on a working set
+        # reaches the optimum that the descent over every path reached
+        outcome = sr.play(grid_instance(0, 5))
+        result = outcome.optimal_result
+        assert result.converged and outcome.follower_result.converged
+        assert result.potential_or_cost == pytest.approx(11.942106962736283, rel=1e-9, abs=0.0)
 
     def test_budget_is_per_start(self):
         # seed 15: 13 distinct starts, none of which reaches a zero gap in 3 iterations
@@ -698,8 +712,10 @@ class TestBatchedStarts:
     @pytest.mark.parametrize(
         "make",
         [make_braess, make_pigou]
-        + [lambda seed=seed: sr.random_instance(seed, sr.ShapeConfig()) for seed in (15, 118, 171)],
-        ids=["braess", "pigou", "seed15", "seed118", "seed171"],
+        + [lambda seed=seed: sr.random_instance(seed, sr.ShapeConfig()) for seed in (15, 118, 171)]
+        # path-heavy grids, which descend on working sets (184 and 368 paths)
+        + [lambda: grid_instance(1, 4), lambda: grid_instance(3, 4, True)],
+        ids=["braess", "pigou", "seed15", "seed118", "seed171", "grid1", "grid3-2od"],
     )
     @pytest.mark.parametrize(
         "config",
