@@ -117,7 +117,7 @@ def oracle_nash(
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    t = _Quadratic.potential(instance, s).point()
+    t, _ = _Quadratic.potential(instance, s).point()
     return instance.incidence @ t, wardrop_gap(instance, s, t)
 
 

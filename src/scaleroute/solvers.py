@@ -71,7 +71,14 @@ blocks, from all its distinct starts. A round of the optimum is the
 autonomous block, then the human block, then one exact class-swap move
 (``_class_swap``) on the starts that tried a step: at fixed total path flows
 the social cost is linear in the class split, which the blocks, each moving
-one class and so the total flow, only reach by zigzagging.
+one class and so the total flow, only reach by zigzagging. Where it keeps
+every path, the round ends with one exact face move (``_face_move``) on the
+same starts: each moves to the stationary point of the face that its
+current support spans, if that point passes the face solve's tests and
+lowers the social cost. Once the exchange and the swap have found the
+support, that one solve replaces the descent's tail of shrinking steps
+(projected Newton methods, Bertsekas, 1982). The faces of all those starts
+take one stacked solve.
 
 Every convergence test uses one relative gap, exact solve or descent. For a
 block with link gradient g, link flow x and per-O/D demands, let y be the
@@ -144,13 +151,18 @@ class EquilibriumResult:
     tried a step, per start, summed over the starts of the system optimum
     (which run together, as one batch); a round of the optimum is its
     autonomous block, then its human block, then the class swap, which runs
-    only in a round that tried a block step. ``trace`` then records the
-    objective at the start of each round of the returned start, so its last
-    entry is the returned point; it is nonincreasing by construction.
+    only in a round that tried a block step, and then, where the descent
+    keeps every path, the exact face move to the stationary point of the
+    face its support spans, taken only where it lowers the cost. ``trace``
+    then records the objective at the start of each round of the returned
+    start, so its last entry is the returned point; it is nonincreasing by
+    construction.
 
     ``exact`` is set when the result is the exact solve within the face
-    budget, the global minimum of its objective; a descent result, whose
-    convergence certifies block-wise optimality only, leaves it False.
+    budget, the global minimum of its objective, and some face passed that
+    solve's tests (an objective with one face always does); a descent
+    result, whose convergence certifies block-wise optimality only, leaves
+    it False, also where its face move ended on an exact face solve.
     """
 
     flow: ClassFlow
@@ -271,14 +283,16 @@ class _Quadratic:
         P[n:, n:] = _path_form(A, self.quad[1])
         return P, np.concatenate([q, q]), groups, np.concatenate(self.demands), True
 
-    def point(self) -> np.ndarray:
-        """Its exact minimiser, the path flows of all blocks in turn. With one
-        face, every O/D pair has one path and the demands are the only feasible
-        point, so they are returned as they are, with no path form and no face
-        solve; otherwise it is the ``_face_point`` of its ``path_form``."""
+    def point(self) -> tuple[np.ndarray, bool]:
+        """Its exact minimiser, the path flows of all blocks in turn, and whether
+        it is one. With one face, every O/D pair has one path and the demands
+        are the only feasible point, so they are returned as they are, with no
+        path form and no face solve; otherwise it is the ``_face_point`` of its
+        ``path_form``, which is exact where its value is finite."""
         if self.faces == 1:
-            return np.concatenate(self.demands)
-        return _face_point(*self.path_form())
+            return np.concatenate(self.demands), True
+        z, value = _face_point(*self.path_form())
+        return z, math.isfinite(value)
 
 
 def _cheapest(over: GameInstance | _Quadratic, path_costs: np.ndarray) -> list[np.ndarray]:
@@ -455,6 +469,89 @@ def _class_swap(objective: _Quadratic) -> Callable[..., np.ndarray]:
     return swap
 
 
+def _face_move(objective: _Quadratic) -> Callable[..., np.ndarray]:
+    """The exact face move of the social cost ``objective``, for ``_descend``.
+
+    A start's support is, per O/D pair and class, the paths that carry more
+    than ``_USED_EPS`` max(d, 1) of the demand d; a group with no such path
+    keeps its first. The move takes a start to the stationary point of the
+    face its support spans, the face solve of ``_face_minimum`` on that one
+    face, where the point passes the same tests (``_stationary_points``) and
+    strictly lowers the social cost: the step of projected Newton methods
+    once the active set is identified (Bertsekas, 1982), here after the
+    path-based exchange and the class swap have found the support.
+
+    The KKT matrix of the whole path form, scaled as ``_face_minimum``
+    scales it, is built here once. The returned callable takes the (starts ×
+    paths) path flows and (starts × links) link flows of the autonomous and
+    the human block and a mask of the rows to try. It solves the faces of
+    those rows in one stacked solve, each the full matrix with the rows and
+    columns outside its support replaced by identity rows that pin those
+    flows at 0, and fits each group of a point that passes to its demand
+    (``_fit_demands``). A face's point does not depend on the row that spans
+    it, so each distinct face is solved once per descent and kept: a row
+    whose face was solved before is compared with the kept point, which is
+    the same comparison as a second solve would make. It moves the rows
+    that pass, in place on the path and link flows, and returns per row
+    whether it moved.
+    """
+    P, q, groups, demands, _ = objective.path_form()
+    P = 0.5 * (P + P.T)
+    scale = max(np.abs(P).max(), 1.0)
+    n, k, n_paths = q.size, len(groups), len(objective.paths)
+    full = np.zeros((n + k, n + k))
+    full[:n, :n] = P / scale
+    for j, g in enumerate(groups):
+        full[n + j, g.start : g.stop] = full[g.start : g.stop, n + j] = 1.0
+    firsts = np.array([g.start for g in groups])
+    used = np.repeat(_USED_EPS * np.maximum(demands, 1.0), [len(g) for g in groups])
+    identity = np.eye(n + k)
+    inc_t = objective.incidence.T
+    # the faces solved so far, by support: their points, the link flows of
+    # each block there, and their values, infinite where a face failed
+    known: dict[bytes, int] = {}
+    points, values = np.empty((0, n)), np.empty(0)
+    point_links = [np.empty((0, objective.incidence.shape[0]))] * 2
+
+    def move(xs: list[np.ndarray], links: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+        nonlocal points, values, point_links
+        r = np.flatnonzero(rows)
+        support = np.concatenate([x[r] for x in xs], axis=1) > used
+        support[:, firsts] |= ~np.logical_or.reduceat(support, firsts, axis=1)
+        flat = support.tobytes()
+        keys = [flat[i : i + n] for i in range(0, len(flat), n)]
+        fresh = {key: i for i, key in enumerate(keys) if key not in known}
+        if fresh:
+            known.update(zip(fresh, itertools.count(len(values))))
+            new = support[list(fresh.values())]
+            kept = np.concatenate([new, np.ones((len(new), k), dtype=bool)], axis=1)
+            K = np.where(kept[:, :, None] & kept[:, None, :], full, identity)
+            rhs = np.empty((len(new), n + k, 1))
+            np.multiply(-(q / scale), new, out=rhs[:, :n, 0])
+            rhs[:, n:, 0] = demands
+            z, face_values = _stationary_points(K, rhs, new, P, q)
+            passed = face_values < math.inf
+            for i in np.flatnonzero(passed).tolist():
+                _fit_demands(z[i], groups, demands)
+            new_links = [z[:, :n_paths] @ inc_t, z[:, n_paths:] @ inc_t]
+            points = np.concatenate([points, z])
+            values = np.concatenate([values, np.where(passed, objective.value(new_links), math.inf)])
+            point_links = [np.concatenate(pair) for pair in zip(point_links, new_links)]
+        face = np.array([known[key] for key in keys])
+        # a NaN value lowers nothing
+        lower = values[face] < objective.value([link[r] for link in links])
+        moved = np.zeros(len(rows), dtype=bool)
+        if any(lower):
+            r, face = r[lower], face[lower]
+            for j, (x, link) in enumerate(zip(xs, links)):
+                x[r] = points[face, j * n_paths : (j + 1) * n_paths]
+                link[r] = point_links[j][face]
+            moved[r] = True
+        return moved
+
+    return move
+
+
 def _descend(
     objective: _Quadratic, flows: tuple[np.ndarray, ...], config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, ...]]]:
@@ -470,7 +567,10 @@ def _descend(
     ``config.max_iterations`` rounds that tried a step, and whose gap is not
     NaN at a non-finite gradient. After the blocks of a two-block objective,
     ``_class_swap`` moves the path flows and link flows of both in place on
-    the starts that tried a step this round; that is no extra round. A start
+    the starts that tried a step this round, and then, unless the objective
+    runs on a working set, ``_face_move`` moves those starts to the
+    stationary points of their supports' faces where those pass the face
+    solve's tests and lower the objective; neither is an extra round. A start
     leaves the batch after a round that changes none of its path flows, since
     every later round would repeat it; the gaps of that round are therefore
     measured at its returned point.
@@ -513,6 +613,7 @@ def _descend(
         # compacted to the live starts once one finishes
         xs = [np.ascontiguousarray(f) for f in flows]
     swap = _class_swap(part) if len(objective.quad) == 2 else None
+    face = _face_move(objective) if swap is not None and not working else None
     inc = part.incidence
     live = np.arange(n_starts)
     links = [x @ inc.T for x in xs]
@@ -563,6 +664,8 @@ def _descend(
                 links[k] = xs[k] @ inc.T
         if swap is not None and any(tried):
             moved = moved | swap(xs, links, tried)
+            if face is not None:
+                moved = moved | face(xs, links, tried)
         iterations = iterations + tried
         if all(moved):
             continue
@@ -678,8 +781,10 @@ def _face_minimum(
     to each support, and one batched LU solve covers them all. The stack
     holds P and q divided by s, the larger of max|P| and 1, which leaves
     every minimiser in place and keeps the slopes on the scale of the unit
-    constraint rows however large they are. A face's point is kept if its residual is small and it
-    is feasible; a point that overflows fails one of the two tests.
+    constraint rows however large they are. A face's point is kept if its
+    residual is small and it is feasible (``_stationary_points``, whose
+    tests the descent's face move shares); a point that overflows fails one
+    of the two tests.
 
     A face whose KKT matrix LU finds exactly singular is skipped, and the
     skip loses no minimum. Take a minimiser z* in the relative interior of
@@ -691,7 +796,7 @@ def _face_minimum(
     value. A vertex face, whose KKT block is [[P_SS / s, I], [I, 0]] with
     determinant +-1, is never skipped. Among the surviving faces the lowest
     value, at the unscaled P and q, wins, the first face on ties. Returns
-    the minimiser and its value.
+    the minimiser and its value, infinite where no face passed.
     """
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
@@ -704,6 +809,25 @@ def _face_minimum(
     rhs = np.empty((len(masks), K.shape[1], 1))
     np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
     rhs[:, n:, 0] = demands
+    Z, values = _stationary_points(K, rhs, masks, P, q)
+    best = int(np.argmin(values))
+    return Z[best], float(values[best])
+
+
+def _stationary_points(
+    K: np.ndarray, rhs: np.ndarray, masks: np.ndarray, P: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary points of a stack of faces, with supports the rows of
+    ``masks`` (faces × n), and their values: one batched LU solve of the
+    (faces, n + k, n + k) KKT stack ``K`` against ``rhs`` (faces, n + k, 1),
+    both scaled as ``_face_minimum`` states. Returns each face's point,
+    clipped at zero, and its value at the symmetric P and q, which is
+    infinite where the face fails a test: its KKT matrix is exactly
+    singular (it is then replaced by the identity in ``K``), its residual is
+    above ``_KKT_RTOL`` relative to the right-hand side, or it has a flow
+    below -``_FEASIBLE_ATOL``. A point that overflows fails one of the last
+    two."""
+    n = q.size
     singular = np.zeros(len(masks), dtype=bool)
     # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -722,8 +846,7 @@ def _face_minimum(
         feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
         Z = np.maximum(x, 0.0)
         values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
-    best = int(np.argmin(values))
-    return Z[best], float(values[best])
+    return Z, values
 
 
 def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -733,36 +856,46 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _face_point(
     P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float], pruned: bool
-) -> np.ndarray:
-    """The minimiser of ``_face_minimum``, each group's flows scaled to sum to
-    its demand, so a group of zero demand gets exactly zero flow.
+) -> tuple[np.ndarray, float]:
+    """The minimiser of ``_face_minimum`` fitted to the demands
+    (``_fit_demands``), and its value, infinite where no face passed the
+    tests of ``_stationary_points`` (the minimiser is then the first face's
+    clipped point)."""
+    z, value = _face_minimum(P, q, groups, demands, pruned)
+    _fit_demands(z, groups, demands)
+    return z, value
+
+
+def _fit_demands(z: np.ndarray, groups: Sequence[range], demands: Sequence[float]) -> None:
+    """Scale each group's flows in the point ``z``, in place, to sum to its
+    demand, so a group of zero demand gets exactly zero flow; a group with
+    no positive total keeps its flows.
 
     The KKT solve meets a group sum only up to a rounding error on the scale
     of q: round-off in an empty group, and a large relative error where the
     demand is small against the latencies (a human demand of 1e-5 at
     latencies near 1/3 left a Wardrop gap of 5.6e-12).
     """
-    z, _ = _face_minimum(P, q, groups, demands, pruned)
     for g, d in zip(groups, demands):
         group = z[g.start : g.stop]
         total = group.sum()
         if total > 0.0:
             group *= d / total
-    return z
 
 
 def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     """The exact minimiser of ``objective`` (``_Quadratic.point``: the demands
     where it has one face, else its ``_face_point``), reported as ``_descend``
     reports an end point: the largest block gap there (NaN if any is NaN), one
-    iteration, and a trace of the value there; with ``exact`` set."""
+    iteration, and a trace of the value there; with ``exact`` set unless no
+    face passed the face solve's tests."""
     n = len(objective.paths)
-    z = objective.point()
+    z, exact = objective.point()
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
     links = [(objective.incidence @ f)[None] for f in flows]
     gap = _point_gap(objective, links)
     trace = (float(objective.value(links)[0]),)
-    return _result(objective, flows, gap, 1, trace, config, exact=True)
+    return _result(objective, flows, gap, 1, trace, config, exact=exact)
 
 
 def _point_gap(objective: _Quadratic, links: list[np.ndarray]) -> float:
@@ -814,15 +947,18 @@ def _starts(objective: _Quadratic, seed: int) -> tuple[np.ndarray, ...]:
 def _by_descent(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     """Either solver above the face budget: one ``_descend`` of ``objective``
     from all its ``_starts`` at once, seeded by ``config.seed``. Returns the
-    lowest end point, the first start on near-ties, with ``iterations`` summed
-    over the starts. A ``path_heavy`` objective's gap is measured once more,
+    lowest end point, the first start on near-ties (a later start wins only
+    below the incumbent's cost by more than 1e-15 of it, so the rule does
+    not depend on the cost's scale), with ``iterations`` summed over the
+    starts. A ``path_heavy`` objective's gap is measured once more,
     at the link flows that the result reports, since its descent summed them
     over its working set."""
     flows = _starts(objective, config.seed)  # _descend moves them in place
     gaps, iterations, traces = _descend(objective, flows, config)
     best = 0
     for i, trace in enumerate(traces):
-        if trace[-1] < traces[best][-1] - 1e-15:
+        incumbent = traces[best][-1]
+        if trace[-1] < incumbent - 1e-15 * abs(incumbent):
             best = i
     point, gap = [f[best] for f in flows], gaps[best]
     if objective.path_heavy:

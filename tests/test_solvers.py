@@ -28,6 +28,7 @@ from scaleroute.solvers import (
     _descend,
     _face_layout,
     _face_minimum,
+    _face_move,
     _Quadratic,
     _relative_gap,
     _starts,
@@ -70,6 +71,13 @@ def optimal_grid_two_links(instance, resolution=1e-3):
     cost = ((FA + FH) * lat).sum(axis=0)
     j = int(np.argmin(cost))
     return FA[:, j], FH[:, j], float(cost[j])
+
+
+def scaled(instance, factor):
+    """``instance`` with every demand and free-flow time multiplied by ``factor``."""
+    links = [dataclasses.replace(link, b=link.b * factor) for link in instance.links]
+    pairs = [dataclasses.replace(od, demand=od.demand * factor) for od in instance.od_pairs]
+    return sr.build_instance(instance.nodes, links, pairs)
 
 
 def potential(instance, s=None):
@@ -319,7 +327,8 @@ class TestSystemOptimal:
 
     @pytest.mark.parametrize(
         "make, iterations, trace_length",
-        [(make_braess, 9, 3), (lambda: sr.random_instance(118, sr.ShapeConfig()), 6, 2)],
+        # seed118 took 6 iterations before the face move
+        [(make_braess, 9, 3), (lambda: sr.random_instance(118, sr.ShapeConfig()), 4, 2)],
         ids=["braess", "seed118"],
     )
     def test_pinned_runs(self, make, iterations, trace_length):
@@ -354,18 +363,21 @@ class TestSystemOptimal:
 
     def test_rounds_over_random_seeds(self):
         # pinned total rounds: the two blocks alone zigzag along the class split and
-        # took 2,677; a change that brings that back fails here
+        # took 2,677, and 1,088 with the class swap but no face move; a change
+        # that brings either back fails here
         objectives = (_Quadratic.social_cost(sr.random_instance(seed, sr.ShapeConfig())) for seed in range(50))
         total = sum(_by_descent(objective, sr.SolverConfig()).iterations for objective in objectives)
-        assert total == 1088
+        assert total == 345
 
     def test_path_heavy_grid(self):
         # 184 paths on one O/D pair: a start that loads every path would take
-        # 140 rounds where the longest vertex start takes 46 (644 in all)
+        # 140 rounds where the longest vertex start takes 46 (644 in all). Start
+        # 0 wins: start 1 ends 4.2e-16 lower relative (4.218187927203374),
+        # within the winner rule's relative 1e-15
         result = sr.system_optimal(grid_instance(1, 4))
         assert result.converged
         assert result.iterations == 530
-        assert result.potential_or_cost == 4.218187927203374
+        assert result.potential_or_cost == 4.218187927203376
 
     def test_five_by_five_grid(self):
         # 8,512 corner paths against 80 links: the descent on a working set
@@ -376,14 +388,26 @@ class TestSystemOptimal:
         assert result.potential_or_cost == pytest.approx(11.942106962736283, rel=1e-9, abs=0.0)
 
     def test_budget_is_per_start(self):
-        # seed 15: 13 distinct starts, none of which reaches a zero gap in 3 iterations
+        # seed 15: 13 distinct starts, none of which reaches a zero gap in 1
+        # iteration (in 3, the face move brings 9 of them to a zero gap)
         instance = sr.random_instance(15, sr.ShapeConfig())
-        config = sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)
+        config = sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)
         result = _by_descent(_Quadratic.social_cost(instance), config)
-        assert result.iterations == 3 * len(_starts(_Quadratic.social_cost(instance), config.seed)[0])
-        # the start's cost, three stepping rounds, and the round that finds the budget spent
-        assert len(result.trace) == 4
+        assert result.iterations == 1 * len(_starts(_Quadratic.social_cost(instance), config.seed)[0])
+        # the start's cost, one stepping round, and the round that finds the budget spent
+        assert len(result.trace) == 2
         assert not result.converged
+
+    def test_winner_rule_is_scale_free(self):
+        # seed 131 with its demands and free-flow times scaled by 1e-7, a cost of
+        # 4.5e-14: an absolute tie tolerance of 1e-15 tied every end point, and
+        # start 0 won 6.3e-4 above the lowest end point of its own batch
+        objective = _Quadratic.social_cost(scaled(sr.random_instance(131, sr.ShapeConfig()), 1e-7))
+        assert objective.faces > objective.budget
+        _, _, traces = _descend(objective, _starts(objective, 0), sr.SolverConfig())
+        lowest = min(trace[-1] for trace in traces)
+        assert 0.0 < lowest < traces[0][-1] * (1.0 - 1e-4) < 1e-13
+        assert _by_descent(objective, sr.SolverConfig()).potential_or_cost <= lowest * (1.0 + 1e-15)
 
 
 def parallel_links(n: int, alpha: float = 0.5) -> sr.GameInstance:
@@ -500,6 +524,22 @@ class TestFaceBudget:
         assert result.iterations == 1
         assert math.isnan(result.relative_gap)
         assert result.converged is False
+
+    def test_overflowed_solve_is_not_exact(self):
+        # two parallel links at demand 1e155: every face's value overflows, so no
+        # face passes the face solve's tests, and its point is the first face's
+        two = parallel_links(2)
+        two = sr.build_instance(two.nodes, two.links, [dataclasses.replace(two.od_pairs[0], demand=1e155)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = sr.system_optimal(two), sr.follower_equilibrium(two, np.zeros(2))
+        for result in results:
+            assert result.iterations == 1 and not result.exact and not result.converged
+            assert result.potential_or_cost == math.inf and math.isnan(result.relative_gap)
+        # one link: the demands are the one feasible point at any scale
+        one = parallel_links(1)
+        one = sr.build_instance(one.nodes, one.links, [dataclasses.replace(one.od_pairs[0], demand=1e155)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sr.system_optimal(one).exact and sr.follower_equilibrium(one, np.zeros(1)).exact
 
     def test_layout_cache_keeps_every_layout(self):
         # the default batch and the low-mu oracle batch, certified as verify
@@ -743,11 +783,113 @@ class TestBatchedStarts:
         _, iterations, traces = _descend(_Quadratic.social_cost(instance), (fa, fh), sr.SolverConfig())
         assert len(set(iterations.tolist())) > 2  # starts finish at different rounds
         # each start's rounds and trace stay its own across the compactions
-        assert iterations.tolist() == [11, 11, 11, 11, 8, 10, 11, 11]
-        assert [len(trace) for trace in traces] == [12, 12, 12, 12, 9, 11, 12, 12]
+        assert iterations.tolist() == [2, 2, 3, 3, 1, 1, 2, 3]
+        assert [len(trace) for trace in traces] == [3, 3, 4, 4, 2, 2, 3, 4]
         for i, trace in enumerate(traces):
             flow = sr.ClassFlow.from_path_flows(instance, fa[i], fh[i])
             assert sr.social_cost(instance, flow) == pytest.approx(trace[-1], rel=1e-14)
+
+
+#: ``system_optimal``'s social cost on the 25 verify-default rows above the
+#: face budget, without the face move
+DESCENT_ROWS = {
+    33: 3.178896911862339, 55: 8.579182597871707, 59: 2.709020787009412, 61: 5.065688186466071,
+    62: 8.797619553002674, 66: 5.108778740818159, 69: 8.934830912932844, 71: 4.000003273772126,
+    74: 6.769618283456167, 77: 3.23605802687032, 93: 4.18836652173237, 96: 1.331153650563367,
+    104: 9.885287520110934, 108: 1.9770796960213184, 109: 6.289723577440001, 131: 4.498899603275218,
+    134: 8.338379450129628, 147: 5.167540936306608, 153: 1.7245841242555777, 154: 5.414367511041361,
+    159: 3.2105474853457188, 180: 5.538496549148278, 197: 3.131485793180302, 198: 4.4544926634805755,
+    199: 4.3028814731705065,
+}
+
+
+class TestFaceMove:
+    """The optimum's exact face move (``_face_move``): a start that tried a step
+    moves to the stationary point of the face its support spans, where that
+    point passes the face solve's tests and lowers the social cost.
+    ``TestSystemOptimumIsExact`` checks the descent with the move against the
+    exact minimum."""
+
+    def test_descent_rows(self):
+        objectives = [_Quadratic.social_cost(sr.random_instance(seed, sr.ShapeConfig())) for seed in range(200)]
+        assert [seed for seed, o in enumerate(objectives) if o.faces > o.budget] == sorted(DESCENT_ROWS)
+        for seed, before in DESCENT_ROWS.items():
+            instance = sr.random_instance(seed, sr.ShapeConfig())
+            objective = _Quadratic.social_cost(instance)
+            fa, fh = _starts(objective, 0)
+            _, _, traces = _descend(objective, (fa, fh), sr.SolverConfig())
+            for trace in traces:  # every start's trace, not only the winner's
+                assert np.all(np.diff(trace) <= 0.0), seed
+            assert fa.min() >= 0.0 and fh.min() >= 0.0
+            for f, demands in ((fa, instance.auto_demands), (fh, instance.human_demands)):
+                assert np.all(np.abs(od_sums(instance, f) - demands) <= 1e-14 * demands), seed
+            result = sr.system_optimal(instance)
+            assert result.converged and not result.exact
+            assert result.potential_or_cost <= before * (1.0 + 1e-12), seed
+
+    def test_lands_on_the_face_solve(self):
+        # a start in the relative interior of the exact minimum's face moves to
+        # that minimum in one move
+        instance = parallel_links(4)
+        objective = _Quadratic.social_cost(instance)
+        z, value = _face_minimum(*objective.path_form())
+        n = instance.n_paths
+        support = z > 1e-9
+        # halfway to the even split of each class over its support
+        even = np.concatenate([d * support[k * n : (k + 1) * n] / support[k * n : (k + 1) * n].sum()
+                               for k, d in enumerate((instance.auto_demands[0], instance.human_demands[0]))])
+        x = 0.5 * (z + even)
+        xs = [x[None, :n].copy(), x[None, n:].copy()]
+        links = [f @ instance.incidence.T for f in xs]
+        before = objective.value(links)[0]
+        moved = _face_move(objective)(xs, links, np.ones(1, dtype=bool))
+        assert moved.tolist() == [True]
+        assert np.concatenate([xs[0][0], xs[1][0]]) == pytest.approx(z, rel=1e-12, abs=1e-14)
+        assert objective.value(links)[0] == pytest.approx(value, rel=1e-12) and value < before
+        for f, link in zip(xs, links):
+            assert link == pytest.approx(f @ instance.incidence.T, rel=1e-14, abs=1e-15)
+
+    def test_keeps_a_start_below_its_face_point(self):
+        # a < h: the social cost is indefinite on the face of all four path
+        # flows, whose stationary point, every flow 1/2, costs 3/2 and passes
+        # the face solve's tests; a start on that face below it stays, a start
+        # above it moves there (dyadic flows, so the start costs are exact)
+        instance = two_parallel_links()
+        objective = _Quadratic.social_cost(instance)
+        for fh, cost, moves in (([0.3125, 0.6875], 1.4921875, False), ([0.5, 0.5], 1.5625, True)):
+            xs = [np.array([[0.75, 0.25]]), np.array([fh])]
+            links = [f @ instance.incidence.T for f in xs]
+            assert objective.value(links)[0] == cost
+            assert _face_move(objective)(xs, links, np.ones(1, dtype=bool)).tolist() == [moves]
+            if moves:
+                assert np.concatenate(xs, axis=1) == pytest.approx(np.full((1, 4), 0.5), rel=1e-14)
+                assert objective.value(links)[0] == pytest.approx(1.5, rel=1e-14)
+            else:
+                assert xs[0].tolist() == [[0.75, 0.25]] and xs[1].tolist() == [fh]
+
+    def test_overflowing_start_accepts_no_move(self):
+        instance = make_pigou(alpha=0.5, demand=1e160)
+        objective = _Quadratic.social_cost(instance)
+        fa, fh = _starts(objective, 0)
+        kept = fa.copy(), fh.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            links = [fa @ instance.incidence.T, fh @ instance.incidence.T]
+            moved = _face_move(objective)([fa, fh], links, np.ones(len(fa), dtype=bool))
+        assert not moved.any()
+        assert np.array_equal(fa, kept[0]) and np.array_equal(fh, kept[1])
+
+    def test_only_two_blocks_on_every_column(self, monkeypatch):
+        # a path-heavy descent (a working set) and the follower's descent run
+        # their rounds without it
+        def untouched(objective):
+            raise AssertionError("the face move was built")
+
+        monkeypatch.setattr(solvers, "_face_move", untouched)
+        assert _Quadratic.social_cost(grid_instance(1, 4)).path_heavy
+        assert sr.system_optimal(grid_instance(1, 4)).converged
+        objective = potential(parallel_links(8), np.full(8, 0.25))
+        assert objective.faces > objective.budget
+        assert _by_descent(objective, sr.SolverConfig()).converged
 
 
 def two_parallel_links():
@@ -843,13 +985,16 @@ class TestClassSwap:
         [
             ("pigou", 0.0, 0.7502497502497503, 2),
             ("pigou", 1.0, 0.7502497502497503, 2),
-            ("braess", 0.0, 1.8749999999999996, 25),
-            ("braess", 1.0, 1.3733333333333335, 15),
+            # 1.8749999999999996 in 25 iterations and 1.3733333333333335 in 15
+            # before the face move
+            ("braess", 0.0, 1.875, 3),
+            ("braess", 1.0, 1.3733333333333335, 3),
         ],
         ids=["pigou-a0", "pigou-a1", "braess-a0", "braess-a1"],
     )
     def test_one_class_limits(self, name, alpha, cost, iterations):
-        # one class is empty, so the move never fires: the two-block descent's values
+        # one class is empty, so the class swap never fires: the two-block
+        # descent's values, with the face move
         instance = with_alpha(sr.load_instance(INSTANCES / f"{name}.json"), alpha)
         result = _by_descent(_Quadratic.social_cost(instance), sr.SolverConfig())
         assert result.converged
