@@ -71,14 +71,23 @@ blocks, from all its distinct starts. A round of the optimum is the
 autonomous block, then the human block, then one exact class-swap move
 (``_class_swap``) on the starts that tried a step: at fixed total path flows
 the social cost is linear in the class split, which the blocks, each moving
-one class and so the total flow, only reach by zigzagging. Where it keeps
-every path, the round ends with one exact face move (``_face_move``) on the
-same starts: each moves to the stationary point of the face that its
-current support spans, if that point passes the face solve's tests and
-lowers the social cost. Once the exchange and the swap have found the
-support, that one solve replaces the descent's tail of shrinking steps
-(projected Newton methods, Bertsekas, 1982). The faces of all those starts
-take one stacked solve.
+one class and so the total flow, only reach by zigzagging.
+
+A round of either objective ends with one exact face move (``_face_move``)
+on the starts that tried a step: each moves to the stationary point of the
+face that its current support spans, if that point passes the face solve's
+tests and lowers the objective. Where that point is stationary but has a
+negative flow, the start steps toward it only as far as its flows stay
+nonnegative, which empties the blocking path, and only where that lowers the
+objective. Once the exchange (and the swap) have found the support, that one
+solve replaces the descent's tail of shrinking steps (projected Newton
+methods, Bertsekas, 1982); for the convex potential the face's point is the
+equilibrium itself. The fresh faces of all those starts take one stacked
+solve, each at the size of its support. The follower builds the move on its
+working set and builds it again when the set widens. The optimum's
+working-set descent runs without it: its starts meet fresh supports in
+nearly every round, and on the 4×4 grids the move cut the optimum's batch
+rounds from 525 to 341 but made it slower.
 
 Every convergence test uses one relative gap, exact solve or descent. For a
 block with link gradient g, link flow x and per-O/D demands, let y be the
@@ -149,20 +158,21 @@ class EquilibriumResult:
     counts one iteration, and its ``trace`` is the objective at its point.
     Above the budget, ``iterations`` counts the rounds of ``_descend`` that
     tried a step, per start, summed over the starts of the system optimum
-    (which run together, as one batch); a round of the optimum is its
-    autonomous block, then its human block, then the class swap, which runs
-    only in a round that tried a block step, and then, where the descent
-    keeps every path, the exact face move to the stationary point of the
-    face its support spans, taken only where it lowers the cost. ``trace``
-    then records the objective at the start of each round of the returned
-    start, so its last entry is the returned point; it is nonincreasing by
-    construction.
+    (which run together, as one batch); a round is the follower's block, or
+    the optimum's autonomous block, then its human block, then the class
+    swap, which runs only in a round that tried a block step, and then,
+    except on the optimum's working set of paths, the exact face move to (or
+    toward) the stationary point of the face its support spans, taken only
+    where it lowers the objective. ``trace`` then records the objective at
+    the start of each round of the returned start, so its last entry is the
+    returned point; it is nonincreasing by construction.
 
     ``exact`` is set when the result is the exact solve within the face
     budget, the global minimum of its objective, and some face passed that
     solve's tests (an objective with one face always does); a descent
-    result, whose convergence certifies block-wise optimality only, leaves
-    it False, also where its face move ended on an exact face solve.
+    result leaves it False, also where its face move ended on an exact face
+    solve: for the optimum its convergence certifies block-wise optimality
+    only.
     """
 
     flow: ClassFlow
@@ -470,82 +480,131 @@ def _class_swap(objective: _Quadratic) -> Callable[..., np.ndarray]:
 
 
 def _face_move(objective: _Quadratic) -> Callable[..., np.ndarray]:
-    """The exact face move of the social cost ``objective``, for ``_descend``.
+    """The exact face move of ``objective``, with one block or two, for ``_descend``.
 
-    A start's support is, per O/D pair and class, the paths that carry more
+    A start's support is, per O/D pair and block, the paths that carry more
     than ``_USED_EPS`` max(d, 1) of the demand d; a group with no such path
-    keeps its first. The move takes a start to the stationary point of the
-    face its support spans, the face solve of ``_face_minimum`` on that one
-    face, where the point passes the same tests (``_stationary_points``) and
-    strictly lowers the social cost: the step of projected Newton methods
-    once the active set is identified (Bertsekas, 1982), here after the
-    path-based exchange and the class swap have found the support.
+    keeps its first. The move takes a start toward the stationary point of
+    the face its support spans, the face solve of ``_face_minimum`` on that
+    one face: the step of projected Newton methods once the active set is
+    identified (Bertsekas, 1982), here after the path-based exchange and, for
+    the social cost, the class swap have found the support. Where the point
+    passes the face solve's tests (``_stationary_points``), the start moves
+    to it. Where it is stationary but has a flow below -``_FEASIBLE_ATOL``,
+    the start steps toward it only as far as every flow stays >= 0, and the
+    path that blocks the step is set to exactly 0, as an active-set method
+    drops a constraint. Either way each group of the new point is fitted to
+    its demand, as ``_fit_demands`` fits one point but for all rows at once,
+    and the start moves only where that strictly lowers the objective.
 
-    The KKT matrix of the whole path form, scaled as ``_face_minimum``
-    scales it, is built here once. The returned callable takes the (starts ×
-    paths) path flows and (starts × links) link flows of the autonomous and
-    the human block and a mask of the rows to try. It solves the faces of
-    those rows in one stacked solve, each the full matrix with the rows and
-    columns outside its support replaced by identity rows that pin those
-    flows at 0, and fits each group of a point that passes to its demand
-    (``_fit_demands``). A face's point does not depend on the row that spans
-    it, so each distinct face is solved once per descent and kept: a row
-    whose face was solved before is compared with the kept point, which is
-    the same comparison as a second solve would make. It moves the rows
-    that pass, in place on the path and link flows, and returns per row
-    whether it moved.
+    The path form, scaled as ``_face_minimum`` scales it, is built here once.
+    The returned callable takes the (starts × paths) path flows and (starts ×
+    links) link flows of each block and a mask of the rows to try. It solves
+    the fresh faces of those rows in one stacked solve, each KKT system at
+    the size of its support, padded with identity rows to the largest
+    support of the call. A face's raw stationary point does not depend on the
+    row that spans it, so each distinct face is solved once and kept by its
+    support. It moves the rows that pass, in place on the path and link
+    flows, and returns per row whether it moved.
     """
     P, q, groups, demands, _ = objective.path_form()
     P = 0.5 * (P + P.T)
     scale = max(np.abs(P).max(), 1.0)
     n, k, n_paths = q.size, len(groups), len(objective.paths)
-    full = np.zeros((n + k, n + k))
-    full[:n, :n] = P / scale
+    # the KKT matrix and right-hand side of the whole path form, indexed as
+    # [flows, group sums, padding]: each face's system is gathered from it, its
+    # support's flows first, then padding, identity rows that pin a variable of
+    # no path at 0, and the group sums last
+    kkt = np.zeros((2 * n + k, 2 * n + k))
+    kkt[:n, :n] = P / scale
     for j, g in enumerate(groups):
-        full[n + j, g.start : g.stop] = full[g.start : g.stop, n + j] = 1.0
+        kkt[n + j, g.start : g.stop] = kkt[g.start : g.stop, n + j] = 1.0
+    kkt[n + k :, n + k :] = np.eye(n)
+    full_rhs = np.concatenate([-(q / scale), demands, np.zeros(n)])
+    padding = np.arange(n + k, 2 * n + k)
+    sums = np.arange(n, n + k)
     firsts = np.array([g.start for g in groups])
-    used = np.repeat(_USED_EPS * np.maximum(demands, 1.0), [len(g) for g in groups])
-    identity = np.eye(n + k)
+    sizes = [len(g) for g in groups]
+    used = np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes)
     inc_t = objective.incidence.T
-    # the faces solved so far, by support: their points, the link flows of
-    # each block there, and their values, infinite where a face failed
+    blocks = range(len(objective.quad))
+
+    def solve(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The raw stationary points of the faces with the rows of ``supports``
+        (faces × n), zero off each support, and whether each is stationary."""
+        m = supports.sum(1)
+        size = m.max()
+        kept = np.arange(size) < m[:, None]
+        # each face's support, in order, then padding, then the group sums
+        order = np.argsort(~supports, axis=1, kind="stable")[:, :size]
+        at = np.concatenate([np.where(kept, order, padding[:size]), np.broadcast_to(sums, (len(m), k))], axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x, passed = _stationary_points(kkt[at[:, :, None], at[:, None, :]], full_rhs[at][:, :, None], kept)
+        z = np.zeros(supports.shape)
+        z[supports] = x[kept]
+        return z, passed
+
+    def ends(z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """The rows of ``z`` clipped at zero and fitted to the demands, in place
+        and all at once, as ``_fit_demands`` fits one point, with the link flows
+        of each block there and the objective's value."""
+        np.maximum(z, 0.0, out=z)
+        totals = np.add.reduceat(z, firsts, axis=1)
+        z *= np.divide(demands, totals, out=np.ones(totals.shape), where=totals > 0.0).repeat(sizes, axis=1)
+        z_links = [z[:, j * n_paths : (j + 1) * n_paths] @ inc_t for j in blocks]
+        return z, z_links, objective.value(z_links)
+
+    # the faces solved so far, by support: their raw points; their end points,
+    # the link flows and the value there, infinite unless the whole move passed;
+    # and whether the move steps toward the raw point instead
     known: dict[bytes, int] = {}
-    points, values = np.empty((0, n)), np.empty(0)
-    point_links = [np.empty((0, objective.incidence.shape[0]))] * 2
+    raw, points, values = np.empty((0, n)), np.empty((0, n)), np.empty(0)
+    point_links = [np.empty((0, inc_t.shape[1]))] * len(blocks)
+    toward = np.empty(0, dtype=bool)
 
     def move(xs: list[np.ndarray], links: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        nonlocal points, values, point_links
+        nonlocal raw, points, values, point_links, toward
         r = np.flatnonzero(rows)
-        support = np.concatenate([x[r] for x in xs], axis=1) > used
+        x = np.concatenate([x[r] for x in xs], axis=1)
+        support = x > used
         support[:, firsts] |= ~np.logical_or.reduceat(support, firsts, axis=1)
         flat = support.tobytes()
         keys = [flat[i : i + n] for i in range(0, len(flat), n)]
         fresh = {key: i for i, key in enumerate(keys) if key not in known}
         if fresh:
             known.update(zip(fresh, itertools.count(len(values))))
-            new = support[list(fresh.values())]
-            kept = np.concatenate([new, np.ones((len(new), k), dtype=bool)], axis=1)
-            K = np.where(kept[:, :, None] & kept[:, None, :], full, identity)
-            rhs = np.empty((len(new), n + k, 1))
-            np.multiply(-(q / scale), new, out=rhs[:, :n, 0])
-            rhs[:, n:, 0] = demands
-            z, face_values = _stationary_points(K, rhs, new, P, q)
-            passed = face_values < math.inf
-            for i in np.flatnonzero(passed).tolist():
-                _fit_demands(z[i], groups, demands)
-            new_links = [z[:, :n_paths] @ inc_t, z[:, n_paths:] @ inc_t]
-            points = np.concatenate([points, z])
-            values = np.concatenate([values, np.where(passed, objective.value(new_links), math.inf)])
-            point_links = [np.concatenate(pair) for pair in zip(point_links, new_links)]
+            z, passed = solve(support[list(fresh.values())])
+            feasible = z.min(1) >= -_FEASIBLE_ATOL
+            end, end_links, end_values = ends(z.copy())
+            raw = np.concatenate([raw, z])
+            points = np.concatenate([points, end])
+            values = np.concatenate([values, np.where(passed & feasible, end_values, math.inf)])
+            point_links = [np.concatenate(pair) for pair in zip(point_links, end_links)]
+            toward = np.concatenate([toward, passed & ~feasible])
         face = np.array([known[key] for key in keys])
+        z, z_links, z_values = points[face], [link[face] for link in point_links], values[face]
+        step = np.flatnonzero(toward[face])
+        if len(step):
+            # the step from x toward the raw point p as far as every flow stays
+            # >= 0, to the first path that p takes below zero, which ends at 0
+            x, p = x[step], raw[face[step]]
+            ratio = np.full(p.shape, np.inf)
+            np.divide(x, x - p, out=ratio, where=p < -_FEASIBLE_ATOL)
+            block = ratio.argmin(1)
+            at = np.arange(len(step))
+            z_step = x + ratio[at, block, None] * (p - x)
+            z_step[at, block] = 0.0
+            z[step], step_links, z_values[step] = ends(z_step)
+            for z_link, step_link in zip(z_links, step_links):
+                z_link[step] = step_link
         # a NaN value lowers nothing
-        lower = values[face] < objective.value([link[r] for link in links])
+        lower = z_values < objective.value([link[r] for link in links])
         moved = np.zeros(len(rows), dtype=bool)
         if any(lower):
-            r, face = r[lower], face[lower]
+            r = r[lower]
             for j, (x, link) in enumerate(zip(xs, links)):
-                x[r] = points[face, j * n_paths : (j + 1) * n_paths]
-                link[r] = point_links[j][face]
+                x[r] = z[lower, j * n_paths : (j + 1) * n_paths]
+                link[r] = z_links[j][lower]
             moved[r] = True
         return moved
 
@@ -567,13 +626,13 @@ def _descend(
     ``config.max_iterations`` rounds that tried a step, and whose gap is not
     NaN at a non-finite gradient. After the blocks of a two-block objective,
     ``_class_swap`` moves the path flows and link flows of both in place on
-    the starts that tried a step this round, and then, unless the objective
-    runs on a working set, ``_face_move`` moves those starts to the
-    stationary points of their supports' faces where those pass the face
-    solve's tests and lower the objective; neither is an extra round. A start
-    leaves the batch after a round that changes none of its path flows, since
-    every later round would repeat it; the gaps of that round are therefore
-    measured at its returned point.
+    the starts that tried a step this round. Then, for the one-block
+    potential and for the two-block social cost where it keeps every path,
+    ``_face_move`` moves those starts to, or toward, the stationary points
+    of their supports' faces where that lowers the objective; neither is an
+    extra round. A start leaves the batch after a round that changes none of
+    its path flows, since every later round would repeat it; the gaps of that
+    round are therefore measured at its returned point.
 
     A ``path_heavy`` objective, with more paths than links plus O/D pairs,
     runs on a working set of its paths: the objective ``restrict``-ed to the
@@ -584,9 +643,11 @@ def _descend(
     each start keeps its own set, the paths it started on and those its own
     all-or-nothing steps loaded, and its pairwise exchange moves flow only to
     paths of that set, never to a path that only another start loaded. Any
-    other objective keeps every path and runs with no working set. So each
-    start runs as it would alone, up to the last bits of the batched
-    products.
+    other objective keeps every path and runs with no working set. The face
+    move is built over the working set, and built again whenever it widens.
+    So each start runs as it would alone, up to the last bits of the batched
+    products and of the face solves, whose stacks are padded to the largest
+    support of a call.
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of the objective's value at
@@ -613,7 +674,8 @@ def _descend(
         # compacted to the live starts once one finishes
         xs = [np.ascontiguousarray(f) for f in flows]
     swap = _class_swap(part) if len(objective.quad) == 2 else None
-    face = _face_move(objective) if swap is not None and not working else None
+    # the face move: every descent of the potential, the optimum's on every column only
+    face = _face_move(part) if swap is None or not working else None
     inc = part.incidence
     live = np.arange(n_starts)
     links = [x @ inc.T for x in xs]
@@ -655,6 +717,8 @@ def _descend(
                     part = objective.restrict(columns)
                     if swap is not None:
                         swap = _class_swap(part)
+                    if face is not None:
+                        face = _face_move(part)
                     inc = part.incidence
                     y = y_all.take(columns, 1)
                 owns[k] |= (y != 0.0) & step[:, None]
@@ -662,8 +726,9 @@ def _descend(
             if any(moved_k):
                 moved = moved | moved_k
                 links[k] = xs[k] @ inc.T
-        if swap is not None and any(tried):
-            moved = moved | swap(xs, links, tried)
+        if any(tried):
+            if swap is not None:
+                moved = moved | swap(xs, links, tried)
             if face is not None:
                 moved = moved | face(xs, links, tried)
         iterations = iterations + tried
@@ -809,44 +874,42 @@ def _face_minimum(
     rhs = np.empty((len(masks), K.shape[1], 1))
     np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
     rhs[:, n:, 0] = demands
-    Z, values = _stationary_points(K, rhs, masks, P, q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, stationary = _stationary_points(K, rhs, masks)
+        Z = np.maximum(x, 0.0)
+        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
+        values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
     best = int(np.argmin(values))
     return Z[best], float(values[best])
 
 
-def _stationary_points(
-    K: np.ndarray, rhs: np.ndarray, masks: np.ndarray, P: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_points(K: np.ndarray, rhs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stationary points of a stack of faces, with supports the rows of
-    ``masks`` (faces × n), and their values: one batched LU solve of the
-    (faces, n + k, n + k) KKT stack ``K`` against ``rhs`` (faces, n + k, 1),
-    both scaled as ``_face_minimum`` states. Returns each face's point,
-    clipped at zero, and its value at the symmetric P and q, which is
-    infinite where the face fails a test: its KKT matrix is exactly
-    singular (it is then replaced by the identity in ``K``), its residual is
-    above ``_KKT_RTOL`` relative to the right-hand side, or it has a flow
-    below -``_FEASIBLE_ATOL``. A point that overflows fails one of the last
-    two."""
-    n = q.size
+    ``masks`` (faces × n), and whether each passes the stationarity tests: one
+    batched LU solve of the (faces, n + k, n + k) KKT stack ``K`` against
+    ``rhs`` (faces, n + k, 1), both scaled as ``_face_minimum`` states.
+    Returns each face's point, zero off its support and not clipped, and
+    False where its KKT matrix is exactly singular (it is then replaced by
+    the identity in ``K``) or its residual is above ``_KKT_RTOL`` relative to
+    the right-hand side; a point that overflows fails the residual test.
+    Both callers then test feasibility, a flow no lower than
+    -``_FEASIBLE_ATOL``, and call it with divide, overflow and invalid
+    warnings off: slogdet takes log 0 on a singular face, and a nearly
+    singular one can overflow."""
+    n = masks.shape[1]
     singular = np.zeros(len(masks), dtype=bool)
-    # slogdet takes log 0 on a singular face, and a nearly singular one can overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:  # some face has an exactly zero pivot
-            singular = np.linalg.slogdet(K)[0] == 0
-            K[singular] = np.eye(K.shape[1])
-            sol = np.linalg.solve(K, rhs)
-        # |r| <= rtol |rhs|, squared: each side overflows where its norm would
-        r = K @ sol - rhs
-        stationary = ~singular & (
-            np.einsum("fij,fij->f", r, r) <= _KKT_RTOL**2 * np.einsum("fij,fij->f", rhs, rhs)
-        )
-        x = np.where(masks, sol[:, :n, 0], 0.0)
-        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
-        Z = np.maximum(x, 0.0)
-        values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
-    return Z, values
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:  # some face has an exactly zero pivot
+        singular = np.linalg.slogdet(K)[0] == 0
+        K[singular] = np.eye(K.shape[1])
+        sol = np.linalg.solve(K, rhs)
+    # |r| <= rtol |rhs|, squared: each side overflows where its norm would
+    r = K @ sol - rhs
+    stationary = ~singular & (
+        np.einsum("fij,fij->f", r, r) <= _KKT_RTOL**2 * np.einsum("fij,fij->f", rhs, rhs)
+    )
+    return np.where(masks, sol[:, :n, 0], 0.0), stationary
 
 
 def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -182,14 +182,12 @@ def result_bits(result):
     return result.iterations, result.trace, result.relative_gap, result.converged, flows
 
 
-def eight_links(b: float) -> sr.GameInstance:
-    """Eight parallel links, over both face budgets (23,546 optimum faces, 255
-    follower faces), so both solvers descend: e1, e2 and e8 are free of
-    free-flow time, the five between have free-flow time ``b``."""
+def eight_links() -> sr.GameInstance:
+    """Eight parallel links free of free-flow time, over both face budgets
+    (23,546 optimum faces, 255 follower faces), so both solvers descend; e2
+    has half the slopes of the others."""
     slopes = [(1.0, 1.0), (0.5, 0.5)] + [(1.0, 1.0)] * 6
-    links = [
-        sr.Link(f"e{i + 1}", "1", "2", a, h, 0.0 if i in (0, 1, 7) else b) for i, (a, h) in enumerate(slopes)
-    ]
+    links = [sr.Link(f"e{i + 1}", "1", "2", a, h, 0.0) for i, (a, h) in enumerate(slopes)]
     return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.5)])
 
 
@@ -199,7 +197,7 @@ class TestNotConverged:
     CONFIG = sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)
 
     def test_system_optimum_gate(self):
-        instance = eight_links(0.0)
+        instance = eight_links()
         with pytest.raises(sr.NotConverged, match="system optimum not converged") as info:
             sr.play(instance, self.CONFIG)
         result = info.value.result
@@ -209,9 +207,13 @@ class TestNotConverged:
         assert len(_starts(_Quadratic.social_cost(instance), self.CONFIG.seed)[0]) == result.iterations == 14
 
     def test_induced_equilibrium_gate(self):
-        # the optimum (total flows 1/4, 1/2 and 1/4 on e1, e2 and e8) is
-        # reached within the one round, the follower's equilibrium is not
-        instance = eight_links(4.0)
+        # eight links, the last four with free-flow time 1: the optimum (1/4 on
+        # each of e1-e4) is reached within the one round. The follower's
+        # equilibrium, 1/8 on each of e1-e4, uses four paths, and one round
+        # loads at most three (its start, its conditional-gradient path and its
+        # exchange path), so not even its face move reaches it
+        links = [sr.Link(f"e{i + 1}", "1", "2", 1.0, 1.0, 0.0 if i < 4 else 1.0) for i in range(8)]
+        instance = sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.5)])
         with pytest.raises(sr.NotConverged, match="induced equilibrium not converged") as info:
             sr.play(instance, self.CONFIG)
         result = info.value.result

@@ -142,22 +142,15 @@ class TestFollowerEquilibrium:
         assert induced == pytest.approx([0.75, 0.25], abs=1e-2)
 
     def test_unconverged_returns_best_iterate(self):
-        # three uneven links: the equilibrium splits, so two iterations
-        # cannot reach an effectively-exact gap tolerance
-        instance = sr.build_instance(
-            ("1", "2"),
-            [
-                sr.Link("a", "1", "2", 1.0, 1.0, 0.0),
-                sr.Link("b", "1", "2", 2.0, 2.0, 0.05),
-                sr.Link("c", "1", "2", 3.0, 3.0, 0.1),
-            ],
-            [sr.ODPair("1", "2", 1.0, 0.0)],
-        )
+        # a 4x4 grid of 184 paths: the follower's working set still misses
+        # paths of the equilibrium after two rounds (gap 3.1e-2), so two
+        # iterations cannot reach an effectively-exact gap tolerance
+        instance = grid_instance(0, 4)
         config = sr.SolverConfig(max_iterations=2, relative_gap_tol=1e-16)
-        result = _by_descent(_Quadratic.potential(instance, np.zeros(3)), config)
+        result = _by_descent(_Quadratic.potential(instance, np.zeros(instance.n_links)), config)
         assert not result.converged
         assert result.iterations == 2
-        assert result.flow.path_flows_h.sum() == pytest.approx(1.0)
+        assert result.flow.path_flows_h.sum() == pytest.approx(instance.human_demands.sum())
 
     def test_dimension_mismatch(self, pigou):
         with pytest.raises(sr.DomainError, match=r"must have shape \(2,\)"):
@@ -205,7 +198,8 @@ class TestFollowerEquilibrium:
         "make, iterations, gap, trace_length",
         [
             (make_braess, 1, 0.0, 2),
-            (lambda: sr.random_instance(55, sr.ShapeConfig()), 9, 4.2546813190380085e-09, 10),
+            # 9 rounds, to a gap of 4.3e-9, before the follower's face move
+            (lambda: sr.random_instance(55, sr.ShapeConfig()), 1, 0.0, 2),
         ],
         ids=["braess", "seed55"],
     )
@@ -343,17 +337,22 @@ class TestSystemOptimal:
         [
             (make_braess, sr.SolverConfig()),
             (lambda: sr.random_instance(118, sr.ShapeConfig()), sr.SolverConfig()),
-            # the budget, not convergence, ends every start (1,264 faces, so it descends)
-            (lambda: sr.random_instance(55, sr.ShapeConfig()),
-             sr.SolverConfig(max_iterations=3, relative_gap_tol=1e-16)),
+            # the budget, not convergence, ends every start (1,521 faces, so it
+            # descends): after one round each start's gap is 4.5e-2 or more
+            (lambda: sr.random_instance(109, sr.ShapeConfig()),
+             sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)),
             # 368 paths on two crossing pairs: a working set, priced over every path
             (lambda: grid_instance(3, 4, True), sr.SolverConfig()),
         ],
-        ids=["braess", "seed118", "seed55-budget", "grid3-2od"],
+        ids=["braess", "seed118", "seed109-budget", "grid3-2od"],
     )
     def test_gap_is_block_gap_at_result(self, make, config):
         instance = make()
         result = sr.system_optimal(instance, config)
+        if config.max_iterations == 1:
+            objective = _Quadratic.social_cost(instance)
+            gaps, _, _ = _descend(objective, _starts(objective, config.seed), config)
+            assert np.all(gaps > 1e12 * config.relative_gap_tol)
         fa, fh = result.flow.link_flows_a, result.flow.link_flows_h
         ah, b = instance.a + instance.h, instance.b
         fa, fh = fa[None], fh[None]
@@ -363,11 +362,12 @@ class TestSystemOptimal:
 
     def test_rounds_over_random_seeds(self):
         # pinned total rounds: the two blocks alone zigzag along the class split and
-        # took 2,677, and 1,088 with the class swap but no face move; a change
-        # that brings either back fails here
+        # took 2,677, 1,088 with the class swap but no face move, and 345 with a
+        # face move that never stepped toward an infeasible face point; a change
+        # that brings any of them back fails here
         objectives = (_Quadratic.social_cost(sr.random_instance(seed, sr.ShapeConfig())) for seed in range(50))
         total = sum(_by_descent(objective, sr.SolverConfig()).iterations for objective in objectives)
-        assert total == 345
+        assert total == 287
 
     def test_path_heavy_grid(self):
         # 184 paths on one O/D pair: a start that loads every path would take
@@ -388,12 +388,17 @@ class TestSystemOptimal:
         assert result.potential_or_cost == pytest.approx(11.942106962736283, rel=1e-9, abs=0.0)
 
     def test_budget_is_per_start(self):
-        # seed 15: 13 distinct starts, none of which reaches a zero gap in 1
-        # iteration (in 3, the face move brings 9 of them to a zero gap)
-        instance = sr.random_instance(15, sr.ShapeConfig())
+        # seed 109: 14 distinct starts, each of which ends its one round at a gap
+        # of 4.5e-2 or more, 14 orders of magnitude above the tolerance, so the
+        # budget, not a rounding residue, ends every start
+        objective = _Quadratic.social_cost(sr.random_instance(109, sr.ShapeConfig()))
         config = sr.SolverConfig(max_iterations=1, relative_gap_tol=1e-16)
-        result = _by_descent(_Quadratic.social_cost(instance), config)
-        assert result.iterations == 1 * len(_starts(_Quadratic.social_cost(instance), config.seed)[0])
+        starts = _starts(objective, config.seed)
+        gaps, iterations, _ = _descend(objective, tuple(f.copy() for f in starts), config)
+        assert len(gaps) == 14 and np.all(gaps > 1e12 * config.relative_gap_tol)
+        assert np.all(iterations == 1)
+        result = _by_descent(objective, config)
+        assert result.iterations == 1 * len(starts[0])
         # the start's cost, one stepping round, and the round that finds the budget spent
         assert len(result.trace) == 2
         assert not result.converged
@@ -804,11 +809,12 @@ DESCENT_ROWS = {
 
 
 class TestFaceMove:
-    """The optimum's exact face move (``_face_move``): a start that tried a step
-    moves to the stationary point of the face its support spans, where that
-    point passes the face solve's tests and lowers the social cost.
-    ``TestSystemOptimumIsExact`` checks the descent with the move against the
-    exact minimum."""
+    """The exact face move (``_face_move``) of both objectives: a start that tried
+    a step moves to the stationary point of the face its support spans, where
+    that point passes the face solve's tests, or toward it as far as its flows
+    stay nonnegative, where it passes the stationarity test only; either way
+    only where that lowers the objective. ``TestSystemOptimumIsExact`` checks
+    the descent with the move against the exact minimum."""
 
     def test_descent_rows(self):
         objectives = [_Quadratic.social_cost(sr.random_instance(seed, sr.ShapeConfig())) for seed in range(200)]
@@ -878,18 +884,91 @@ class TestFaceMove:
         assert not moved.any()
         assert np.array_equal(fa, kept[0]) and np.array_equal(fh, kept[1])
 
-    def test_only_two_blocks_on_every_column(self, monkeypatch):
-        # a path-heavy descent (a working set) and the follower's descent run
-        # their rounds without it
-        def untouched(objective):
-            raise AssertionError("the face move was built")
+    def test_steps_toward_an_infeasible_face_point(self):
+        # the follower on three links, free-flow times (0, 0, 1): the face of all
+        # three paths is stationary at (2/3, 2/3, -1/3); from (1/4, 1/4, 1/2) the
+        # step stops at 3/5 of the way, where path 3 empties, at (1/2, 1/2, 0)
+        instance = parallel_paths([0.0, 0.0, 1.0])
+        objective = potential(instance)
+        xs = [np.array([[0.25, 0.25, 0.5]])]
+        links = [xs[0] @ instance.incidence.T]
+        before = objective.value(links)[0]
+        assert _face_move(objective)(xs, links, np.ones(1, dtype=bool)).tolist() == [True]
+        assert xs[0][0, 2] == 0.0  # the blocking path, exactly
+        assert xs[0][0] == pytest.approx([0.5, 0.5, 0.0], rel=1e-14)
+        assert abs(xs[0].sum() - 1.0) <= 1e-14
+        assert links[0] == pytest.approx(xs[0] @ instance.incidence.T, rel=1e-14, abs=1e-15)
+        assert objective.value(links)[0] < before
 
-        monkeypatch.setattr(solvers, "_face_move", untouched)
+    def test_keeps_a_start_the_step_would_raise(self):
+        # a < h on two links with free-flow times (0, 1): the social cost is
+        # indefinite on the face of all four path flows, stationary at fa = (-1/2,
+        # 3/2), fh = (3/2, -1/2); from fa = (3/4, 1/4), fh = (1/2, 1/2) the cost
+        # rises along the step, 9/64 by the point where fh_v empties
+        instance = sr.build_instance(
+            ("1", "2"),
+            [sr.Link("u", "1", "2", 0.5, 1.0, 0.0), sr.Link("v", "1", "2", 0.5, 1.0, 1.0)],
+            [sr.ODPair("1", "2", 2.0, 0.5)],
+        )
+        objective = _Quadratic.social_cost(instance)
+        xs = [np.array([[0.75, 0.25]]), np.array([[0.5, 0.5]])]
+        links = [f @ instance.incidence.T for f in xs]
+        assert _face_move(objective)(xs, links, np.ones(1, dtype=bool)).tolist() == [False]
+        assert xs[0].tolist() == [[0.75, 0.25]] and xs[1].tolist() == [[0.5, 0.5]]
+        # the step's end point costs more than the start
+        end = [np.array([[0.125, 0.875]]), np.array([[1.0, 0.0]])]
+        end_links = [f @ instance.incidence.T for f in end]
+        assert objective.value(end_links)[0] == pytest.approx(objective.value(links)[0] + 9 / 64, rel=1e-14)
+
+    def test_follower_on_the_grids(self, monkeypatch):
+        # each grid-4x4 follower of the benchmark, at its SCALE leader's flows,
+        # converges in at most 10 rounds (the block steps alone took 16-81) to
+        # the link flows of the block steps alone at a gap tolerance of 1e-14
+        def none(objective):
+            return lambda xs, links, rows: np.zeros(len(rows), dtype=bool)
+
+        for seed in range(5):
+            instance = grid_instance(seed, 4, seed >= 3)
+            outcome = sr.play(instance)
+            objective = potential(instance, outcome.leader_link_flows)
+            assert objective.path_heavy and objective.faces > objective.budget
+            result = outcome.follower_result
+            assert result.converged and result.iterations <= 10, seed
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_face_move", none)
+                reference = _by_descent(objective, sr.SolverConfig(relative_gap_tol=1e-14))
+            assert reference.converged
+            assert np.abs(result.flow.link_flows_h - reference.flow.link_flows_h).max() <= 1e-7, seed
+
+    def test_where_it_is_built(self, monkeypatch):
+        # both objectives over every column, and the follower over its working
+        # set, rebuilt as the set widens; never the optimum's working set
+        built = []
+
+        def record(objective):
+            built.append((len(objective.quad), len(objective.paths) < objective.instance.n_paths))
+            return face_move(objective)
+
+        face_move = solvers._face_move
+        monkeypatch.setattr(solvers, "_face_move", record)
         assert _Quadratic.social_cost(grid_instance(1, 4)).path_heavy
         assert sr.system_optimal(grid_instance(1, 4)).converged
+        assert built == []
+        assert sr.system_optimal(sr.random_instance(55, sr.ShapeConfig())).converged
+        assert built == [(2, False)]
         objective = potential(parallel_links(8), np.full(8, 0.25))
-        assert objective.faces > objective.budget
+        assert objective.faces > objective.budget and not objective.path_heavy
         assert _by_descent(objective, sr.SolverConfig()).converged
+        assert built[1:] == [(1, False)]
+        objective = potential(grid_instance(1, 4))
+        assert _by_descent(objective, sr.SolverConfig()).converged
+        assert len(built) > 3 and set(built[2:]) == {(1, True)}
+
+
+def parallel_paths(b):
+    """One all-human pair of demand 1 over links of unit slopes and free-flow times ``b``."""
+    links = [sr.Link(f"e{i + 1}", "1", "2", 1.0, 1.0, value) for i, value in enumerate(b)]
+    return sr.build_instance(("1", "2"), links, [sr.ODPair("1", "2", 1.0, 0.0)])
 
 
 def two_parallel_links():
