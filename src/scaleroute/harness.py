@@ -6,7 +6,7 @@ within the face budget of ``system_optimal``, so its optimum there is the
 exact face solve. ``oracle_nash`` solves the follower's Beckmann potential,
 as ``solvers._Quadratic`` states it, exactly by ``_Quadratic.point``, at
 any face count: the demands on one link, else the face enumeration of
-``solvers._face_point``; the solve that ``follower_equilibrium`` runs
+``solvers._face_minimum``; the solve that ``follower_equilibrium`` runs
 within its face budget, bit for bit.
 
 Batch verification plays the SCALE game on seeded random instances and
@@ -20,7 +20,6 @@ curves) as labeled CSV series.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,7 +109,7 @@ def oracle_nash(
 
     The exact minimiser (``_Quadratic.point``) of the human path flows t
     under ``_Quadratic.potential`` at s, the Beckmann potential with the
-    leader fixed: the human demand on one link, else its ``_face_point``.
+    leader fixed: the human demand on one link, else its ``_face_minimum``.
     ``s`` is checked as ``follower_equilibrium`` checks it. Raises
     DomainError outside the oracle scope (``is_parallel_link``). Returns the
     human link flows A t and their relative Wardrop gap (``wardrop_gap``).
@@ -380,6 +379,8 @@ def verify_bounds(config: BatchConfig = BatchConfig()) -> VerificationReport:
     )
     if config.jobs == 1:
         return VerificationReport(rows=tuple(map(_verify_one, *args)))
+    import concurrent.futures  # here, not at the top: it costs every import of the package
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(config.jobs, config.count)) as pool:
         chunksize = -(-config.count // (4 * config.jobs))
         return VerificationReport(rows=tuple(pool.map(_verify_one, *args, chunksize=chunksize)))

@@ -11,7 +11,6 @@ validation and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -457,6 +456,8 @@ def validate_instance(raw: Mapping) -> GameInstance:
 
 def load_instance(path) -> GameInstance:
     """Read and validate an instance file (JSON)."""
+    import json  # here, not at the top: it costs every import of the package
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

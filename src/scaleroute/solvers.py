@@ -13,10 +13,11 @@ Wardrop relative gap.
 Both solvers are exact within a face budget. Each face of the product fixes
 a nonempty support per simplex, and its KKT system gives its stationary
 point; ``_face_minimum`` solves the systems of all faces of the path form
-1/2 z'Pz + q'z in one stacked solve, built by scattering the entries of P
-that each face keeps into a cached template (``_face_layout``), and keeps
-the lowest feasible stationary point, the global minimum even where the
-social cost is not convex. An objective with one face, where every O/D pair
+1/2 z'Pz + q'z in one stacked solve, each system gathered at the size of
+its support from that of the whole path form (``_face_layout`` caches
+where), and keeps the lowest feasible stationary point, the global minimum
+even where the social cost is not convex; the descent's face move (below)
+shares that kernel. An objective with one face, where every O/D pair
 has one path, has one feasible point, the demands, which
 ``_Quadratic.point`` returns with no path form and no solve. For the
 social cost it solves only the faces whose autonomous and human supports
@@ -59,7 +60,8 @@ enumerated path in every round, so each step heads for the all-or-nothing
 load over all paths and the reported gap is the certificate over all of
 them. Each block of each start exchanges flow only to paths of its own set,
 the paths it started on and those its own all-or-nothing steps loaded, so
-every start still runs as it would alone. On the 4×4 grids of 184-368
+every start still runs as it would alone, up to the last bits of the batched
+products (``_descend``). On the 4×4 grids of 184-368
 paths the optimum's working set ends at 37-88 paths, of which its starts'
 end points use 7-28; on the 5×5 grid it ends at 97 of 8,512. An objective
 with at most that many paths keeps every path.
@@ -297,11 +299,11 @@ class _Quadratic:
         """Its exact minimiser, the path flows of all blocks in turn, and whether
         it is one. With one face, every O/D pair has one path and the demands
         are the only feasible point, so they are returned as they are, with no
-        path form and no face solve; otherwise it is the ``_face_point`` of its
-        ``path_form``, which is exact where its value is finite."""
+        path form and no face solve; otherwise it is the ``_face_minimum`` of
+        its ``path_form``, which is exact where its value is finite."""
         if self.faces == 1:
             return np.concatenate(self.demands), True
-        z, value = _face_point(*self.path_form())
+        z, value = _face_minimum(*self.path_form())
         return z, math.isfinite(value)
 
 
@@ -489,68 +491,38 @@ def _face_move(objective: _Quadratic) -> Callable[..., np.ndarray]:
     one face: the step of projected Newton methods once the active set is
     identified (Bertsekas, 1982), here after the path-based exchange and, for
     the social cost, the class swap have found the support. Where the point
-    passes the face solve's tests (``_stationary_points``), the start moves
+    passes the face solve's tests (``_face_solve``), the start moves
     to it. Where it is stationary but has a flow below -``_FEASIBLE_ATOL``,
     the start steps toward it only as far as every flow stays >= 0, and the
     path that blocks the step is set to exactly 0, as an active-set method
-    drops a constraint. Either way each group of the new point is fitted to
-    its demand, as ``_fit_demands`` fits one point but for all rows at once,
-    and the start moves only where that strictly lowers the objective.
+    drops a constraint. Either way the new point is fitted to the demands
+    (``_fit``), and the start moves only where that strictly lowers the
+    objective.
 
-    The path form, scaled as ``_face_minimum`` scales it, is built here once.
+    The KKT system of the whole path form (``_kkt``) is built here once.
     The returned callable takes the (starts × paths) path flows and (starts ×
     links) link flows of each block and a mask of the rows to try. It solves
-    the fresh faces of those rows in one stacked solve, each KKT system at
-    the size of its support, padded with identity rows to the largest
-    support of the call. A face's raw stationary point does not depend on the
-    row that spans it, so each distinct face is solved once and kept by its
-    support. It moves the rows that pass, in place on the path and link
-    flows, and returns per row whether it moved.
+    the fresh faces of those rows in one stacked solve (``_face_solve``), the
+    exact solve's kernel, each KKT system at the size of its support, padded
+    with identity rows to the largest support of the call. A face's raw
+    stationary point does not depend on the row that spans it, so each
+    distinct face is solved once and kept by its support. It moves the rows
+    that pass, in place on the path and link flows, and returns per row
+    whether it moved.
     """
     P, q, groups, demands, _ = objective.path_form()
-    P = 0.5 * (P + P.T)
-    scale = max(np.abs(P).max(), 1.0)
     n, k, n_paths = q.size, len(groups), len(objective.paths)
-    # the KKT matrix and right-hand side of the whole path form, indexed as
-    # [flows, group sums, padding]: each face's system is gathered from it, its
-    # support's flows first, then padding, identity rows that pin a variable of
-    # no path at 0, and the group sums last
-    kkt = np.zeros((2 * n + k, 2 * n + k))
-    kkt[:n, :n] = P / scale
-    for j, g in enumerate(groups):
-        kkt[n + j, g.start : g.stop] = kkt[g.start : g.stop, n + j] = 1.0
-    kkt[n + k :, n + k :] = np.eye(n)
-    full_rhs = np.concatenate([-(q / scale), demands, np.zeros(n)])
-    padding = np.arange(n + k, 2 * n + k)
-    sums = np.arange(n, n + k)
+    kkt, rhs, _ = _kkt(P, q, demands, _kkt_frame(groups, n))
     firsts = np.array([g.start for g in groups])
     sizes = [len(g) for g in groups]
     used = np.repeat(_USED_EPS * np.maximum(demands, 1.0), sizes)
     inc_t = objective.incidence.T
     blocks = range(len(objective.quad))
 
-    def solve(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The raw stationary points of the faces with the rows of ``supports``
-        (faces × n), zero off each support, and whether each is stationary."""
-        m = supports.sum(1)
-        size = m.max()
-        kept = np.arange(size) < m[:, None]
-        # each face's support, in order, then padding, then the group sums
-        order = np.argsort(~supports, axis=1, kind="stable")[:, :size]
-        at = np.concatenate([np.where(kept, order, padding[:size]), np.broadcast_to(sums, (len(m), k))], axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x, passed = _stationary_points(kkt[at[:, :, None], at[:, None, :]], full_rhs[at][:, :, None], kept)
-        z = np.zeros(supports.shape)
-        z[supports] = x[kept]
-        return z, passed
-
     def ends(z: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        """The rows of ``z`` clipped at zero and fitted to the demands, in place
-        and all at once, as ``_fit_demands`` fits one point, with the link flows
-        of each block there and the objective's value."""
-        np.maximum(z, 0.0, out=z)
-        totals = np.add.reduceat(z, firsts, axis=1)
-        z *= np.divide(demands, totals, out=np.ones(totals.shape), where=totals > 0.0).repeat(sizes, axis=1)
+        """The rows of ``z`` fitted to the demands in place (``_fit``), with the
+        link flows of each block there and the objective's value."""
+        _fit(z, firsts, sizes, demands)
         z_links = [z[:, j * n_paths : (j + 1) * n_paths] @ inc_t for j in blocks]
         return z, z_links, objective.value(z_links)
 
@@ -573,7 +545,9 @@ def _face_move(objective: _Quadratic) -> Callable[..., np.ndarray]:
         fresh = {key: i for i, key in enumerate(keys) if key not in known}
         if fresh:
             known.update(zip(fresh, itertools.count(len(values))))
-            z, passed = solve(support[list(fresh.values())])
+            faces = support[list(fresh.values())]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                z, passed = _face_solve(kkt, rhs, faces, _face_gather(faces, k))
             feasible = z.min(1) >= -_FEASIBLE_ATOL
             end, end_links, end_values = ends(z.copy())
             raw = np.concatenate([raw, z])
@@ -647,7 +621,11 @@ def _descend(
     move is built over the working set, and built again whenever it widens.
     So each start runs as it would alone, up to the last bits of the batched
     products and of the face solves, whose stacks are padded to the largest
-    support of a call.
+    support of a call. Those bits can matter: a one-row and a many-row
+    product can round differently, and the difference can break a tie
+    between two path costs in the exchange the other way, after which the
+    start's rounds in the batch and alone part (``budget-grid1`` of
+    ``test_start_runs_as_it_would_alone`` once did so at starts 9 and 11).
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of the objective's value at
@@ -773,19 +751,14 @@ def _widen(x: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=48)
 def _face_layout(
     groups: tuple[tuple[int, ...], ...], n: int, pruned: bool
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """The faces of the product of simplices over n variables with k groups,
-    as read-only arrays: their supports, a (faces, n) mask; the entries of P
-    that each face keeps, the (f, i, j) with i and j in the support of face
-    f, as a pair of flat index maps, into the (faces, n + k, n + k) stack and
-    into the (n, n) matrix P, in the smallest unsigned dtype that holds
-    faces (n + k)^2; and the part of their KKT systems that P does not fill,
-    a (faces, n + k, n + k) boolean stack, an eighth of its float size, with
-    the group sums over each support and a unit diagonal that pins each
-    variable off the support at 0. That stack is 0 wherever the index maps
-    write. A face takes one nonempty subset per group, the subsets of a
-    group by size and then lexicographically, and the faces come in
-    ``itertools.product`` order.
+    as read-only arrays: their supports, a (faces, n) mask; where their KKT
+    systems sit in the KKT system of the whole path form (``_face_gather``);
+    and the part of that system's matrix that depends on neither P nor q
+    (``_kkt_frame``). A face takes one nonempty subset per group, the
+    subsets of a group by size and then lexicographically, and the faces
+    come in ``itertools.product`` order.
 
     ``pruned`` keeps, in that order, only the faces of the class-overlap
     family, for the two blocks of the social cost: the groups are then the
@@ -813,43 +786,30 @@ def _face_layout(
     if pruned:
         shared = masks[:, : n // 2] & masks[:, n // 2 :]
         masks = masks[np.logical_and.reduce([shared[:, list(g)].sum(1) <= 1 for g in groups[: len(groups) // 2]])]
-    k = len(groups)
-    m = n + k
-    face, row, col = np.nonzero(masks[:, :, None] & masks[:, None, :])
-    index = np.min_scalar_type(len(masks) * m * m)
-    into_K, from_P = ((face * m + row) * m + col).astype(index), (row * n + col).astype(index)
-    member = np.zeros((k, n), dtype=bool)
-    for j, g in enumerate(groups):
-        member[j, list(g)] = True
-    K = np.zeros((len(masks), m, m), dtype=bool)
-    K[:, :n, :n] = np.eye(n, dtype=bool) & ~masks[:, None, :]
-    K[:, n:, :n] = member & masks[:, None, :]  # one sum per group
-    K[:, :n, n:] = K[:, n:, :n].transpose(0, 2, 1)
-    for array in (masks, into_K, from_P, K):
+    gather, frame = _face_gather(masks, len(groups)), _kkt_frame(groups, n)
+    for array in (masks, *gather, frame):
         array.flags.writeable = False
-    return masks, (into_K, from_P), K
+    return masks, gather, frame
 
 
 def _face_minimum(
     P: np.ndarray, q: np.ndarray, groups: Sequence[Sequence[int]], demands: Sequence[float],
     pruned: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group.
+    """Global minimum of 1/2 z'Pz + q'z over z >= 0 with sum(z[g]) = d per group,
+    the groups consecutive runs of the variables in order.
 
     The feasible set is a product of simplices. Each face fixes a nonempty
     support per group, and the minimum is a stationary point in the relative
     interior of some face. With ``pruned``, only the faces of the
     class-overlap family are solved, which is exact for the path form of the
-    social cost but not in general (``_face_layout``). P is first replaced
-    by its symmetric part, which has the same quadratic form. The KKT
-    systems of the faces form one stack (``_face_layout``) with P restricted
-    to each support, and one batched LU solve covers them all. The stack
-    holds P and q divided by s, the larger of max|P| and 1, which leaves
-    every minimiser in place and keeps the slopes on the scale of the unit
-    constraint rows however large they are. A face's point is kept if its
-    residual is small and it is feasible (``_stationary_points``, whose
-    tests the descent's face move shares); a point that overflows fails one
-    of the two tests.
+    social cost but not in general (``_face_layout``). The KKT systems of
+    the faces are gathered from that of the whole path form (``_kkt``), each
+    on its support, padded with identity rows to the largest support, and
+    one batched LU solve covers them all (``_face_solve``, the kernel of the
+    descent's face move too). A face's
+    point is kept if it passes that solve's tests and is feasible; a point
+    that overflows fails one of them.
 
     A face whose KKT matrix LU finds exactly singular is skipped, and the
     skip loses no minimum. Take a minimiser z* in the relative interior of
@@ -858,58 +818,119 @@ def _face_minimum(
     disjoint and nonempty. The gradient term along v is 0 by stationarity,
     and the curvature term is v'P v = -(E v)'w = 0, so the cost is constant
     along v, and moving along +-v reaches a smaller face with the same
-    value. A vertex face, whose KKT block is [[P_SS / s, I], [I, 0]] with
+    value. A vertex face, whose KKT block is [[P_SS scaled, I], [I, 0]] with
     determinant +-1, is never skipped. Among the surviving faces the lowest
-    value, at the unscaled P and q, wins, the first face on ties. Returns
-    the minimiser and its value, infinite where no face passed.
+    value, at the unscaled symmetric P and q, wins, the first face on ties.
+    Returns the minimiser, fitted to the demands (``_fit``), and its face's
+    value, infinite where no face passed (the minimiser is then the first
+    face's point, fitted).
     """
-    P = 0.5 * (P + P.T)
-    scale = max(np.abs(P).max(), 1.0)
-    n = q.size
-    masks, (into_K, from_P), template = _face_layout(tuple(map(tuple, groups)), n, pruned)
-    K = template.astype(float)
-    # numpy indexes by intp: a narrower index array, cast explicitly, scatters
-    # about 1.5x faster than one passed as it is (Xeon, 2 CPUs)
-    K.reshape(-1)[into_K.astype(np.intp)] = (P / scale).reshape(-1)[from_P.astype(np.intp)]
-    rhs = np.empty((len(masks), K.shape[1], 1))
-    np.multiply(-(q / scale), masks, out=rhs[:, :n, 0])
-    rhs[:, n:, 0] = demands
+    masks, gather, frame = _face_layout(tuple(map(tuple, groups)), q.size, pruned)
+    K, rhs, P = _kkt(P, q, demands, frame)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, stationary = _stationary_points(K, rhs, masks)
-        Z = np.maximum(x, 0.0)
-        feasible = x.min(axis=1) >= -_FEASIBLE_ATOL
+        Z, stationary = _face_solve(K, rhs, masks, gather)
+        feasible = Z.min(axis=1) >= -_FEASIBLE_ATOL
+        np.maximum(Z, 0.0, out=Z)
         values = np.where(stationary & feasible, np.einsum("fi,fi->f", Z, 0.5 * (Z @ P) + q), math.inf)
     best = int(np.argmin(values))
-    return Z[best], float(values[best])
+    z = _fit(Z[best : best + 1], [g[0] for g in groups], [len(g) for g in groups], demands)
+    return z[0], float(values[best])
 
 
-def _stationary_points(K: np.ndarray, rhs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary points of a stack of faces, with supports the rows of
-    ``masks`` (faces × n), and whether each passes the stationarity tests: one
-    batched LU solve of the (faces, n + k, n + k) KKT stack ``K`` against
-    ``rhs`` (faces, n + k, 1), both scaled as ``_face_minimum`` states.
-    Returns each face's point, zero off its support and not clipped, and
-    False where its KKT matrix is exactly singular (it is then replaced by
-    the identity in ``K``) or its residual is above ``_KKT_RTOL`` relative to
-    the right-hand side; a point that overflows fails the residual test.
-    Both callers then test feasibility, a flow no lower than
-    -``_FEASIBLE_ATOL``, and call it with divide, overflow and invalid
-    warnings off: slogdet takes log 0 on a singular face, and a nearly
-    singular one can overflow."""
-    n = masks.shape[1]
-    singular = np.zeros(len(masks), dtype=bool)
+def _kkt_frame(groups: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The part of ``_kkt``'s matrix over n variables in ``groups`` that
+    depends on neither P nor q: the group rows, and an identity block that
+    pins the n padding variables at 0."""
+    k = len(groups)
+    frame = np.zeros((2 * n + k, 2 * n + k))
+    for j, g in enumerate(groups):
+        frame[n + j, list(g)] = frame[list(g), n + j] = 1.0
+    frame[n + k :, n + k :] = np.eye(n)
+    return frame
+
+
+def _kkt(
+    P: np.ndarray, q: np.ndarray, demands: Sequence[float], frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The KKT matrix and right-hand side of the whole path form 1/2 z'Pz + q'z
+    in its groups' ``frame``, indexed as [flows, group sums, padding], and
+    the symmetric part of P, which has the same quadratic form and replaces
+    P. The system holds it and q divided by the larger of max|P| and 1,
+    which leaves every minimiser in place and keeps the slopes on the scale
+    of the unit group rows however large they are."""
+    P = 0.5 * (P + P.T)
+    scale = np.abs(P).max(initial=1.0)
+    n = q.size
+    kkt = frame.copy()
+    kkt[:n, :n] = P / scale
+    return kkt, np.concatenate([q / -scale, demands, np.zeros(n)]), P
+
+
+def _face_gather(supports: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the KKT system of each face, with k groups and a row of
+    ``supports`` (faces × n) as its support, sits in ``_kkt``'s system: its
+    variables, the support's flows in order, then padding up to the largest
+    support, then the group sums, as indices (faces, size + k, 1) into the
+    right-hand side and as pairs (faces, size + k, size + k) into the
+    flattened matrix; and the support's places among them."""
+    n = supports.shape[1]
+    m = supports.sum(1)
+    size = m.max()
+    kept = np.arange(size + k) < m[:, None]
+    order = np.argsort(~supports, axis=1, kind="stable")[:, :size]
+    padding, sums = np.arange(n + k, n + k + size), np.arange(n, n + k)
+    at = np.concatenate([np.where(kept[:, :size], order, padding), np.broadcast_to(sums, (len(m), k))], axis=1)
+    return at[:, :, None], at[:, :, None] * (2 * n + k) + at[:, None, :], kept
+
+
+def _face_solve(
+    kkt: np.ndarray, rhs: np.ndarray, supports: np.ndarray, gather: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw stationary points of the faces with the rows of ``supports``
+    (faces × n), zero off each support and not clipped, and whether each
+    passes the stationarity tests: one batched LU solve of their systems,
+    gathered from ``_kkt``'s ``kkt`` and ``rhs`` by their ``_face_gather``.
+    A face fails where its KKT matrix is exactly singular (it is then solved
+    as the identity) or its residual is above ``_KKT_RTOL`` relative to the
+    right-hand side; a point that overflows fails the residual test. Both
+    callers then test feasibility, a flow no lower than -``_FEASIBLE_ATOL``,
+    and call it with divide, overflow and invalid warnings off: slogdet
+    takes log 0 on a singular face, and a nearly singular one can overflow."""
+    at, pairs, kept = gather
+    K, b = kkt.take(pairs), rhs[at]
+    singular = None
     try:
-        sol = np.linalg.solve(K, rhs)
+        sol = np.linalg.solve(K, b)
     except np.linalg.LinAlgError:  # some face has an exactly zero pivot
         singular = np.linalg.slogdet(K)[0] == 0
         K[singular] = np.eye(K.shape[1])
-        sol = np.linalg.solve(K, rhs)
-    # |r| <= rtol |rhs|, squared: each side overflows where its norm would
-    r = K @ sol - rhs
-    stationary = ~singular & (
-        np.einsum("fij,fij->f", r, r) <= _KKT_RTOL**2 * np.einsum("fij,fij->f", rhs, rhs)
-    )
-    return np.where(masks, sol[:, :n, 0], 0.0), stationary
+        sol = np.linalg.solve(K, b)
+    # |r| <= rtol |b|, squared: each side overflows where its norm would
+    r = K @ sol - b
+    passed = np.einsum("fij,fij->f", r, r) <= _KKT_RTOL**2 * np.einsum("fij,fij->f", b, b)
+    if singular is not None:
+        passed &= ~singular
+    z = np.zeros(supports.shape)
+    z[supports] = sol[kept, 0]
+    return z, passed
+
+
+def _fit(z: np.ndarray, firsts: Sequence[int], sizes: Sequence[int], demands: Sequence[float]) -> np.ndarray:
+    """The rows of ``z`` clipped at zero and fitted to the demands, in place:
+    the flows of each group, the ``sizes`` columns from ``firsts``, scaled to
+    sum to its demand, so a group of zero demand gets exactly zero flow. A
+    group with a zero total keeps its flows, all zero, and one with a NaN
+    total gets NaN flows. The KKT solve meets a group sum only up to a
+    rounding error on the scale of q: round-off in an empty group, and a
+    large relative error where the demand is small against the latencies (a
+    human demand of 1e-5 at latencies near 1/3 left a Wardrop gap of
+    5.6e-12)."""
+    np.maximum(z, 0.0, out=z)
+    totals = np.add.reduceat(z, firsts, axis=1)
+    # each group's factor, in place of its total where that is positive; a
+    # zero total leaves a factor of 0, which keeps the zero flows as they are
+    z *= np.divide(demands, totals, out=totals, where=totals > 0.0).repeat(sizes, axis=1)
+    return z
 
 
 def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -917,38 +938,9 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A.T @ (v[:, None] * A)
 
 
-def _face_point(
-    P: np.ndarray, q: np.ndarray, groups: Sequence[range], demands: Sequence[float], pruned: bool
-) -> tuple[np.ndarray, float]:
-    """The minimiser of ``_face_minimum`` fitted to the demands
-    (``_fit_demands``), and its value, infinite where no face passed the
-    tests of ``_stationary_points`` (the minimiser is then the first face's
-    clipped point)."""
-    z, value = _face_minimum(P, q, groups, demands, pruned)
-    _fit_demands(z, groups, demands)
-    return z, value
-
-
-def _fit_demands(z: np.ndarray, groups: Sequence[range], demands: Sequence[float]) -> None:
-    """Scale each group's flows in the point ``z``, in place, to sum to its
-    demand, so a group of zero demand gets exactly zero flow; a group with
-    no positive total keeps its flows.
-
-    The KKT solve meets a group sum only up to a rounding error on the scale
-    of q: round-off in an empty group, and a large relative error where the
-    demand is small against the latencies (a human demand of 1e-5 at
-    latencies near 1/3 left a Wardrop gap of 5.6e-12).
-    """
-    for g, d in zip(groups, demands):
-        group = z[g.start : g.stop]
-        total = group.sum()
-        if total > 0.0:
-            group *= d / total
-
-
 def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     """The exact minimiser of ``objective`` (``_Quadratic.point``: the demands
-    where it has one face, else its ``_face_point``), reported as ``_descend``
+    where it has one face, else its ``_face_minimum``), reported as ``_descend``
     reports an end point: the largest block gap there (NaN if any is NaN), one
     iteration, and a trace of the value there; with ``exact`` set unless no
     face passed the face solve's tests."""

@@ -6,6 +6,9 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +517,15 @@ class TestVerifyBounds:
         report = sr.verify_bounds(sr.BatchConfig(count=3, jobs=500))
         assert seen == [3]
         assert report_to_csv(report) == report_to_csv(sr.verify_bounds(sr.BatchConfig(count=3)))
+
+    def test_import_loads_neither_the_pool_nor_json(self):
+        # verify_bounds imports concurrent.futures only for jobs > 1, and
+        # load_instance json only when it reads, so importing the package in a
+        # fresh interpreter loads neither
+        code = "import sys, scaleroute; print(sorted({'concurrent.futures', 'json'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(sr.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestCurveTables:

@@ -559,12 +559,14 @@ class TestFaceBudget:
 
     def test_layout_footprint(self):
         # the largest layout within the budget, 585 faces of 10 path flows in 2
-        # groups: the masks, the boolean KKT template, and the index maps of its
-        # 11,670 kept entries of P in uint32; a change of dtype or layout shows here
+        # groups, at most 6 of them per face: the masks, the gather index of each
+        # face's 8 variables and its 64 pairs in intp, the support places among
+        # the 8, and the 22x22 KKT frame; a change of dtype or layout shows here
         P, q, groups, demands, pruned = _Quadratic.social_cost(parallel_links(5)).path_form()
-        masks, (into_K, from_P), template = _face_layout(tuple(map(tuple, groups)), len(q), pruned)
-        assert len(masks) == 585 and into_K.dtype == from_P.dtype == np.uint32
-        assert masks.nbytes + into_K.nbytes + from_P.nbytes + template.nbytes == 183_450
+        masks, (at, pairs, kept), frame = _face_layout(tuple(map(tuple, groups)), len(q), pruned)
+        assert masks.shape == (585, 10) and at.shape == (585, 8, 1) and pairs.shape == (585, 8, 8)
+        assert kept.shape == (585, 8) and frame.shape == (22, 22) and at.dtype == pairs.dtype == np.intp
+        assert masks.nbytes + at.nbytes + pairs.nbytes + kept.nbytes + frame.nbytes == 351_362
 
 
 SHAPES = {
@@ -624,30 +626,43 @@ class TestClassOverlapPruning:
                 assert (mask[start:end] & mask[n + start : n + end]).sum() <= 1
 
 
-def assembled_stack(P, q, groups, demands, pruned=False) -> np.ndarray:
-    """The KKT stack that ``_face_minimum`` hands to its first batched solve."""
+def solved_stacks(P, q, groups, demands, pruned=False) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The KKT stacks and right-hand sides that ``_face_minimum`` hands to its
+    batched solves, the first of them as assembled."""
     stacks = []
     solve = np.linalg.solve
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "solve", lambda K, rhs: stacks.append(K.copy()) or solve(K, rhs))
+        patch.setattr(np.linalg, "solve", lambda K, rhs: stacks.append((K.copy(), rhs.copy())) or solve(K, rhs))
         _face_minimum(P, q, groups, demands, pruned)
-    return stacks[0]
+    return stacks
 
 
-def check_assembled_stack(P, q, groups, demands, pruned=False) -> None:
-    """The stack scattered through the layout's index maps is, bit for bit, the
-    template plus the scaled symmetric P masked to each face's support pairs."""
+def check_gathered_stack(P, q, groups, demands, pruned=False) -> None:
+    """Each face's gathered system is, bit for bit, the scaled symmetric P on
+    its support, that face's group rows, and identity rows on the padding up
+    to the largest support, with the scaled -q on its support, zeros on the
+    padding and the demands as its right-hand side."""
     S = 0.5 * (P + P.T)
     scale = max(np.abs(S).max(), 1.0)
-    n = len(q)
-    masks, _, template = _face_layout(tuple(map(tuple, groups)), n, pruned)
-    expected = template.astype(float)
-    expected[:, :n, :n] += (S / scale) * (masks[:, :, None] & masks[:, None, :])
-    assert np.array_equal(assembled_stack(P, q, groups, demands, pruned), expected)
+    masks, _, _ = _face_layout(tuple(map(tuple, groups)), len(q), pruned)
+    size, k = masks.sum(1).max(), len(groups)
+    K, rhs = solved_stacks(P, q, groups, demands, pruned)[0]
+    assert K.shape == (len(masks), size + k, size + k) and rhs.shape == (len(masks), size + k, 1)
+    for face, mask, b in zip(K, masks, rhs):
+        support = np.flatnonzero(mask)
+        m = len(support)
+        expected = np.zeros((size + k, size + k))
+        expected[:m, :m] = (S / scale)[np.ix_(support, support)]
+        expected[m:size, m:size] = np.eye(size - m)
+        for j, g in enumerate(groups):
+            expected[size + j, :m] = expected[:m, size + j] = np.isin(support, list(g))
+        assert np.array_equal(face, expected)
+        assert np.array_equal(b[:, 0], np.concatenate([-(q / scale)[support], np.zeros(size - m), demands]))
 
 
 class TestFaceStack:
-    """``_face_minimum`` writes only the entries of P that each face keeps."""
+    """``_face_minimum`` gathers each face's KKT system at the size of its
+    support, padded to the largest, as the descent's face move does."""
 
     def test_benchmark_layouts(self):
         lowmu = sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2)
@@ -657,7 +672,7 @@ class TestFaceStack:
         for instance in instances:
             for objective in (_Quadratic.social_cost(instance), potential(instance)):
                 if 1 < objective.faces <= objective.budget:  # the layouts the exact solve reaches
-                    check_assembled_stack(*objective.path_form())
+                    check_gathered_stack(*objective.path_form())
                     solved += 1
         assert solved > 200
 
@@ -675,7 +690,48 @@ class TestFaceStack:
         rng = np.random.default_rng(draw)
         n = ends[-1]
         P = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-2, 4)
-        check_assembled_stack(P, rng.normal(size=n), groups, rng.uniform(0.5, 2.0, len(groups)), pruned)
+        check_gathered_stack(P, rng.normal(size=n), groups, rng.uniform(0.5, 2.0, len(groups)), pruned)
+
+    def test_largest_stack_is_eight_by_eight(self):
+        # 585 faces of 10 path flows in 2 groups: the class-overlap family has
+        # supports of at most 6 flows, so each system is 8x8, not 12x12
+        P, q, groups, demands, pruned = _Quadratic.social_cost(parallel_links(5)).path_form()
+        assert [K.shape for K, _ in solved_stacks(P, q, groups, demands, pruned)] == [(585, 8, 8)]
+
+    @pytest.mark.parametrize(
+        "objective",
+        [_Quadratic.social_cost(parallel_links(3)), potential(with_alpha(make_two_pairs(), 0.5), np.full(4, 0.5))],
+        ids=["social-cost-3-links", "two-pair-potential"],
+    )
+    def test_exact_and_move_solve_alike(self, objective, monkeypatch):
+        # every face's raw stationary point, from the exact stack and from the
+        # face move of a start whose support spans that face, bit for bit
+        solved = []
+
+        def record(kkt, rhs, supports, gather):
+            z, passed = face_solve(kkt, rhs, supports, gather)
+            solved.append((supports, z.copy(), passed))  # _face_minimum clips z in place
+            return z, passed
+
+        face_solve = solvers._face_solve
+        monkeypatch.setattr(solvers, "_face_solve", record)
+        P, q, groups, demands, pruned = objective.path_form()
+        _face_minimum(P, q, groups, demands, pruned)
+        (masks, exact, exact_passed), = solved
+        assert len(masks) == objective.faces and exact_passed.any()
+        # one start per face: each group's demand spread evenly over its support
+        x = np.zeros(masks.shape)
+        for g, d in zip(groups, demands):
+            x[:, g.start : g.stop] = d * masks[:, g.start : g.stop] / masks[:, g.start : g.stop].sum(1, keepdims=True)
+        n = len(objective.paths)
+        xs = [x[:, j * n : (j + 1) * n].copy() for j in range(len(objective.quad))]
+        links = [f @ objective.incidence.T for f in xs]
+        _face_move(objective)(xs, links, np.ones(len(x), dtype=bool))
+        (supports, moved, moved_passed), = solved[1:]
+        assert len(supports) == len(masks)
+        at = {mask.tobytes(): i for i, mask in enumerate(masks)}
+        order = [at[support.tobytes()] for support in supports]
+        assert np.array_equal(moved, exact[order]) and np.array_equal(moved_passed, exact_passed[order])
 
 
 class TestOneFace:

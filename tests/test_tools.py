@@ -3,7 +3,9 @@
 ``tools/descent_rounds.py`` wraps ``solvers._descend`` and plays every
 benchmark instance, so a rename in ``solvers`` that breaks it fails here. Its
 batch rounds per workload and objective are pinned, which also guards the
-rounds that the face move of both descents saves.
+rounds that the face move of both descents saves. The fields of
+``tools/outputs_digest.py --dump`` are pinned, so that dumps of two
+checkouts stay comparable.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from descent_rounds import descent_rounds  # noqa: E402
+from outputs_digest import SCALARS, _instance_outputs  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_descent_rounds_are_pinned():
@@ -32,3 +36,19 @@ def test_descent_rounds_are_pinned():
         ("grid-4x4", "optimum"): [5, 525],
         ("grid-4x4", "follower"): [5, 29],
     }
+
+
+def test_dump_fields_are_pinned():
+    assert SCALARS == (
+        "workload", "id", "status", "optimal_cost", "induced_cost", "poa", "wardrop_gap",
+        "optimum_gap", "optimum_iterations", "optimum_converged", "optimum_exact",
+        "follower_gap", "follower_iterations", "follower_converged", "follower_exact",
+        "certified",
+    )
+    # an instance in the oracle's scope fills every field, in that order
+    workload = WORKLOADS["oracle-lowmu"]
+    iid, make = workload.instances[0]
+    _, problems, scalars = _instance_outputs(workload, iid, make())
+    assert problems == 2 and tuple(scalars) == SCALARS
+    assert scalars["workload"] == "oracle-lowmu" and scalars["id"] == iid and scalars["status"] == "ok"
+    assert None not in scalars.values() and isinstance(scalars["certified"], bool)
