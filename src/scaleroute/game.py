@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 from .model import ClassFlow, GameInstance, _social_cost, social_cost
-from .solvers import EquilibriumResult, SolverConfig, follower_equilibrium, system_optimal, wardrop_gap
+from .solvers import EquilibriumResult, SolverConfig, _Quadratic, _solve, _wardrop_gap, system_optimal
 
 _ALPHA_UNIFORM_TOL = 1e-12
 _MEASURE_FLOOR = 1e-12
@@ -96,6 +96,8 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     Requires a uniform O/D autonomy fraction in (0, 1). Raises NotConverged
     (carrying no partial outcome beyond the solver result) if either solve
     misses its gap tolerance; deterministic given (instance, config.seed).
+    The follower and the Wardrop gap are those of ``follower_equilibrium``
+    and ``wardrop_gap`` bit for bit, at leader link flows checked once.
     """
     alpha = _uniform_alpha(instance)
     opt = system_optimal(instance, config)
@@ -104,9 +106,10 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
             f"system optimum not converged (gap {opt.relative_gap:.3e})", result=opt
         )
     s_path = scale_strategy(opt.flow, alpha)
-    s_link = instance.link_flows(s_path)
+    s_link = instance.link_flows(s_path)  # checks the path flows, so s_link needs no check
 
-    follower = follower_equilibrium(instance, s_link, config)
+    # follower_equilibrium and wardrop_gap without their checks of s_link
+    follower = _solve(_Quadratic.potential(instance, s_link), config)
     if not follower.converged:
         raise NotConverged(
             f"induced equilibrium not converged (gap {follower.relative_gap:.3e})",
@@ -116,7 +119,7 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
 
     optimal_cost = social_cost(instance, opt.flow)
     induced_cost = _social_cost(instance, s_link, t_link)  # both built from checked path flows
-    gap = wardrop_gap(instance, s_link, follower.flow.path_flows_h)
+    gap = _wardrop_gap(instance, s_link, t_link)
     return StackelbergOutcome(
         instance=instance,
         alpha=alpha,

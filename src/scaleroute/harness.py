@@ -42,7 +42,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _Quadratic, system_optimal, wardrop_gap
+from .solvers import SolverConfig, _Quadratic, _wardrop_gap, system_optimal
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -112,12 +112,14 @@ def oracle_nash(
     leader fixed: the human demand on one link, else its ``_face_minimum``.
     ``s`` is checked as ``follower_equilibrium`` checks it. Raises
     DomainError outside the oracle scope (``is_parallel_link``). Returns the
-    human link flows A t and their relative Wardrop gap (``wardrop_gap``).
+    human link flows A t and their relative Wardrop gap, ``wardrop_gap`` bit
+    for bit, priced at them and at the s checked once here.
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
     t, _ = _Quadratic.potential(instance, s).point()
-    return instance.incidence @ t, wardrop_gap(instance, s, t)
+    t_link = instance.incidence @ t
+    return t_link, _wardrop_gap(instance, s, t_link)
 
 
 # --- random instance generation ----------------------------------------------------

@@ -98,7 +98,11 @@ all-or-nothing load of the demands on the cheapest paths under g; the gap is
 at most ``_COST_FLOOR``. A NaN gap fails every tolerance test, so a solver
 never reports convergence on NaN input. The Wardrop gap of a human flow is
 this gap at the link latencies, and ``system_optimal`` reports the larger of
-its two block gaps.
+its two block gaps. g.y needs no y: it is sum_w d_w min_w, with min_w the
+least path cost of O/D pair w, so the gap of a point (``_priced_gap``: an
+exact solve's, a returned descent point's, the Wardrop gap) is priced from
+the per-pair least costs, and only a descent round, whose step heads for y,
+builds the load (``_block_gap``); the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -188,17 +192,28 @@ class EquilibriumResult:
 
 def _result(
     objective: _Quadratic, flows: Sequence[np.ndarray], gap: float, iterations: int,
-    trace: tuple[float, ...], config: SolverConfig, exact: bool = False,
+    trace: tuple[float, ...], config: SolverConfig, links: Sequence[np.ndarray] | None = None,
 ) -> EquilibriumResult:
     """Both solvers' result: the path flows of each block of ``objective`` and
     their descent or exact solve, against ``config.relative_gap_tol``. The
-    potential's one block is the human class, beside zero autonomous flow."""
+    potential's one block is the human class, beside zero autonomous flow.
+    With ``links``, the link flows of each block that an exact solve has
+    multiplied out of these path flows, the result is ``exact`` and its
+    flow holds those arrays as they are, made read-only; else its flow is
+    checked and built by ``ClassFlow.from_path_flows``."""
     instance = objective.instance
     if len(flows) == 1:
         flows = [np.zeros(instance.n_paths), *flows]
-    flow = ClassFlow.from_path_flows(instance, *flows)
+        if links is not None:
+            links = [np.zeros(instance.n_links), *links]
+    if links is None:
+        flow = ClassFlow.from_path_flows(instance, *flows)
+    else:
+        for array in (*flows, *links):
+            array.flags.writeable = False
+        flow = ClassFlow(*flows, *links)
     converged = bool(gap <= config.relative_gap_tol)
-    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), converged, trace, exact)
+    return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), converged, trace, links is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +248,13 @@ class _Quadratic:
         """h t^2 / 2 + (a s + b) t per link, at checked leader link flows s."""
         return cls(instance, (instance.human_demands,), (instance.h,), instance.a * s + instance.b)
 
-    @property
+    @functools.cached_property
     def faces(self) -> int:
         """Faces its exact solve enumerates, a product over the O/D pairs w with
         n_w paths, counted, not enumerated: 2^n_w - 1 supports for one block;
         for the two blocks of the social cost, the 3^n - 2^(n+1) + 1 pairs of
         nonempty supports that share no path and the n 3^(n-1) that share one
-        (``_face_layout``)."""
+        (``_face_layout``). Counted once: ``_solve`` and ``point`` both read it."""
         sizes = [end - start for start, end in self.paths.od_slices]
         if self.cross is None:
             return math.prod(2**n - 1 for n in sizes)
@@ -344,17 +359,43 @@ def _relative_gap(total: float, aon_cost: float) -> float:
     return 0.0 if gap < 0.0 else gap  # NaN passes through
 
 
+def _relative_gaps(grad: np.ndarray, x_link: np.ndarray, aon_costs: Sequence[float]) -> list[float]:
+    """``_relative_gap`` of each row of the (starts × links) link flows ``x_link``
+    at gradients ``grad`` against its all-or-nothing cost."""
+    totals = np.vecdot(grad, x_link).tolist()
+    # a loop over the rows on purpose: at 1-16 rows it takes 1.2-3.7 us a call,
+    # a masked np.divide plus np.where 4.2-5.1 us (Xeon, 2 CPUs)
+    return [_relative_gap(t, c) for t, c in zip(totals, aon_costs)]
+
+
 def _block_gap(
     over: GameInstance | _Quadratic, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative gap of each row of a block with link gradients ``grad`` at link
     flows ``x_link`` (both starts × links), and the all-or-nothing path flows it
-    is measured against, priced over every path of ``over``."""
+    is measured against, priced over every path of ``over``: the descent's
+    gap, whose step heads for that load."""
     y, aon_cost = _all_or_nothing(over, grad @ over.incidence, demands)
-    totals = np.vecdot(grad, x_link).tolist()
-    # a loop over the rows on purpose: at 1-16 rows it takes 1.2-3.7 us a call,
-    # a masked np.divide plus np.where 4.2-5.1 us (Xeon, 2 CPUs)
-    return np.array([_relative_gap(t, c) for t, c in zip(totals, aon_cost.tolist())]), y
+    return np.array(_relative_gaps(grad, x_link, aon_cost.tolist())), y
+
+
+def _priced_gap(
+    over: GameInstance | _Quadratic, demands: np.ndarray, grad: np.ndarray, x_link: np.ndarray
+) -> list[float]:
+    """``_block_gap``'s gap of each row, bit for bit, with no load built: the
+    all-or-nothing cost of a row is sum_w d_w min_w, with min_w the least cost
+    among the paths of O/D pair w, summed pair by pair in O/D order as
+    ``_all_or_nothing`` sums it. The gap of a point, whose load no step uses."""
+    starts = [start for start, _ in over.paths.od_slices]
+    least = np.minimum.reduceat(grad @ over.incidence, starts, axis=1)  # NaN where a pair's costs hold one
+    demands = demands.tolist()
+    costs = []
+    for row in least.tolist():
+        cost = 0.0
+        for d, c in zip(demands, row):
+            cost = cost + d * c
+        costs.append(cost)
+    return _relative_gaps(grad, x_link, costs)
 
 
 def _block_step(
@@ -942,25 +983,29 @@ def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     """The exact minimiser of ``objective`` (``_Quadratic.point``: the demands
     where it has one face, else its ``_face_minimum``), reported as ``_descend``
     reports an end point: the largest block gap there (NaN if any is NaN), one
-    iteration, and a trace of the value there; with ``exact`` set unless no
-    face passed the face solve's tests."""
+    iteration, and a trace of the value there; with ``exact`` set, and the
+    link flows multiplied out here as the result's, unless no face passed
+    the face solve's tests, where the point can be non-finite and is checked
+    as a descent's is."""
     n = len(objective.paths)
     z, exact = objective.point()
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
-    links = [(objective.incidence @ f)[None] for f in flows]
+    link_flows = [objective.incidence @ f for f in flows]
+    links = [x[None] for x in link_flows]
     gap = _point_gap(objective, links)
     trace = (float(objective.value(links)[0]),)
-    return _result(objective, flows, gap, 1, trace, config, exact=exact)
+    return _result(objective, flows, gap, 1, trace, config, link_flows if exact else None)
 
 
 def _point_gap(objective: _Quadratic, links: list[np.ndarray]) -> float:
     """The largest block gap of ``objective`` (NaN if any is NaN) at the (1 ×
-    links) link flows of each block, as ``EquilibriumResult`` reports it."""
+    links) link flows of each block, as ``EquilibriumResult`` reports it,
+    priced with no load built (``_priced_gap``)."""
     gaps = [
-        _block_gap(objective, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
+        _priced_gap(objective, demands, quad * links[k] + objective.block_lin(k, links), links[k])[0]
         for k, (demands, quad) in enumerate(zip(objective.demands, objective.quad))
     ]
-    return functools.reduce(np.maximum, gaps)[0]
+    return functools.reduce(np.maximum, gaps)
 
 
 # --- the descent above the face budget ------------------------------------------------
@@ -1065,8 +1110,14 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
     t = np.asarray(t, dtype=float)
     if t.shape != (instance.n_paths,):
         raise DomainError(f"human path flows must have shape ({instance.n_paths},)")
-    t_link = (instance.incidence @ t)[None]
-    return float(_block_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0][0])
+    return _wardrop_gap(instance, s, instance.incidence @ t)
+
+
+def _wardrop_gap(instance: GameInstance, s: np.ndarray, t_link: np.ndarray) -> float:
+    """``wardrop_gap`` at checked leader link flows ``s`` and the human link
+    flows ``t_link`` of the path flows, which it does not check."""
+    t_link = t_link[None]
+    return _priced_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0]
 
 
 def system_optimal(

@@ -18,6 +18,7 @@ from scaleroute import (
     random_instance,
     verify_bounds,
 )
+from scaleroute import model
 
 
 def make_pigou(alpha: float = 0.5, demand: float = 1.0):
@@ -60,6 +61,21 @@ def od_sums(instance, path_flows):
     """Per-O/D sums of ``path_flows`` over ``instance.paths.od_slices``: the last
     axis of a 1-D or (rows × paths) array becomes one entry per O/D pair."""
     return np.stack([path_flows[..., start:end].sum(-1) for start, end in instance.paths.od_slices], -1)
+
+
+@pytest.fixture
+def flow_checks(monkeypatch):
+    """The ``what`` of every ``model.check_flows`` call while the test runs, in
+    order; the test may empty the list between calls."""
+    checked = []
+    check_flows = model.check_flows
+
+    def recording(values, size, what):
+        checked.append(what)
+        return check_flows(values, size, what)
+
+    monkeypatch.setattr(model, "check_flows", recording)
+    return checked
 
 
 @pytest.fixture(scope="session")

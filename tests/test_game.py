@@ -12,6 +12,7 @@ import pytest
 import scaleroute as sr
 from scaleroute import harness
 from scaleroute.harness import ORACLE_FLOW_TOL, certify_outcome
+from scaleroute.model import social_cost_links
 from scaleroute.solvers import _by_descent, _Quadratic, _starts
 
 from conftest import make_pigou, make_two_identical, od_sums
@@ -115,6 +116,44 @@ class TestPlay:
         assert np.array_equal(first.optimal_flow.path_flows_a, second.optimal_flow.path_flows_a)
         assert np.array_equal(first.follower_flow.path_flows_h, second.follower_flow.path_flows_h)
         assert first.induced_cost == second.induced_cost
+
+    @pytest.mark.parametrize(
+        "shape, seeds",
+        [
+            (sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2), range(1000, 1050)),
+            (sr.ShapeConfig(), (77, 131)),  # both solves descend
+        ],
+        ids=["oracle-lowmu", "verify-default-s77-s131"],
+    )
+    def test_play_is_its_public_decomposition(self, shape, seeds, flow_checks):
+        # play solves the follower and prices its gap without the public
+        # calls' checks of the leader link flows, which it built from checked
+        # path flows; its outcome is theirs bit for bit, and it checks the
+        # leader's path flows once and its link flows never
+        for seed in seeds:
+            instance = sr.random_instance(seed, shape)
+            del flow_checks[:]
+            outcome = sr.play(instance)
+            assert flow_checks.count("path flows") == 1 and "leader link flows" not in flow_checks
+            opt = sr.system_optimal(instance)
+            s_path = sr.scale_strategy(opt.flow, shape.alpha)
+            s_link = instance.link_flows(s_path)
+            follower = sr.follower_equilibrium(instance, s_link)
+            gap = sr.wardrop_gap(instance, s_link, follower.flow.path_flows_h)
+            optimal_cost = sr.social_cost(instance, opt.flow)
+            induced_cost = social_cost_links(instance, s_link, follower.flow.link_flows_h)
+            assert (outcome.optimal_cost, outcome.induced_cost, outcome.empirical_poa, outcome.wardrop_gap) == (
+                optimal_cost, induced_cost, induced_cost / optimal_cost, gap
+            )
+            assert outcome.leader_path_flows.tobytes() == s_path.tobytes()
+            assert outcome.leader_link_flows.tobytes() == s_link.tobytes()
+            for got, want in ((outcome.optimal_result, opt), (outcome.follower_result, follower)):
+                assert result_bits(got) == result_bits(want)
+                assert (got.potential_or_cost, got.exact) == (want.potential_or_cost, want.exact)
+                links = got.flow.link_flows_a, got.flow.link_flows_h, want.flow.link_flows_a, want.flow.link_flows_h
+                assert links[0].tobytes() == links[2].tobytes() and links[1].tobytes() == links[3].tobytes()
+            assert outcome.optimal_flow is outcome.optimal_result.flow
+            assert outcome.follower_flow is outcome.follower_result.flow
 
     def test_certified_poa_at_least_one(self, pigou):
         outcome = sr.play(pigou)

@@ -29,6 +29,7 @@ from scaleroute.solvers import (
     _face_layout,
     _face_minimum,
     _face_move,
+    _priced_gap,
     _Quadratic,
     _relative_gap,
     _starts,
@@ -269,6 +270,49 @@ class TestWardropGap:
         assert _relative_gap(2.0, 1.5) == 0.25
         assert _relative_gap(1.0, 1.0 + 1e-15) == 0.0  # round-off below the optimum
         assert math.isnan(_relative_gap(math.nan, 1.0))
+
+
+class TestPricedGap:
+    """``_priced_gap``, the gap of a point, prices each O/D pair by its least
+    path cost and builds no load; it must give the descent's ``_block_gap``
+    bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.sampled_from([1, 4, 5, 7, 8, 12, 13, 15, 18, 19, 21, 33]),  # two O/D pairs each
+        rows=st.integers(1, 4),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_block_gap(self, seed, rows, draw):
+        instance = sr.random_instance(seed)
+        assert len(instance.od_pairs) == 2
+        rng = np.random.default_rng(draw)
+        shape = rows, instance.n_links
+        # small integer gradients give exact ties between path costs; then a
+        # NaN, an infinite or a negative gradient on some rows
+        grad = rng.integers(0, 3, shape).astype(float)
+        for value in (math.nan, math.inf, -math.inf, -1.0):
+            grad[rng.random(shape) < 0.05] = value
+        x_link = rng.integers(0, 3, shape) * rng.uniform(0.0, 2.0)
+        for demands in (instance.auto_demands, instance.human_demands, np.zeros(2)):
+            with np.errstate(invalid="ignore"):
+                want, _ = _block_gap(instance, demands, grad, x_link)
+                got = np.array(_priced_gap(instance, demands, grad, x_link))
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    def test_ties_and_non_finite_rows(self):
+        instance = make_two_pairs()
+        demands = np.array([2.0, 1.0])
+        # latencies p, q, u, v: a tie in each pair; an infinite latency, a NaN
+        grad = np.array([[1.0, 1.0, 0.5, 0.5], [1.0, math.inf, 0.5, 0.5], [1.0, 1.0, math.nan, 0.5]])
+        x_link = np.array([[1.0, 1.0, 0.5, 0.5]] * 3)
+        with np.errstate(invalid="ignore"):
+            want, _ = _block_gap(instance, demands, grad, x_link)
+            got = _priced_gap(instance, demands, grad, x_link)
+        assert got[0] == want[0] == 0.0
+        assert math.isnan(got[1]) and math.isnan(want[1])
+        assert math.isnan(got[2]) and math.isnan(want[2])
 
 
 class TestSystemOptimal:
@@ -545,6 +589,60 @@ class TestFaceBudget:
         one = sr.build_instance(one.nodes, one.links, [dataclasses.replace(one.od_pairs[0], demand=1e155)])
         with np.errstate(over="ignore", invalid="ignore"):
             assert sr.system_optimal(one).exact and sr.follower_equilibrium(one, np.zeros(1)).exact
+
+    def test_overflowed_solve_is_checked(self, flow_checks):
+        # the point of test_overflowed_solve_is_not_exact, where no face passed,
+        # is still built by ClassFlow.from_path_flows, through check_flows, as
+        # the first face's vertex with the link flows multiplied out again
+        two = parallel_links(2)
+        two = sr.build_instance(two.nodes, two.links, [dataclasses.replace(two.od_pairs[0], demand=1e155)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt = sr.system_optimal(two)
+            assert flow_checks == ["autonomous path flows", "human path flows"]
+            follower = sr.follower_equilibrium(two, np.zeros(2))
+        assert flow_checks[2:] == ["leader link flows", "autonomous path flows", "human path flows"]
+        (da,), (dh,) = two.auto_demands, two.human_demands
+        for result, autonomous in ((opt, da), (follower, 0.0)):
+            flow = result.flow
+            assert not result.exact
+            assert flow.path_flows_a.tolist() == flow.link_flows_a.tolist() == [autonomous, 0.0]
+            assert flow.path_flows_h.tolist() == flow.link_flows_h.tolist() == [dh, 0.0]
+
+    @pytest.mark.parametrize(
+        "shape, seeds, exact_results",
+        [
+            (sr.ShapeConfig(parallel_probability=1.0, mu_min=0.05, alpha=0.2), range(1000, 1050), 100),
+            (sr.ShapeConfig(), range(50), 99),
+        ],
+        ids=["oracle-lowmu", "verify-default-s0-s49"],
+    )
+    def test_exact_results_hold_their_own_link_flows(self, shape, seeds, exact_results, flow_checks):
+        # an exact result's flow holds the solve's own arrays, read-only, and
+        # runs no flow check: its link flows are incidence @ its path flows bit
+        # for bit, as ClassFlow.from_path_flows builds them; a descent's
+        # result is still built through check_flows
+        exact = 0
+        for seed in seeds:
+            instance = sr.random_instance(seed, shape)
+            del flow_checks[:]
+            opt = sr.system_optimal(instance)
+            s = instance.link_flows(sr.scale_strategy(opt.flow, shape.alpha))
+            follower = sr.follower_equilibrium(instance, s)
+            built = ["autonomous path flows", "human path flows"]
+            assert flow_checks == [
+                *([] if opt.exact else built), "path flows", "leader link flows", *([] if follower.exact else built)
+            ]
+            for result in (opt, follower):
+                flow = result.flow
+                arrays = flow.path_flows_a, flow.path_flows_h, flow.link_flows_a, flow.link_flows_h
+                assert not any(array.flags.writeable for array in arrays)
+                assert np.array_equal(flow.link_flows_a, instance.incidence @ flow.path_flows_a)
+                assert np.array_equal(flow.link_flows_h, instance.incidence @ flow.path_flows_h)
+                rebuilt = sr.ClassFlow.from_path_flows(instance, flow.path_flows_a, flow.path_flows_h)
+                again = rebuilt.path_flows_a, rebuilt.path_flows_h, rebuilt.link_flows_a, rebuilt.link_flows_h
+                assert [array.tobytes() for array in arrays] == [array.tobytes() for array in again]
+                exact += result.exact
+        assert exact == exact_results  # of 100 results
 
     def test_layout_cache_keeps_every_layout(self):
         # the default batch and the low-mu oracle batch, certified as verify

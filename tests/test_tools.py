@@ -5,18 +5,23 @@ benchmark instance, so a rename in ``solvers`` that breaks it fails here. Its
 batch rounds per workload and objective are pinned, which also guards the
 rounds that the face move of both descents saves. The fields of
 ``tools/outputs_digest.py --dump`` are pinned, so that dumps of two
-checkouts stay comparable.
+checkouts stay comparable. ``tools/solve_costs.py`` is checked for its
+output format only: no timing is bounded.
 """
 
 from __future__ import annotations
 
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
 
 from descent_rounds import descent_rounds  # noqa: E402
 from outputs_digest import SCALARS, _instance_outputs  # noqa: E402
+from solve_costs import DEFAULT_IDS, LAYERS, solve_costs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -52,3 +57,24 @@ def test_dump_fields_are_pinned():
     assert problems == 2 and tuple(scalars) == SCALARS
     assert scalars["workload"] == "oracle-lowmu" and scalars["id"] == iid and scalars["status"] == "ok"
     assert None not in scalars.values() and isinstance(scalars["certified"], bool)
+
+
+def test_solve_costs_format():
+    # one line per instance and layer, oracle_nash only on a parallel-link
+    # instance, each with its median and quartiles in microseconds per call
+    rows = solve_costs(("oracle-lowmu/s1003", "verify-default/s140"), repeats=2, number=1)
+    assert [row[:3] for row in rows] == [
+        *(("oracle-lowmu", "s1003", layer) for layer in LAYERS),
+        *(("verify-default", "s140", layer) for layer in LAYERS if layer != "oracle_nash"),
+    ]
+    for *_, median, q1, q3 in rows:
+        assert 0.0 < q1 <= median <= q3
+    assert DEFAULT_IDS == ("oracle-lowmu/s1003", "oracle-lowmu/s1004", "verify-default/s140")
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "solve_costs.py"), "--repeats", "2", "--number", "1", "oracle-lowmu/s1004"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    number = r"\d+\.\d"
+    pattern = re.compile(rf"oracle-lowmu s1004 ({'|'.join(LAYERS)}) {number} {number} {number}")
+    lines = out.splitlines()
+    assert len(lines) == len(LAYERS) and all(pattern.fullmatch(line) for line in lines)
