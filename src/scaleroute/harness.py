@@ -173,13 +173,36 @@ def _draw_link(rng: np.random.Generator, lid: str, tail: str, head: str, shape: 
     return Link(id=lid, tail=tail, head=head, a=mu * h, h=h, b=b)
 
 
+def _draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two distinct indices below n: the pair ``rng.choice(n, 2, replace=False)``
+    draws, by its own three bounded draws (Floyd's two, then the shuffle's
+    one), so ``rng`` ends where that call leaves it."""
+    first = int(rng.integers(0, n - 1))
+    second = int(rng.integers(0, n))
+    if second == first:
+        second = n - 1
+    return (first, second) if rng.integers(0, 2) else (second, first)
+
+
+def _skip_pairs(rng: np.random.Generator, n: int, count: int) -> None:
+    """Move ``rng`` past ``count`` calls of ``_draw_pair(rng, n)`` in one draw."""
+    rng.integers(0, np.tile([n - 1, n, 2], count))
+
+
 def random_instance(seed: int, shape: ShapeConfig = ShapeConfig()) -> GameInstance:
     """Seeded random instance within the size bounds; reproducible.
 
     One draw is always a valid instance: each link has 0 < a = mu h <= h
     and b >= 0, every O/D pair is joined by the chain of links origin ->
     via -> destination drawn for it, and at most ``MAX_NODES`` nodes allow
-    at most 65 simple paths per pair.
+    at most 65 simple paths per pair. Node ids are plain ``str``.
+
+    Each distinct node pair (an O/D pair, a drawn link) is ``_draw_pair``,
+    the draws of ``rng.choice(n, 2, replace=False)``. Extra links are drawn
+    until the link target or ``20 * MAX_LINKS`` attempts; once all
+    ``n (n - 1)`` links are in, ``_skip_pairs`` takes the remaining
+    attempts' draws at once and leaves the generator where they would. Every
+    instance is bit for bit the one that drawing each attempt gives.
     """
     rng = np.random.default_rng(seed)
     if rng.random() < shape.parallel_probability:
@@ -198,8 +221,8 @@ def random_instance(seed: int, shape: ShapeConfig = ShapeConfig()) -> GameInstan
     n_od = int(rng.integers(1, MAX_OD_PAIRS + 1))
     od_ends: list[tuple[str, str]] = []
     while len(od_ends) < n_od:
-        o, d = rng.choice(n_nodes, size=2, replace=False)
-        pair = (nodes[int(o)], nodes[int(d)])
+        o, d = _draw_pair(rng, n_nodes)
+        pair = (nodes[o], nodes[d])
         if pair not in od_ends:
             od_ends.append(pair)
 
@@ -208,17 +231,19 @@ def random_instance(seed: int, shape: ShapeConfig = ShapeConfig()) -> GameInstan
         others = [n for n in nodes if n not in (origin, destination)]
         k_max = min(len(others), 2)
         k = int(rng.integers(0, k_max + 1))
-        via = list(rng.permutation(others)[:k]) if k else []
+        via = [str(n) for n in rng.permutation(others)[:k]] if k else []
         chain = [origin, *via, destination]
         for tail, head in zip(chain, chain[1:]):
             link_specs.setdefault((tail, head), None)
 
     target = int(rng.integers(len(link_specs), MAX_LINKS + 1))
-    attempts = 0
-    while len(link_specs) < target and attempts < 20 * MAX_LINKS:
-        attempts += 1
-        u, v = rng.choice(n_nodes, size=2, replace=False)
-        link_specs.setdefault((nodes[int(u)], nodes[int(v)]), None)
+    attempts = 20 * MAX_LINKS
+    while len(link_specs) < min(target, n_nodes * (n_nodes - 1)) and attempts:
+        attempts -= 1
+        u, v = _draw_pair(rng, n_nodes)
+        link_specs.setdefault((nodes[u], nodes[v]), None)
+    if len(link_specs) < target and attempts:  # a full network: no attempt adds a link
+        _skip_pairs(rng, n_nodes, attempts)
 
     links = [
         _draw_link(rng, f"e{i + 1}", tail, head, shape)

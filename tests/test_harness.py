@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -439,6 +440,56 @@ class TestRandomInstance:
         assert a.links == b.links
         assert a.od_pairs == b.od_pairs
         assert [p.nodes for p in a.paths.all_paths] == [p.nodes for p in b.paths.all_paths]
+
+    @pytest.mark.parametrize(("shape", "expected"), [
+        (sr.ShapeConfig(), "36594c7d6bc67ca463051e4bc80eaff43e397d3b9dbf93f1299827c27db1e1c2"),
+        # every seed a network, so some fill all six links of three nodes
+        (sr.ShapeConfig(parallel_probability=0.0),
+         "1c930e81ffbaf6fd76041404873bbdbf27626ad13a4b00c9ba184e3f55139ce1"),
+        (LOWMU_SHAPE, "9c7d72d13cee893cffaa7e75d0582c4eabe60828dc62d2388727adfe6ec8de06"),
+    ])
+    def test_draws_are_pinned(self, shape, expected):
+        # every drawn id, end and coefficient of seeds 0-999, bit for bit; ids
+        # hash as text, so a str and an np.str_ of the same id hash alike
+        digest = hashlib.sha256()
+        for seed in range(1000):
+            instance = sr.random_instance(seed, shape)
+            text = [*instance.nodes]
+            for link in instance.links:
+                text += [link.id, link.tail, link.head]
+            for od in instance.od_pairs:
+                text += [od.origin, od.destination]
+            digest.update(" ".join(map(str, text)).encode() + b"\n")
+            for values in (instance.a, instance.h, instance.b, instance.demands, instance.alphas):
+                digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(3, MAX_NODES), k=st.integers(1, 20 * MAX_LINKS))
+    def test_pair_draws_are_choice_draws(self, seed, n, k):
+        # the one numpy behaviour random_instance relies on: _draw_pair returns
+        # rng.choice(n, 2, replace=False)'s pair, and _skip_pairs leaves the
+        # generator where k such calls leave it
+        from scaleroute.harness import _draw_pair, _skip_pairs
+
+        choice, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _draw_pair(ours, n) == tuple(int(i) for i in choice.choice(n, 2, replace=False))
+        for _ in range(k):
+            choice.choice(n, 2, replace=False)
+        _skip_pairs(ours, n, k)
+        assert np.array_equal(ours.integers(0, 2**32, 3), choice.integers(0, 2**32, 3))
+
+    def test_ids_are_plain_strings(self):
+        for seed in range(200):
+            instance = sr.random_instance(seed, sr.ShapeConfig())
+            ids = [
+                *instance.nodes,
+                *(end for link in instance.links for end in (link.id, link.tail, link.head)),
+                *(end for od in instance.od_pairs for end in (od.origin, od.destination)),
+                *(node for path in instance.paths.all_paths for node in path.nodes),
+            ]
+            assert {type(i) for i in ids} == {str}, seed
 
     def test_mu_min_respected(self):
         shape = sr.ShapeConfig(mu_min=0.6)

@@ -60,9 +60,11 @@ def test_dump_fields_are_pinned():
 
 
 def test_solve_costs_format():
-    # one line per instance and layer, oracle_nash only on a parallel-link
-    # instance, each with its median and quartiles in microseconds per call
+    # one line per instance and layer, the build first and oracle_nash only
+    # on a parallel-link instance, each with its median and quartiles in
+    # microseconds per call
     rows = solve_costs(("oracle-lowmu/s1003", "verify-default/s140"), repeats=2, number=1)
+    assert LAYERS[0] == "build"
     assert [row[:3] for row in rows] == [
         *(("oracle-lowmu", "s1003", layer) for layer in LAYERS),
         *(("verify-default", "s140", layer) for layer in LAYERS if layer != "oracle_nash"),

@@ -1,4 +1,4 @@
-"""Print the in-process cost of each solver layer on named benchmark instances.
+"""Print the in-process cost of each layer on named benchmark instances.
 
 From the root of a checkout:
 
@@ -9,14 +9,16 @@ From the root of a checkout:
 Each instance is a benchmark id, ``workload/id`` (``benchmarks/workloads.py``,
 read, not changed). The defaults are oracle-lowmu s1003 and s1004 and
 verify-default s140, a row near the median of that workload's play times.
-Every layer is called at the inputs that ``play`` gives it:
-``system_optimal``, ``follower_equilibrium`` at the SCALE leader's link
-flows, ``wardrop_gap`` at the follower's path flows, ``oracle_nash`` at the
-leader's link flows (only in its scope, ``is_parallel_link``) and ``play``
-itself. One timing is ``--number`` calls in a row; the timings alternate
-over every instance and layer, ``--repeats`` times, so that a drift of the
-machine's speed meets every layer alike. Each line is
-``workload id layer median_us q1_us q3_us``, microseconds per call.
+``build`` is the workload's constructor of the instance (``random_instance``
+or ``grid_instance`` at its seed). Every solver layer is called at the
+inputs that ``play`` gives it: ``system_optimal``, ``follower_equilibrium``
+at the SCALE leader's link flows, ``wardrop_gap`` at the follower's path
+flows, ``oracle_nash`` at the leader's link flows (only in its scope,
+``is_parallel_link``) and ``play`` itself. One timing is ``--number``
+calls in a row; the timings alternate over every instance and layer,
+``--repeats`` times, so that a drift of the machine's speed meets every
+layer alike. Each line is ``workload id layer median_us q1_us q3_us``,
+microseconds per call.
 
 A traced benchmark pass times each layer once and cannot resolve a change
 of a few microseconds per call; compare two checkouts by running this in
@@ -41,16 +43,19 @@ from workloads import SOLVER, WORKLOADS  # noqa: E402
 
 DEFAULT_IDS = ("oracle-lowmu/s1003", "oracle-lowmu/s1004", "verify-default/s140")
 #: the layers timed, in the order of each instance's lines
-LAYERS = ("system_optimal", "follower_equilibrium", "wardrop_gap", "oracle_nash", "play")
+LAYERS = ("build", "system_optimal", "follower_equilibrium", "wardrop_gap", "oracle_nash", "play")
 
 
-def _calls(instance) -> dict:
-    """Each layer of one instance as a call with no arguments, at the inputs
-    that ``play`` gives it; ``oracle_nash`` only in its scope."""
+def _calls(make) -> dict:
+    """Each layer of the instance that ``make`` builds as a call with no
+    arguments: ``make`` itself, then each solver layer at the inputs that
+    ``play`` gives it; ``oracle_nash`` only in its scope."""
+    instance = make()
     opt = system_optimal(instance, SOLVER)
     s = instance.link_flows(scale_strategy(opt.flow, float(instance.alphas[0])))
     t = follower_equilibrium(instance, s, SOLVER).flow.path_flows_h
     calls = dict(zip(LAYERS, (
+        make,
         lambda: system_optimal(instance, SOLVER),
         lambda: follower_equilibrium(instance, s, SOLVER),
         lambda: wardrop_gap(instance, s, t),
@@ -72,7 +77,7 @@ def solve_costs(ids=DEFAULT_IDS, repeats: int = 21, number: int = 10) -> list[tu
     for name in ids:
         workload, iid = name.split("/")
         make = dict(WORKLOADS[workload].instances)[iid]
-        for layer, call in _calls(make()).items():
+        for layer, call in _calls(make).items():
             cases.append((workload, iid, layer, call))
     timings: list[list[float]] = [[] for _ in cases]
     for _ in range(repeats):
@@ -90,7 +95,7 @@ def solve_costs(ids=DEFAULT_IDS, repeats: int = 21, number: int = 10) -> list[tu
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="In-process cost of each solver layer, in microseconds per call.")
+    parser = argparse.ArgumentParser(description="In-process cost of each layer, in microseconds per call.")
     parser.add_argument("ids", nargs="*", default=DEFAULT_IDS, help="benchmark ids, workload/id")
     parser.add_argument("--repeats", type=int, default=21, help="timings per instance and layer (>= 2)")
     parser.add_argument("--number", type=int, default=10, help="calls per timing")
