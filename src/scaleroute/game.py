@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 from .model import ClassFlow, GameInstance, _social_cost, social_cost
-from .solvers import EquilibriumResult, SolverConfig, _Quadratic, _solve, _wardrop_gap, system_optimal
+from .solvers import EquilibriumResult, SolverConfig, _Quadratic, _solve, system_optimal
 
 _ALPHA_UNIFORM_TOL = 1e-12
 _MEASURE_FLOOR = 1e-12
@@ -29,7 +29,8 @@ class StackelbergOutcome:
     never sets it; ``harness.certify_outcome`` does, when the optimum agrees
     with the exact one on a parallel-link instance: ``optimal_result``
     itself where it is exact, else a fresh ``system_optimal``, exact there,
-    since the descent certifies block-wise optimality only.
+    since the descent certifies block-wise optimality only. ``wardrop_gap``
+    is the follower's ``relative_gap``.
     """
 
     instance: GameInstance
@@ -96,8 +97,8 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     Requires a uniform O/D autonomy fraction in (0, 1). Raises NotConverged
     (carrying no partial outcome beyond the solver result) if either solve
     misses its gap tolerance; deterministic given (instance, config.seed).
-    The follower and the Wardrop gap are those of ``follower_equilibrium``
-    and ``wardrop_gap`` bit for bit, at leader link flows checked once.
+    The follower is ``follower_equilibrium``'s bit for bit, at leader link
+    flows checked once, and the Wardrop gap is its ``relative_gap``.
     """
     alpha = _uniform_alpha(instance)
     opt = system_optimal(instance, config)
@@ -108,7 +109,7 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
     s_path = scale_strategy(opt.flow, alpha)
     s_link = instance.link_flows(s_path)  # checks the path flows, so s_link needs no check
 
-    # follower_equilibrium and wardrop_gap without their checks of s_link
+    # follower_equilibrium without its check of s_link
     follower = _solve(_Quadratic.potential(instance, s_link), config)
     if not follower.converged:
         raise NotConverged(
@@ -119,7 +120,6 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
 
     optimal_cost = social_cost(instance, opt.flow)
     induced_cost = _social_cost(instance, s_link, t_link)  # both built from checked path flows
-    gap = _wardrop_gap(instance, s_link, t_link)
     return StackelbergOutcome(
         instance=instance,
         alpha=alpha,
@@ -130,7 +130,7 @@ def play(instance: GameInstance, config: SolverConfig = SolverConfig()) -> Stack
         optimal_cost=optimal_cost,
         induced_cost=induced_cost,
         empirical_poa=induced_cost / optimal_cost,
-        wardrop_gap=gap,
+        wardrop_gap=follower.relative_gap,
         optimum_certified=False,
         optimal_result=opt,
         follower_result=follower,

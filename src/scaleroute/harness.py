@@ -42,7 +42,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _Quadratic, _wardrop_gap, system_optimal
+from .solvers import SolverConfig, _Quadratic, _point_gap, system_optimal
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -112,14 +112,15 @@ def oracle_nash(
     leader fixed: the human demand on one link, else its ``_face_minimum``.
     ``s`` is checked as ``follower_equilibrium`` checks it. Raises
     DomainError outside the oracle scope (``is_parallel_link``). Returns the
-    human link flows A t and their relative Wardrop gap, ``wardrop_gap`` bit
-    for bit, priced at them and at the s checked once here.
+    human link flows A t and their relative Wardrop gap, priced as
+    ``follower_equilibrium`` prices its ``relative_gap``, bit for bit.
     """
     _check_scope(instance, config)
     s = check_leader_flows(instance, s)
-    t, _ = _Quadratic.potential(instance, s).point()
+    potential = _Quadratic.potential(instance, s)
+    t, _ = potential.point()
     t_link = instance.incidence @ t
-    return t_link, _wardrop_gap(instance, s, t_link)
+    return t_link, _point_gap(potential, [t_link[None]])
 
 
 # --- random instance generation ----------------------------------------------------

@@ -461,7 +461,7 @@ def load_instance(path) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return validate_instance(raw)
 

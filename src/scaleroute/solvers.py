@@ -96,13 +96,15 @@ block with link gradient g, link flow x and per-O/D demands, let y be the
 all-or-nothing load of the demands on the cheapest paths under g; the gap is
 ``(g.x - g.y) / g.x``, clamped at 0 from below and defined as 0 when g.x is
 at most ``_COST_FLOOR``. A NaN gap fails every tolerance test, so a solver
-never reports convergence on NaN input. The Wardrop gap of a human flow is
-this gap at the link latencies, and ``system_optimal`` reports the larger of
-its two block gaps. g.y needs no y: it is sum_w d_w min_w, with min_w the
-least path cost of O/D pair w, so the gap of a point (``_priced_gap``: an
-exact solve's, a returned descent point's, the Wardrop gap) is priced from
-the per-pair least costs, and only a descent round, whose step heads for y,
-builds the load (``_block_gap``); the two agree bit for bit.
+never reports convergence on NaN input. ``_result`` prices a result's gap
+once, at the link flows of the flow it returns (``_point_gap``);
+``system_optimal`` reports the larger of its two block gaps. The potential's
+gradient is the link latency, so the follower's gap is the Wardrop gap, which
+the public ``wardrop_gap`` prices the same way, bit for bit. g.y needs no y:
+it is sum_w d_w min_w, with min_w the least path cost of O/D pair w, so the
+gap of a point (``_priced_gap``) is priced from the per-pair least costs, and
+only a descent round, whose step heads for y, builds the load
+(``_block_gap``); the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -159,9 +161,11 @@ class EquilibriumResult:
     """Solver output: flow, objective value, certificate and iteration trace.
 
     ``potential_or_cost`` is the value of the solver's ``_Quadratic`` at the
-    flow: the potential (human equilibrium) or the social cost (system
-    optimum). An exact solve within the face budget
-    counts one iteration, and its ``trace`` is the objective at its point.
+    flow and ``relative_gap`` its gap at the flow's link flows (``_result``):
+    the potential and the Wardrop gap (human equilibrium) or the social cost
+    and the larger block gap (system optimum). An exact solve within the
+    face budget counts one iteration, and its ``trace`` is the objective at
+    its point.
     Above the budget, ``iterations`` counts the rounds of ``_descend`` that
     tried a step, per start, summed over the starts of the system optimum
     (which run together, as one batch); a round is the follower's block, or
@@ -191,11 +195,12 @@ class EquilibriumResult:
 
 
 def _result(
-    objective: _Quadratic, flows: Sequence[np.ndarray], gap: float, iterations: int,
-    trace: tuple[float, ...], config: SolverConfig, links: Sequence[np.ndarray] | None = None,
+    objective: _Quadratic, flows: Sequence[np.ndarray], iterations: int, trace: tuple[float, ...],
+    config: SolverConfig, links: Sequence[np.ndarray] | None = None,
 ) -> EquilibriumResult:
     """Both solvers' result: the path flows of each block of ``objective`` and
-    their descent or exact solve, against ``config.relative_gap_tol``. The
+    their descent or exact solve, with their gap priced at the result's link
+    flows (``_point_gap``) against ``config.relative_gap_tol``. The
     potential's one block is the human class, beside zero autonomous flow.
     With ``links``, the link flows of each block that an exact solve has
     multiplied out of these path flows, the result is ``exact`` and its
@@ -212,6 +217,8 @@ def _result(
         for array in (*flows, *links):
             array.flags.writeable = False
         flow = ClassFlow(*flows, *links)
+    blocks = [flow.link_flows_h] if objective.cross is None else [flow.link_flows_a, flow.link_flows_h]
+    gap = _point_gap(objective, [x[None] for x in blocks])
     converged = bool(gap <= config.relative_gap_tol)
     return EquilibriumResult(flow, trace[-1], float(gap), int(iterations), converged, trace, links is not None)
 
@@ -981,9 +988,8 @@ def _path_form(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     """The exact minimiser of ``objective`` (``_Quadratic.point``: the demands
-    where it has one face, else its ``_face_minimum``), reported as ``_descend``
-    reports an end point: the largest block gap there (NaN if any is NaN), one
-    iteration, and a trace of the value there; with ``exact`` set, and the
+    where it has one face, else its ``_face_minimum``), reported with one
+    iteration and a trace of the value there; with ``exact`` set, and the
     link flows multiplied out here as the result's, unless no face passed
     the face solve's tests, where the point can be non-finite and is checked
     as a descent's is."""
@@ -991,10 +997,8 @@ def _exact(objective: _Quadratic, config: SolverConfig) -> EquilibriumResult:
     z, exact = objective.point()
     flows = [z[k * n : (k + 1) * n] for k in range(len(objective.quad))]
     link_flows = [objective.incidence @ f for f in flows]
-    links = [x[None] for x in link_flows]
-    gap = _point_gap(objective, links)
-    trace = (float(objective.value(links)[0]),)
-    return _result(objective, flows, gap, 1, trace, config, link_flows if exact else None)
+    trace = (float(objective.value([x[None] for x in link_flows])[0]),)
+    return _result(objective, flows, 1, trace, config, link_flows if exact else None)
 
 
 def _point_gap(objective: _Quadratic, links: list[np.ndarray]) -> float:
@@ -1050,20 +1054,15 @@ def _by_descent(objective: _Quadratic, config: SolverConfig) -> EquilibriumResul
     lowest end point, the first start on near-ties (a later start wins only
     below the incumbent's cost by more than 1e-15 of it, so the rule does
     not depend on the cost's scale), with ``iterations`` summed over the
-    starts. A ``path_heavy`` objective's gap is measured once more,
-    at the link flows that the result reports, since its descent summed them
-    over its working set."""
+    starts."""
     flows = _starts(objective, config.seed)  # _descend moves them in place
-    gaps, iterations, traces = _descend(objective, flows, config)
+    _, iterations, traces = _descend(objective, flows, config)
     best = 0
     for i, trace in enumerate(traces):
         incumbent = traces[best][-1]
         if trace[-1] < incumbent - 1e-15 * abs(incumbent):
             best = i
-    point, gap = [f[best] for f in flows], gaps[best]
-    if objective.path_heavy:
-        gap = _point_gap(objective, [(objective.incidence @ f)[None] for f in point])
-    return _result(objective, point, gap, iterations.sum(), traces[best], config)
+    return _result(objective, [f[best] for f in flows], iterations.sum(), traces[best], config)
 
 
 # --- the solvers ---------------------------------------------------------------------
@@ -1089,7 +1088,7 @@ def follower_equilibrium(
     solve: one solve, counted as one iteration, to which
     ``config.max_iterations`` does not apply, with ``exact`` set. Above the
     budget it is ``_by_descent`` from one start, which reads no seed. Either
-    way ``relative_gap`` is the Wardrop gap at the returned point, and a
+    way ``relative_gap`` is the Wardrop gap at the returned flow, and a
     human class of zero demand gets exactly zero flow. Link flows at the
     optimum are unique (h_l > 0); the path decomposition is the solver's.
     Raises on a leader flow that is not a finite nonnegative link vector
@@ -1104,20 +1103,14 @@ def wardrop_gap(instance: GameInstance, s: np.ndarray, t: np.ndarray) -> float:
 
     Zero iff every used path of every O/D pair has minimum latency. Defined
     as 0 when the human demand (hence total cost) vanishes, NaN when a human
-    flow is NaN; ``s`` is checked by ``check_leader_flows``.
+    flow is NaN; ``s`` is checked by ``check_leader_flows``. It is priced as
+    ``follower_equilibrium`` prices its ``relative_gap``, bit for bit.
     """
     s = check_leader_flows(instance, s)
     t = np.asarray(t, dtype=float)
     if t.shape != (instance.n_paths,):
         raise DomainError(f"human path flows must have shape ({instance.n_paths},)")
-    return _wardrop_gap(instance, s, instance.incidence @ t)
-
-
-def _wardrop_gap(instance: GameInstance, s: np.ndarray, t_link: np.ndarray) -> float:
-    """``wardrop_gap`` at checked leader link flows ``s`` and the human link
-    flows ``t_link`` of the path flows, which it does not check."""
-    t_link = t_link[None]
-    return _priced_gap(instance, instance.human_demands, instance.link_latencies(s, t_link), t_link)[0]
+    return _point_gap(_Quadratic.potential(instance, s), [(instance.incidence @ t)[None]])
 
 
 def system_optimal(
@@ -1132,6 +1125,6 @@ def system_optimal(
     gets exactly zero flow. Above the budget it is ``_by_descent`` from the
     distinct ``_starts``, whose convergence certifies block-wise optimality
     only. Either way ``relative_gap`` is the larger of the two block gaps at
-    the returned point.
+    the link flows of the returned flow.
     """
     return _solve(_Quadratic.social_cost(instance), config)

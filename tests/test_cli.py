@@ -71,6 +71,15 @@ class TestValidate:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "invalid JSON" in line
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"nodes": []}')
+        assert run(["validate", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "invalid JSON" in line and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["validate", "play"])
     def test_nan_coefficient_rejected(self, tmp_path, capsys, command):
         links = [dict(PIGOU_RAW["links"][0], b=float("nan")), PIGOU_RAW["links"][1]]

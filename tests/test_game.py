@@ -126,10 +126,11 @@ class TestPlay:
         ids=["oracle-lowmu", "verify-default-s77-s131"],
     )
     def test_play_is_its_public_decomposition(self, shape, seeds, flow_checks):
-        # play solves the follower and prices its gap without the public
-        # calls' checks of the leader link flows, which it built from checked
-        # path flows; its outcome is theirs bit for bit, and it checks the
-        # leader's path flows once and its link flows never
+        # play solves the follower without the public call's check of the
+        # leader link flows, which it built from checked path flows, and
+        # reports the follower's own gap; its outcome is that of the public
+        # calls bit for bit, and it checks the leader's path flows once and
+        # its link flows never
         for seed in seeds:
             instance = sr.random_instance(seed, shape)
             del flow_checks[:]

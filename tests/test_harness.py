@@ -273,8 +273,8 @@ class TestOracleProperties:
 
 class TestOraclesShareTheSolve:
     """Within the oracle scope both solvers are exact, and ``oracle_nash`` and the
-    exact follower run one face solve on one statement of the potential, bit
-    for bit: ``certify_outcome``'s reuse of an exact optimum, and its fallback
+    exact follower run one face solve on one statement of the potential and
+    price one gap at its point, bit for bit: ``certify_outcome``'s reuse of an exact optimum, and its fallback
     to ``system_optimal``, rest on it."""
 
     def test_parallel_batch(self, parallel_batch):
@@ -292,10 +292,11 @@ class TestOraclesShareTheSolve:
         opt = sr.system_optimal(instance)
         assert opt.exact
         s = instance.od_pairs[0].alpha * opt.flow.total_link_flows  # the SCALE leader's link flows
-        t, _ = sr.oracle_nash(instance, s)
+        t, gap = sr.oracle_nash(instance, s)
         follower = sr.follower_equilibrium(instance, s)
         assert follower.exact
         assert np.array_equal(t, follower.flow.link_flows_h)
+        assert gap == follower.relative_gap
 
 
 def steep_pair(h: float) -> sr.GameInstance:

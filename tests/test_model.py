@@ -157,6 +157,12 @@ def _load_text(tmp_path, text):
     return sr.load_instance(path)
 
 
+def _load_bytes(tmp_path, data):
+    path = tmp_path / "instance.json"
+    path.write_bytes(data)
+    return sr.load_instance(path)
+
+
 class TestBoundaryChecks:
     @pytest.mark.parametrize(
         "call, error, match",
@@ -179,12 +185,15 @@ class TestBoundaryChecks:
              sr.ValidationError, "'nodes' must be non-empty"),
             (lambda tmp_path: _load_text(tmp_path, '{"nodes": ['),
              sr.ValidationError, r"instance\.json: invalid JSON"),
+            (lambda tmp_path: _load_bytes(tmp_path, b'\xff\xfe{"nodes": []}'),
+             sr.ValidationError, r"instance\.json: invalid JSON .*can't decode byte 0xff"),
             (lambda _: sr.wardrop_gap(make_braess(), np.zeros(5), np.zeros(4)),
              sr.DomainError, r"human path flows must have shape \(3,\)"),
         ],
         ids=[
             "duplicate-node", "duplicate-link", "od-undeclared", "od-self", "non-number",
-            "non-object-link", "non-object-top", "empty-nodes", "invalid-json", "gap-human-length",
+            "non-object-link", "non-object-top", "empty-nodes", "invalid-json", "non-utf8",
+            "gap-human-length",
         ],
     )
     def test_rejected(self, call, error, match, tmp_path):

@@ -5,12 +5,14 @@ benchmark instance, so a rename in ``solvers`` that breaks it fails here. Its
 batch rounds per workload and objective are pinned, which also guards the
 rounds that the face move of both descents saves. The fields of
 ``tools/outputs_digest.py --dump`` are pinned, so that dumps of two
-checkouts stay comparable. ``tools/solve_costs.py`` is checked for its
-output format only: no timing is bounded.
+checkouts stay comparable, and ``tools/dump_diff.py`` is checked on two small
+dumps. ``tools/solve_costs.py`` is checked for its output format only: no
+timing is bounded.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
 
 from descent_rounds import descent_rounds  # noqa: E402
+from dump_diff import dump_diff  # noqa: E402
 from outputs_digest import SCALARS, _instance_outputs  # noqa: E402
 from solve_costs import DEFAULT_IDS, LAYERS, solve_costs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -80,3 +83,37 @@ def test_solve_costs_format():
     pattern = re.compile(rf"oracle-lowmu s1004 ({'|'.join(LAYERS)}) {number} {number} {number}")
     lines = out.splitlines()
     assert len(lines) == len(LAYERS) and all(pattern.fullmatch(line) for line in lines)
+
+
+def test_dump_diff_format(tmp_path):
+    def write(name, rows):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return str(path)
+
+    def row(iid, gap, certified, poa=1.5):
+        return dict(workload="w", id=iid, status="ok", poa=poa, wardrop_gap=gap, certified=certified)
+
+    before = [row("s1", 1e-9, True), row("s2", float("nan"), None), row("s3", 2e-9, False)]
+    after = [row("s1", 1e-9 + 2e-16, False), row("s2", float("nan"), None), row("s3", 2e-9 - 3e-16, True)]
+    a, b = write("a.jsonl", before), write("b.jsonl", after)
+
+    def run(*paths):
+        return subprocess.run(
+            [sys.executable, str(TOOLS / "dump_diff.py"), *paths], capture_output=True, text=True, timeout=60,
+        )
+
+    # one line per changed field, in field order: rows, largest change, ids;
+    # NaN equals NaN, and a flag has no size of change
+    out = run(a, b)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == ["wardrop_gap 2 3e-16 w/s1 w/s3", "certified 2 - w/s1 w/s3"]
+    assert [(field, ids) for field, ids, _ in dump_diff(before, after)] == [
+        ("wardrop_gap", ["w/s1", "w/s3"]), ("certified", ["w/s1", "w/s3"]),
+    ]
+    out = run(a, a)
+    assert (out.returncode, out.stdout) == (0, "no field changed\n")
+    # the rows must be the same, in the same order
+    for rows in (after[::-1], after[:2]):
+        out = run(a, write("c.jsonl", rows))
+        assert out.returncode == 1 and out.stdout.startswith("rows differ: ")

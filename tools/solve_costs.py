@@ -14,11 +14,13 @@ or ``grid_instance`` at its seed). Every solver layer is called at the
 inputs that ``play`` gives it: ``system_optimal``, ``follower_equilibrium``
 at the SCALE leader's link flows, ``wardrop_gap`` at the follower's path
 flows, ``oracle_nash`` at the leader's link flows (only in its scope,
-``is_parallel_link``) and ``play`` itself. One timing is ``--number``
-calls in a row; the timings alternate over every instance and layer,
-``--repeats`` times, so that a drift of the machine's speed meets every
-layer alike. Each line is ``workload id layer median_us q1_us q3_us``,
-microseconds per call.
+``is_parallel_link``) and ``play`` itself. ``play`` does not call
+``wardrop_gap``: it reports the follower's own gap, so the ``wardrop_gap``
+line times a call that only the benchmark's traced play makes. One timing
+is ``--number`` calls in a row; the timings alternate over every instance
+and layer, ``--repeats`` times, so that a drift of the machine's speed
+meets every layer alike. Each line is
+``workload id layer median_us q1_us q3_us``, microseconds per call.
 
 A traced benchmark pass times each layer once and cannot resolve a change
 of a few microseconds per call; compare two checkouts by running this in
