@@ -95,7 +95,7 @@ def _check_lambda(lam: float) -> None:
 
 
 def _check_gamma(gamma: float, alpha: float) -> float:
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN fails too
         raise DomainError(f"gamma = {gamma} must be nonnegative")
     limit = 1.0 / alpha
     if gamma > limit + GAMMA_DOMAIN_SLACK:

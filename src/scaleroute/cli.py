@@ -280,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=BatchConfig.count)
     p.add_argument("--alpha", type=float, default=ShapeConfig.alpha)
     p.add_argument("--mu-min", dest="mu_min", type=float, default=ShapeConfig.mu_min)
-    p.add_argument("--jobs", type=int, default=BatchConfig.jobs)
+    p.add_argument("--jobs", type=int, default=BatchConfig.jobs, help="worker processes, at most one per seed and CPU")
     p.add_argument("--out")
     _solver_flags(p)
     p.set_defaults(func=_cmd_verify)

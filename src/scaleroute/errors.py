@@ -11,9 +11,9 @@
 
 All derive from ``ScalerouteError``. The message says what failed and where.
 The configuration classes (``SolverConfig``, ``ShapeConfig``, ``BatchConfig``,
-``OracleConfig``) raise ValueError for a field out of range instead, so that
-a random instance or a verification batch never starts from a setting it
-cannot play.
+``OracleConfig``) raise ValueError for a field out of range, or a count or
+seed that is not an integer, instead, so that a random instance or a
+verification batch never starts from a setting it cannot play.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
@@ -42,7 +43,7 @@ from .model import (
     network_autonomy_fraction,
     social_cost,
 )
-from .solvers import SolverConfig, _Quadratic, _point_gap, system_optimal
+from .solvers import SolverConfig, _Quadratic, _check_count, _point_gap, system_optimal
 
 #: comparison slacks used by the verification harness
 POA_SLACK = 1e-6
@@ -272,12 +273,9 @@ class BatchConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count = {self.count} must be >= 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs = {self.jobs} must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed = {self.base_seed} must be >= 0")
+        _check_count("count", self.count, 1)
+        _check_count("jobs", self.jobs, 1)
+        _check_count("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -409,8 +407,11 @@ def verify_bounds(config: BatchConfig = BatchConfig()) -> VerificationReport:
         return VerificationReport(rows=tuple(map(_verify_one, *args)))
     import concurrent.futures  # here, not at the top: it costs every import of the package
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(config.jobs, config.count)) as pool:
-        chunksize = -(-config.count // (4 * config.jobs))
+    # no more workers than seeds, nor than the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.jobs, config.count, cpus)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = -(-config.count // (4 * workers))
         return VerificationReport(rows=tuple(pool.map(_verify_one, *args, chunksize=chunksize)))
 
 

@@ -45,7 +45,7 @@ used path of each O/D pair to its best path, which removes the sublinear tail
 of plain conditional gradient and lets tight gap tolerances be reached on
 small networks (the path-based block descent with pairwise exchange of
 Jayakrishnan et al., 1994). A start leaves the batch after a round that moves
-none of its path flows. Each start keeps its own round budget, and an
+none of its path flows. Each start has a separate round budget, and an
 iteration is a round in which it tried a step; its trace holds the objective
 at the start of each of its rounds, so the last entry is its returned point.
 
@@ -58,12 +58,11 @@ working set of paths, a restricted path set grown by column generation
 the all-or-nothing paths of each round. The gap still prices every
 enumerated path in every round, so each step heads for the all-or-nothing
 load over all paths and the reported gap is the certificate over all of
-them. Each block of each start exchanges flow only to paths of its own set,
-the paths it started on and those its own all-or-nothing steps loaded, so
-every start still runs as it would alone, up to the last bits of the batched
-products (``_descend``). On the 4×4 grids of 184-368
-paths the optimum's working set ends at 37-88 paths, of which its starts'
-end points use 7-28; on the 5×5 grid it ends at 97 of 8,512. An objective
+them. The batch has one working set, as it has one set of full columns: the
+exchange of every start may move flow to any path of it, also to one that
+only another start loaded (``_descend``). On the 4×4 grids of 184-368
+paths the optimum's working set ends at 37-87 paths, of which its starts'
+end points use 7-28; on the 5×5 grid it ends at 93 of 8,512. An objective
 with at most that many paths keeps every path.
 
 The human equilibrium is the loop with one block, from one start. The system
@@ -89,7 +88,7 @@ solve, each at the size of its support. The follower builds the move on its
 working set and builds it again when the set widens. The optimum's
 working-set descent runs without it: its starts meet fresh supports in
 nearly every round, and on the 4×4 grids the move cut the optimum's batch
-rounds from 525 to 341 but made it slower.
+rounds from 509 to 315 but made the two-pair grids play slower.
 
 Every convergence test uses one relative gap, exact solve or descent. For a
 block with link gradient g, link flow x and per-O/D demands, let y be the
@@ -113,6 +112,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -150,10 +150,15 @@ class SolverConfig:
     def __post_init__(self):
         if not self.relative_gap_tol > 0:
             raise ValueError(f"relative_gap_tol must be > 0, got {self.relative_gap_tol}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("max_iterations", self.max_iterations, 1)
+        _check_count("seed", self.seed, 0)
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless ``value``, of the configuration field ``name``,
+    is a Python or numpy integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,14 +413,13 @@ def _priced_gap(
 def _block_step(
     objective: _Quadratic, demands: np.ndarray, quad: np.ndarray, lin: np.ndarray,
     x: np.ndarray, x_link: np.ndarray, g: np.ndarray, y: np.ndarray, step: np.ndarray,
-    own: np.ndarray | None = None,
 ) -> np.ndarray:
     """One descent step of the block sum_l [quad_l x_l^2 / 2 + lin_l x_l] in each row
     of the (starts × paths) path flows ``x`` over the paths of ``objective`` where
     ``step`` holds, in place, with link flows ``x_link``, gradients ``g`` and
     all-or-nothing loads ``y`` (``_block_gap``): a conditional-gradient step with
-    exact line search, then one pairwise-exchange sweep, which moves flow only to
-    paths of the row's ``own`` set (starts × paths) where one is given. Neither
+    exact line search, then one pairwise-exchange sweep over every path of
+    ``objective``, the batch's one working set where it has one. Neither
     raises the block objective, and a row outside ``step`` keeps its flows.
     Returns, per row, whether any path flow changed, bit for bit."""
     inc = objective.incidence
@@ -447,10 +451,7 @@ def _block_step(
         path_g_w = g @ inc[:, start:end]
         worst_used = np.where(used, path_g_w, -np.inf)  # -inf on a row with no used path
         jw = worst_used.argmax(1)
-        if own is None:
-            jb = path_g_w.argmin(1)
-        else:
-            jb = np.where(own[:, start:end], path_g_w, np.inf).argmin(1)
+        jb = path_g_w.argmin(1)
         drop = worst_used[rows, jw] - path_g_w[rows, jb]
         exchange = step & (drop > 0.0)  # jw == jb gives drop == 0
         if not any(exchange):
@@ -657,23 +658,22 @@ def _descend(
     round are therefore measured at its returned point.
 
     A ``path_heavy`` objective, with more paths than links plus O/D pairs,
-    runs on a working set of its paths: the objective ``restrict``-ed to the
-    paths that its starts load, widened by the all-or-nothing paths of each
-    round. ``_block_gap`` still prices every path, so each
-    conditional-gradient step heads for the all-or-nothing load over all
-    paths, and each gap is the certificate over all of them. Each block of
-    each start keeps its own set, the paths it started on and those its own
-    all-or-nothing steps loaded, and its pairwise exchange moves flow only to
-    paths of that set, never to a path that only another start loaded. Any
-    other objective keeps every path and runs with no working set. The face
-    move is built over the working set, and built again whenever it widens.
-    So each start runs as it would alone, up to the last bits of the batched
-    products and of the face solves, whose stacks are padded to the largest
-    support of a call. Those bits can matter: a one-row and a many-row
-    product can round differently, and the difference can break a tie
-    between two path costs in the exchange the other way, after which the
-    start's rounds in the batch and alone part (``budget-grid1`` of
-    ``test_start_runs_as_it_would_alone`` once did so at starts 9 and 11).
+    runs on one working set of its paths for the whole batch: the objective
+    ``restrict``-ed to the paths that its starts load, widened by the
+    all-or-nothing paths of each round. ``_block_gap`` still prices every
+    path, so each conditional-gradient step heads for the all-or-nothing
+    load over all paths, and each gap is the certificate over all of them.
+    Every start's pairwise exchange may move flow to any path of the set, so
+    a start's rounds depend on the paths its batch mates loaded. Any other
+    objective keeps every path and runs with no working set. The face move
+    is built over the working set, and built again whenever it widens.
+
+    Where the objective keeps every path, each start runs as it would alone,
+    up to the last bits of the batched products and of the face solves,
+    whose stacks are padded to the largest support of a call. Those bits can
+    matter: a one-row and a many-row product can round differently, and the
+    difference can break a tie between two path costs in the exchange the
+    other way, after which the start's rounds in the batch and alone part.
 
     Returns per start the largest block gap (NaN if any is NaN), the number
     of rounds that tried a step, and the trace of the objective's value at
@@ -684,18 +684,16 @@ def _descend(
     n_starts = len(flows[0])
     working = objective.path_heavy
     if working:
-        # the working set, as a mask over every path and as sorted columns, the
-        # objective over those columns, and the own sets of each block among them
-        owns = [f != 0.0 for f in flows]
-        member = np.logical_or.reduce(functools.reduce(np.logical_or, owns), axis=0)
+        # the working set, as a mask over every path and as sorted columns, and
+        # the objective over those columns
+        member = np.logical_or.reduce(np.vstack(flows) != 0.0, axis=0)
         columns = np.flatnonzero(member)
-        owns = [own.take(columns, 1) for own in owns]
         part = objective.restrict(columns)
         # C-contiguous, as below: take copies in C order, where f[:, columns]
         # would return an F-ordered copy
         xs = [f.take(columns, 1) for f in flows]
     else:
-        part, owns = objective, [None] * len(flows)
+        part = objective
         # C-contiguous, since _block_step updates them through flat views;
         # compacted to the live starts once one finishes
         xs = [np.ascontiguousarray(f) for f in flows]
@@ -739,7 +737,6 @@ def _descend(
                     kept, columns = columns, np.flatnonzero(member)
                     at = np.searchsorted(columns, kept)
                     xs = [_widen(x, at, len(columns)) for x in xs]
-                    owns = [_widen(own, at, len(columns)) for own in owns]
                     part = objective.restrict(columns)
                     if swap is not None:
                         swap = _class_swap(part)
@@ -747,8 +744,7 @@ def _descend(
                         face = _face_move(part)
                     inc = part.incidence
                     y = y_all.take(columns, 1)
-                owns[k] |= (y != 0.0) & step[:, None]
-            moved_k = _block_step(part, demands, quad, lin_k, xs[k], links[k], g, y, step, owns[k])
+            moved_k = _block_step(part, demands, quad, lin_k, xs[k], links[k], g, y, step)
             if any(moved_k):
                 moved = moved | moved_k
                 links[k] = xs[k] @ inc.T
@@ -780,15 +776,13 @@ def _descend(
         links = [link[moved] for link in links]
         quads = [quad[: len(live)] for quad in quads]
         iterations = iterations[moved]
-        if working:
-            owns = [own[moved] for own in owns]
     return gap_out, iterations_out, [tuple(t) for t in traces]
 
 
 def _widen(x: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
     """The rows of ``x`` spread onto n columns, column j of ``x`` to column
     ``at[j]``, with zeros elsewhere."""
-    out = np.zeros((len(x), n), dtype=x.dtype)
+    out = np.zeros((len(x), n))
     out[:, at] = x
     return out
 

@@ -39,6 +39,13 @@ class TestBetaBounds:
         with pytest.raises(sr.DomainError):
             sr.beta_bound_relaxed(2.1, 0.5, 0.5)
 
+    def test_domain_error_on_nan_gamma(self):
+        # NaN fails both range tests unless one asks gamma >= 0
+        with pytest.raises(sr.DomainError, match="gamma = nan"):
+            sr.beta_bound(math.nan, 0.5, 0.5, 0.5)
+        with pytest.raises(sr.DomainError, match="gamma = nan"):
+            sr.beta_bound_relaxed(math.nan, 0.5, 0.5)
+
     def test_relaxed_gamma_plus_value(self):
         # alpha = 0.5, mu = 0.5: crossover at 1/(0.25 + 0.5) = 4/3
         gamma_plus = 1.0 / (0.5 * 0.5 + 0.5)

@@ -101,6 +101,17 @@ class TestBatchConfig:
         with pytest.raises(ValueError, match="base_seed"):
             sr.BatchConfig(base_seed=-5)
 
+    @pytest.mark.parametrize("field", ["count", "base_seed", "jobs"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, True, "3"], ids=["float", "whole-float", "nan", "bool", "str"])
+    def test_non_integer_rejected(self, field, value):
+        # each failed with a TypeError inside verify_bounds, or not at all
+        with pytest.raises(ValueError, match=f"{field} = .* must be an integer"):
+            sr.BatchConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = sr.BatchConfig(count=np.int64(2), base_seed=np.int32(5), jobs=np.uint8(1))
+        assert [row.seed for row in sr.verify_bounds(config).rows] == [5, 6]
+
 
 class TestFaceMinimum:
     @pytest.mark.parametrize(
@@ -557,18 +568,28 @@ class TestVerifyBounds:
         assert report_to_csv(serial) == report_to_csv(parallel)
 
     def test_workers_capped_at_count(self, monkeypatch):
-        # threads stand in for processes, so no worker process starts
+        # threads stand in for processes, so no worker process starts, and the
+        # process may run on 2 CPUs, so at most 2 threads start
         seen = []
 
         class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
-                seen.append(max_workers)
+                seen.append([max_workers])
                 super().__init__(max_workers)
 
+            def map(self, fn, *iterables, chunksize=1):
+                seen[-1].append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        report = sr.verify_bounds(sr.BatchConfig(count=3, jobs=500))
-        assert seen == [3]
-        assert report_to_csv(report) == report_to_csv(sr.verify_bounds(sr.BatchConfig(count=3)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # [workers, chunksize]: one seed takes one worker; 9 seeds take both
+        # CPUs, not 500 workers, in chunks of 9 / (4 * 2) rounded up
+        report = sr.verify_bounds(sr.BatchConfig(count=1, jobs=500))
+        assert report_to_csv(report) == report_to_csv(sr.verify_bounds(sr.BatchConfig(count=1)))
+        sr.verify_bounds(sr.BatchConfig(count=9, jobs=500))
+        assert seen == [[1, 1], [2, 2]]
 
     def test_import_loads_neither_the_pool_nor_json(self):
         # verify_bounds imports concurrent.futures only for jobs > 1, and

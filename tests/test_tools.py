@@ -3,7 +3,8 @@
 ``tools/descent_rounds.py`` wraps ``solvers._descend`` and plays every
 benchmark instance, so a rename in ``solvers`` that breaks it fails here. Its
 batch rounds per workload and objective are pinned, which also guards the
-rounds that the face move of both descents saves. The fields of
+rounds that the face move of both descents saves, and its ``--grid 4`` run
+is the grid-4x4 workload's. The fields of
 ``tools/outputs_digest.py --dump`` are pinned, so that dumps of two
 checkouts stay comparable, and ``tools/dump_diff.py`` is checked on two small
 dumps. ``tools/solve_costs.py`` is checked for its output format only: no
@@ -18,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
 
@@ -28,22 +31,34 @@ from solve_costs import DEFAULT_IDS, LAYERS, solve_costs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def test_descent_rounds_are_pinned():
+@pytest.fixture(scope="module")
+def benchmark_descents():
+    """``descent_rounds()`` over the benchmark's 255 plays, run once."""
+    return descent_rounds()
+
+
+def test_descent_rounds_are_pinned(benchmark_descents):
     # (descents, batch rounds) per workload and objective; the optimum's 25
     # verify-default descents took 124 batch rounds and grid-4x4's five
     # followers 225 before the follower's face move and its step toward
-    # infeasible face points; oracle-lowmu runs no descent
+    # infeasible face points, and grid-4x4's optimum 525 while each start
+    # exchanged flow only within its own paths; oracle-lowmu runs no descent
     totals: dict[tuple[str, str], list[int]] = {}
-    for workload, _, objective, _, rounds, _ in descent_rounds():
+    for workload, _, objective, _, rounds, _ in benchmark_descents:
         total = totals.setdefault((workload, objective), [0, 0])
         total[0] += 1
         total[1] += rounds
     assert totals == {
         ("verify-default", "optimum"): [25, 100],
         ("verify-default", "follower"): [2, 4],
-        ("grid-4x4", "optimum"): [5, 525],
+        ("grid-4x4", "optimum"): [5, 509],
         ("grid-4x4", "follower"): [5, 29],
     }
+
+
+def test_grid_descents_are_the_workloads(benchmark_descents):
+    # --grid 4 plays the grid-4x4 workload's five instances under its name
+    assert descent_rounds(grid=4) == [row for row in benchmark_descents if row[0] == "grid-4x4"]
 
 
 def test_dump_fields_are_pinned():
