@@ -86,9 +86,15 @@ methods, Bertsekas, 1982); for the convex potential the face's point is the
 equilibrium itself. The fresh faces of all those starts take one stacked
 solve, each at the size of its support. The follower builds the move on its
 working set and builds it again when the set widens. The optimum's
-working-set descent runs without it: its starts meet fresh supports in
-nearly every round, and on the 4×4 grids the move cut the optimum's batch
-rounds from 509 to 315 but made the two-pair grids play slower.
+working-set batch runs without it: its starts meet fresh supports in nearly
+every round, and on the 4×4 grids the move cut the batch rounds from 509 to
+315 but made the two-pair grids play slower. So a path-heavy optimum descends
+in two phases (``_by_descent``): its batch descends only to a loose gap, and
+its winner finishes alone, with the move on its working set, to the
+tolerance. On the 4×4 grids the two phases took 363 batch rounds in all,
+and four of the five optima ended at gaps of at most 7.6e-16, the fifth at
+8.9e-9, where the batch descending to the tolerance took 509 rounds and
+stopped at 8.3e-9 to 9.9e-9.
 
 Every convergence test uses one relative gap, exact solve or descent. For a
 block with link gradient g, link flow x and per-O/D demands, let y be the
@@ -124,6 +130,11 @@ from .model import ClassFlow, GameInstance, PathSet, check_leader_flows
 _COST_FLOOR = 1e-30
 _USED_EPS = 1e-14
 _MULTISTARTS = 15  # social-cost start draws of _starts, before repeats are dropped
+#: the gap to which a path-heavy optimum's batch descends before its winner finishes
+#: alone with the face move (``_by_descent``), unless the tolerance is looser. The five
+#: 4×4 grid optima took 116 / 96 / 104 / 109 ms at 1e-3 / 1e-4 / 1e-5 / 1e-6, and at
+#: 1e-3 two 5×5 grid optima ended higher by 4.6e-15 and 8e-15 (Xeon, 2 CPUs)
+_BATCH_GAP = 1e-4
 #: the most faces (``_Quadratic.faces``) each solver enumerates exactly; above it, it
 #: descends. The optimum's 15-start descent costs as much as the face solve between 585
 #: faces (verify-default rows with 312 and 585 faces: 20 ms exact against 44 ms of
@@ -148,8 +159,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.relative_gap_tol > 0:
-            raise ValueError(f"relative_gap_tol must be > 0, got {self.relative_gap_tol}")
+        # a relative gap never exceeds 1, so a tolerance of 1 or more would stop every solve at once
+        if not 0 < self.relative_gap_tol < 1:
+            raise ValueError(f"relative_gap_tol must be > 0 and < 1, got {self.relative_gap_tol}")
         _check_count("max_iterations", self.max_iterations, 1)
         _check_count("seed", self.seed, 0)
 
@@ -176,11 +188,14 @@ class EquilibriumResult:
     (which run together, as one batch); a round is the follower's block, or
     the optimum's autonomous block, then its human block, then the class
     swap, which runs only in a round that tried a block step, and then,
-    except on the optimum's working set of paths, the exact face move to (or
-    toward) the stationary point of the face its support spans, taken only
-    where it lowers the objective. ``trace`` then records the objective at
-    the start of each round of the returned start, so its last entry is the
-    returned point; it is nonincreasing by construction.
+    except in the batch of the optimum's working set of paths, the exact face
+    move to (or toward) the stationary point of the face its support spans,
+    taken only where it lowers the objective. ``trace`` then records the
+    objective at the start of each round of the returned start, so its last
+    entry is the returned point; it is nonincreasing by construction. A
+    path-heavy optimum's winner finishes alone after its batch
+    (``_by_descent``): ``iterations`` adds the finish's rounds to the
+    batch's, and ``trace`` runs on through the finish.
 
     ``exact`` is set when the result is the exact solve within the face
     budget, the global minimum of its objective, and some face passed that
@@ -650,10 +665,10 @@ def _descend(
     NaN at a non-finite gradient. After the blocks of a two-block objective,
     ``_class_swap`` moves the path flows and link flows of both in place on
     the starts that tried a step this round. Then, for the one-block
-    potential and for the two-block social cost where it keeps every path,
-    ``_face_move`` moves those starts to, or toward, the stationary points
-    of their supports' faces where that lowers the objective; neither is an
-    extra round. A start leaves the batch after a round that changes none of
+    potential, and for the two-block social cost where it keeps every path or
+    runs from one start, ``_face_move`` moves those starts to, or toward, the
+    stationary points of their supports' faces where that lowers the
+    objective; neither is an extra round. A start leaves the batch after a round that changes none of
     its path flows, since every later round would repeat it; the gaps of that
     round are therefore measured at its returned point.
 
@@ -666,7 +681,9 @@ def _descend(
     Every start's pairwise exchange may move flow to any path of the set, so
     a start's rounds depend on the paths its batch mates loaded. Any other
     objective keeps every path and runs with no working set. The face move
-    is built over the working set, and built again whenever it widens.
+    is built over the working set, and built again whenever it widens; the
+    social cost builds it there only in a one-start descent, the finish of
+    ``_by_descent``.
 
     Where the objective keeps every path, each start runs as it would alone,
     up to the last bits of the batched products and of the face solves,
@@ -698,8 +715,9 @@ def _descend(
         # compacted to the live starts once one finishes
         xs = [np.ascontiguousarray(f) for f in flows]
     swap = _class_swap(part) if len(objective.quad) == 2 else None
-    # the face move: every descent of the potential, the optimum's on every column only
-    face = _face_move(part) if swap is None or not working else None
+    # the face move: every descent of the potential, the optimum's on every column or
+    # from one start only
+    face = _face_move(part) if swap is None or not working or n_starts == 1 else None
     inc = part.incidence
     live = np.arange(n_starts)
     links = [x @ inc.T for x in xs]
@@ -1048,15 +1066,35 @@ def _by_descent(objective: _Quadratic, config: SolverConfig) -> EquilibriumResul
     lowest end point, the first start on near-ties (a later start wins only
     below the incumbent's cost by more than 1e-15 of it, so the rule does
     not depend on the cost's scale), with ``iterations`` summed over the
-    starts."""
+    starts.
+
+    A path-heavy social cost runs in two phases. Its batch descends only to
+    a gap of ``_BATCH_GAP`` (or the tolerance, if looser), without the face
+    move, since its starts meet fresh supports in nearly every round. The
+    winner then finishes alone, as a batch of one start, which ``_descend``
+    runs with the face move on its working set, to the tolerance and within
+    the rounds the winner has left of ``config.max_iterations``; with none
+    left, the batch's point is returned. ``iterations`` adds the finish's
+    rounds to the batch's sum, and the trace is the winner's batch trace,
+    then the finish's after its first entry, which repeats the batch's last."""
     flows = _starts(objective, config.seed)  # _descend moves them in place
-    _, iterations, traces = _descend(objective, flows, config)
+    two_phase = objective.cross is not None and objective.path_heavy
+    batch = config
+    if two_phase:
+        batch = dataclasses.replace(config, relative_gap_tol=max(config.relative_gap_tol, _BATCH_GAP))
+    _, iterations, traces = _descend(objective, flows, batch)
     best = 0
     for i, trace in enumerate(traces):
         incumbent = traces[best][-1]
         if trace[-1] < incumbent - 1e-15 * abs(incumbent):
             best = i
-    return _result(objective, [f[best] for f in flows], iterations.sum(), traces[best], config)
+    point = [f[best : best + 1] for f in flows]
+    spent, trace = iterations.sum(), traces[best]
+    left = config.max_iterations - iterations[best]
+    if two_phase and left > 0:
+        _, finish, (tail,) = _descend(objective, tuple(point), dataclasses.replace(config, max_iterations=left))
+        spent, trace = spent + finish[0], trace + tail[1:]
+    return _result(objective, [f[0] for f in point], spent, trace, config)
 
 
 # --- the solvers ---------------------------------------------------------------------

@@ -268,6 +268,8 @@ class TestUsageErrors:
             (["verify", "--jobs", "-3"], "jobs"),
             (["verify", "--count", "2", "--tol", "nan"], "relative_gap_tol"),
             (["play", "--tol", "-1"], "relative_gap_tol"),
+            # a relative gap never exceeds 1, so every solve would stop at once
+            (["verify", "--count", "3", "--tol", "1"], "relative_gap_tol"),
             (["solve-optimal", "--max-iter", "0"], "max_iterations"),
             (["verify", "--alpha", "1.5"], "alpha"),
             # the SCALE leader and its bound need alpha in (0, 1)
@@ -278,7 +280,7 @@ class TestUsageErrors:
             (["verify", "--count", "3", "--seed", "-1"], "seed"),
         ],
         ids=[
-            "count", "jobs", "tol-nan", "tol-negative", "max-iter", "alpha", "alpha-zero", "alpha-one",
+            "count", "jobs", "tol-nan", "tol-negative", "tol-one", "max-iter", "alpha", "alpha-zero", "alpha-one",
             "mu-min",
             "seed-negative-play", "seed-negative-verify",
         ],

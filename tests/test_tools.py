@@ -26,7 +26,7 @@ sys.path.insert(0, str(TOOLS))
 
 from descent_rounds import descent_rounds  # noqa: E402
 from dump_diff import dump_diff  # noqa: E402
-from outputs_digest import SCALARS, _instance_outputs  # noqa: E402
+from outputs_digest import SCALARS, _instance_outputs, blas_kernel  # noqa: E402
 from solve_costs import DEFAULT_IDS, LAYERS, solve_costs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -42,7 +42,9 @@ def test_descent_rounds_are_pinned(benchmark_descents):
     # verify-default descents took 124 batch rounds and grid-4x4's five
     # followers 225 before the follower's face move and its step toward
     # infeasible face points, and grid-4x4's optimum 525 while each start
-    # exchanged flow only within its own paths; oracle-lowmu runs no descent
+    # exchanged flow only within its own paths and 509 (5 descents) while its
+    # batch descended to the tolerance with no one-start finish, which counts
+    # as a descent of its own; oracle-lowmu runs no descent
     totals: dict[tuple[str, str], list[int]] = {}
     for workload, _, objective, _, rounds, _ in benchmark_descents:
         total = totals.setdefault((workload, objective), [0, 0])
@@ -51,7 +53,7 @@ def test_descent_rounds_are_pinned(benchmark_descents):
     assert totals == {
         ("verify-default", "optimum"): [25, 100],
         ("verify-default", "follower"): [2, 4],
-        ("grid-4x4", "optimum"): [5, 509],
+        ("grid-4x4", "optimum"): [10, 363],
         ("grid-4x4", "follower"): [5, 29],
     }
 
@@ -75,6 +77,14 @@ def test_dump_fields_are_pinned():
     assert problems == 2 and tuple(scalars) == SCALARS
     assert scalars["workload"] == "oracle-lowmu" and scalars["id"] == iid and scalars["status"] == "ok"
     assert None not in scalars.values() and isinstance(scalars["certified"], bool)
+
+
+def test_blas_kernel(tmp_path):
+    # the digest's summary line names the kernel, which decides the last bits
+    # of every product; a directory with no bundled OpenBLAS names none
+    kernel = blas_kernel()
+    assert kernel and kernel.isprintable() and " " not in kernel
+    assert blas_kernel(tmp_path) == "unknown"
 
 
 def test_solve_costs_format():

@@ -16,7 +16,9 @@ above their face budget) is recorded under its objective, ``optimum`` (two
 class blocks) or ``follower`` (one), with its distinct starts, its batch
 rounds (the rounds that the batch runs, which are those of its longest
 start, the length of that start's trace) and its iterations summed over the
-starts. A workload line sums them:
+starts. A path-heavy optimum calls ``_descend`` twice, its loose batch and then
+its winner's one-start finish (``solvers._by_descent``), and the two calls
+count as two descents, the finish with one start. A workload line sums them:
 ``workload objective descents starts batch_rounds iterations``. With
 ``--each``, each descent first prints
 ``workload id objective starts batch_rounds iterations``.

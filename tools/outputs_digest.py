@@ -24,10 +24,17 @@ instance with its scalar outputs (``SCALARS``): its workload and id, whether
 iterations, ``converged`` and ``exact`` of the optimum's and the follower's
 solve, and the oracle's ``certified`` flag (null outside its scope), so that
 two checkouts can be compared by value, not only by hash.
+
+The summary line ends with the OpenBLAS kernel that numpy's bundled library
+picked when it loaded (``blas_kernel``), or ``unknown`` where that library
+cannot be read. The kernels sum matrix products in different orders, so two
+digests only compare under one kernel; across kernels, compare ``--dump``
+files with ``tools/dump_diff.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -43,6 +50,24 @@ from scaleroute import (  # noqa: E402
 )
 from scaleroute.harness import certify_outcome  # noqa: E402
 from workloads import SOLVER, WORKLOADS  # noqa: E402
+
+
+#: where a numpy wheel bundles its OpenBLAS
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def blas_kernel(libs: Path = NUMPY_LIBS) -> str:
+    """The name of the kernel that the bundled OpenBLAS in ``libs`` runs, such
+    as ``SkylakeX`` or ``Haswell``, or ``unknown`` where no such library can
+    be read there."""
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _feed(out: bytearray, *values) -> None:
@@ -144,4 +169,4 @@ if __name__ == "__main__":
     if "--dump" in args:
         with open(args[args.index("--dump") + 1], "w") as fh:
             fh.writelines(json.dumps(values) + "\n" for values in scalars)
-    print(f"{hexdigest}  {instances} instances, {oracle_problems} oracle problems")
+    print(f"{hexdigest}  {instances} instances, {oracle_problems} oracle problems, OpenBLAS {blas_kernel()}")
